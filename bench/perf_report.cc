@@ -6,9 +6,8 @@
  * at the repo root; see tools/perf_compare.py for the before/after
  * merge).
  *
- * Uses only long-stable public APIs so the same source file compiles
- * against older revisions of the library for baseline measurements;
- * benches of newer APIs are gated on __has_include.
+ * Baselines are measured by building this file at the parent
+ * revision, which has every API it uses.
  *
  * Flags:
  *   --out FILE        Write the JSON report to FILE (default stdout).
@@ -27,68 +26,22 @@
 #include <string>
 #include <vector>
 
+#include "api/api.hh"
 #include "channel/ids_channel.hh"
+#include "cluster/clusterer.hh"
+#include "cluster/stream.hh"
+#include "consensus/bma.hh"
 #include "consensus/two_sided.hh"
+#include "dna/packed_strand.hh"
 #include "dna/strand.hh"
 #include "ecc/gf.hh"
 #include "ecc/rs.hh"
+#include "lab/scenario.hh"
 #include "pipeline/bundle.hh"
 #include "pipeline/simulator.hh"
 #include "util/parse.hh"
 #include "util/rng.hh"
 
-#if defined(__has_include)
-#if __has_include("dna/packed_strand.hh")
-#include "dna/packed_strand.hh"
-#define DNASTORE_HAVE_PACKED_STRAND 1
-#endif
-#if __has_include("cluster/clusterer.hh")
-#include "cluster/clusterer.hh"
-#define DNASTORE_HAVE_CLUSTERER 1
-#endif
-#if __has_include("consensus/bma.hh")
-#include "consensus/bma.hh"
-#define DNASTORE_HAVE_BMA 1
-#endif
-#if __has_include("util/thread_pool.hh")
-// Marks the PR 3 API surface: SIMD kernels, sharded clustering,
-// thread-pool-backed parallel loops.
-#include "util/simd.hh"
-#include "util/thread_pool.hh"
-#define DNASTORE_HAVE_THREAD_POOL 1
-#endif
-#if __has_include("lab/scenario.hh")
-// Marks the PR 4 API surface: Scenario Lab channel stressors and
-// Monte-Carlo trials.
-#include "lab/scenario.hh"
-#define DNASTORE_HAVE_LAB 1
-#endif
-#if __has_include("api/api.hh")
-// Marks the PR 5 API surface: the public Store façade. The e2e
-// benches run through it so the path every front-end takes is the
-// path the perf trajectory tracks.
-#include "api/api.hh"
-#define DNASTORE_HAVE_API 1
-#endif
-#if __has_include("api/pool_file.hh")
-// Marks the PR 6 API surface: the durable .dnapool format and
-// Store::save / Store::openFile.
-#include "api/pool_file.hh"
-#define DNASTORE_HAVE_POOL_FILE 1
-#endif
-#if __has_include("api/health.hh")
-// Marks the PR 7 API surface: the durability loop — health
-// telemetry, the aging fault injector, scrub repair.
-#include "api/health.hh"
-#define DNASTORE_HAVE_DURABILITY 1
-#endif
-#if __has_include("cluster/stream.hh")
-// Marks the PR 8 API surface: bounded-memory streaming clustering
-// with out-of-core spill segments.
-#include "cluster/stream.hh"
-#define DNASTORE_HAVE_STREAM_CLUSTER 1
-#endif
-#endif
 
 namespace dnastore {
 namespace {
@@ -194,7 +147,6 @@ collect(std::vector<BenchResult> &results, const Options &opt)
         double t1 = nowNs();
         results.push_back({ name, t1 - t0, 1 });
     };
-    (void)addHeavy;
 
     // --- Galois field multiply (bench-scale and paper-scale fields).
     for (unsigned m : { 10u, 16u }) {
@@ -306,8 +258,7 @@ collect(std::vector<BenchResult> &results, const Options &opt)
         });
     }
 
-#ifdef DNASTORE_HAVE_PACKED_STRAND
-    // --- 2-bit packing round trip (new API; skipped on baselines).
+    // --- 2-bit packing round trip.
     {
         Rng rng(8);
         Strand s = randomStrand(455, rng);
@@ -322,9 +273,7 @@ collect(std::vector<BenchResult> &results, const Options &opt)
             g_sink ^= uint64_t(bitsFromBase(out[17]));
         });
     }
-#endif
 
-#ifdef DNASTORE_HAVE_BMA
     // --- One-way BMA consensus at coverage 10 (the decode-side inner
     // loop the SIMD unanimity/histogram kernels accelerate).
     {
@@ -336,9 +285,7 @@ collect(std::vector<BenchResult> &results, const Options &opt)
             g_sink ^= reconstructOneWay(reads, 455).size();
         });
     }
-#endif
 
-#ifdef DNASTORE_HAVE_CLUSTERER
     // --- Read clustering: 1000 strands x coverage 10 = 10k noisy
     // reads, the Rashtchian-style pre-consensus grouping stage.
     {
@@ -354,17 +301,13 @@ collect(std::vector<BenchResult> &results, const Options &opt)
         add("cluster_reads_n10k", [&reads]() {
             g_sink ^= clusterReads(reads).count();
         });
-#ifdef DNASTORE_HAVE_THREAD_POOL
         ClusterParams par8;
         par8.numThreads = 8;
         add("cluster_reads_n10k_t8", [&reads, par8]() {
             g_sink ^= clusterReads(reads, par8).count();
         });
-#endif
     }
-#endif
 
-#ifdef DNASTORE_HAVE_STREAM_CLUSTER
     // --- Streaming out-of-core clustering at soup scale. Reads are
     // generated on the fly and fed straight into the engine — the
     // soup never exists as a std::vector<Strand>, which is the
@@ -404,10 +347,8 @@ collect(std::vector<BenchResult> &results, const Options &opt)
                        size_t(256) << 20);
         });
     }
-#endif
 
-#ifdef DNASTORE_HAVE_THREAD_POOL
-    // --- SIMD kernel microbenches (new API; skipped on baselines).
+    // --- SIMD kernel microbenches.
     {
         Rng rng(14);
         Strand s = randomStrand(455, rng);
@@ -435,23 +376,15 @@ collect(std::vector<BenchResult> &results, const Options &opt)
             g_sink ^= dists[7];
         });
     }
-#endif
 
     // --- End-to-end simulate at the default operating point:
     // benchScale geometry, 5% IDS error, coverage 10. Runs through
-    // the public Store façade (api/store.hh) when available, so the
-    // measured path is the one every front-end takes; older
-    // revisions fall back to the raw simulator.
+    // the public Store façade (api/store.hh), so the measured path is
+    // the one every front-end takes.
     {
-        StorageConfig cfg = StorageConfig::benchScale();
-        cfg.numThreads = 1; // measure single-thread throughput
         Rng rng(9);
-        FileBundle bundle = randomBundle(cfg.capacityBytes() / 2, rng);
-        ErrorModel model = ErrorModel::uniform(0.05);
-
-#ifdef DNASTORE_HAVE_API
-        (void)cfg;
-        (void)model;
+        FileBundle bundle = randomBundle(
+            StorageConfig::benchScale().capacityBytes() / 2, rng);
         auto openStore = [&bundle](size_t threads) {
             api::StoreOptions sopt = api::StoreOptions::bench();
             sopt.layout(LayoutScheme::Baseline)
@@ -477,10 +410,9 @@ collect(std::vector<BenchResult> &results, const Options &opt)
             return std::move(*store);
         };
         auto store = std::make_shared<api::Store>(openStore(1));
-        // Note for cross-revision comparisons: through the façade,
-        // synthesize() includes config resolution and simulator
-        // construction per call (the cost every front-end pays); the
-        // pre-API baseline measured sim.store() alone.
+        // Through the façade, synthesize() includes config resolution
+        // and simulator construction per call (the cost every
+        // front-end pays).
         add("e2e_store_cov10", [store]() {
             store->synthesize();
             g_sink ^= store->strandCount();
@@ -512,38 +444,8 @@ collect(std::vector<BenchResult> &results, const Options &opt)
                 g_sink ^= uint64_t(tstore->retrieveAt(10)->exact);
             }));
         }
-#else
-        StorageSimulator sim(cfg, LayoutScheme::Baseline, model, 42);
-        add("e2e_store_cov10", [&sim, &bundle]() {
-            sim.store(bundle, 10);
-            g_sink ^= sim.unit().strands.size();
-        });
-        sim.store(bundle, 10);
-        add("e2e_retrieve_cov10", [&sim]() {
-            g_sink ^= uint64_t(sim.retrieve(10).exactPayload);
-        });
-        add("e2e_simulate_cov10", [&sim, &bundle]() {
-            sim.store(bundle, 10);
-            g_sink ^= uint64_t(sim.retrieve(10).exactPayload);
-        });
-
-        for (size_t t : { size_t(1), size_t(4), size_t(8) }) {
-            StorageConfig tcfg = cfg;
-            tcfg.numThreads = t;
-            std::string name = "e2e_retrieve_t" + std::to_string(t);
-            if (!wants(name.c_str()))
-                continue;
-            StorageSimulator tsim(tcfg, LayoutScheme::Baseline, model,
-                                  42);
-            tsim.store(bundle, 10);
-            results.push_back(runBench(name.c_str(), opt, [&tsim]() {
-                g_sink ^= uint64_t(tsim.retrieve(10).exactPayload);
-            }));
-        }
-#endif
     }
 
-#ifdef DNASTORE_HAVE_LAB
     // --- Scenario Lab: one Monte-Carlo trial of the nominal and the
     // most stressor-heavy profiles (tinyTest geometry). Tracks the
     // per-trial cost that bounds how many trials reliability CI can
@@ -570,9 +472,7 @@ collect(std::vector<BenchResult> &results, const Options &opt)
                 }));
         }
     }
-#endif
 
-#ifdef DNASTORE_HAVE_POOL_FILE
     // --- Durable pools: serialize/parse of the .dnapool image and a
     // full Store::openFile (parse + re-encode cross-check + pool
     // restore), tinyTest geometry at coverage 8 with pools included.
@@ -617,9 +517,7 @@ collect(std::vector<BenchResult> &results, const Options &opt)
                          store.status().toString().c_str());
         }
     }
-#endif
 
-#ifdef DNASTORE_HAVE_DURABILITY
     // --- Durability loop: the health probe (full-depth decode plus
     // per-cluster/per-codeword telemetry), a no-op scrub scan, a
     // repair-all rewrite of every cluster, and one closed-loop aging
@@ -681,7 +579,6 @@ collect(std::vector<BenchResult> &results, const Options &opt)
                     .epochSuccess.back());
         });
     }
-#endif
 }
 
 int

@@ -116,10 +116,10 @@ class ClusterOptions
     ClusterOptions &shards(size_t n);
 
     /**
-     * Memory budget for read buffering, in MiB. 0 (default) keeps the
-     * soup in memory; any other value routes clustering through the
-     * streaming out-of-core engine (bit-identical output, spills past
-     * the budget to checksummed segments under spillDir()).
+     * Memory budget for read buffering, in MiB. 0 (default) never
+     * spills; any other value spills packed reads past the budget to
+     * checksummed segments under spillDir(). The clustering is
+     * bit-identical either way.
      */
     ClusterOptions &memoryBudgetMb(size_t mb);
 

@@ -115,9 +115,17 @@ mapScrubOptions(const ScrubOptions &options)
     return policy;
 }
 
-ScrubReport
-mapScrubReport(const PoolScrubReport &report)
+/** The caller's view of a scrub pass, shared by scrub() and ScrubJob. */
+Result<ScrubReport>
+scrubResult(const PoolScrubReport &report)
 {
+    if (!report.repairable && report.lowMargin > 0)
+        return Status::unavailable(formatMessage(
+            "%zu clusters need repair but %zu codewords failed at the "
+            "current read depth, so the recovered data cannot be "
+            "trusted for rewriting; retry after re-synthesis or at "
+            "deeper coverage",
+            report.lowMargin, report.failedCodewords));
     ScrubReport out;
     out.clustersScanned = report.clustersScanned;
     out.lowMargin = report.lowMargin;
@@ -127,6 +135,15 @@ mapScrubReport(const PoolScrubReport &report)
     out.readsRewritten = report.readsRewritten;
     out.repairable = report.repairable;
     return out;
+}
+
+/** What every submit() on a moved-from Store resolves to. */
+Status
+movedFromStore()
+{
+    return Status::unavailable(
+        "the store was moved from or torn down; nothing can be "
+        "submitted against it");
 }
 
 std::string
@@ -147,6 +164,27 @@ unitHeader(const StorageConfig &cfg, LayoutScheme scheme)
 }
 
 } // namespace
+
+Result<std::vector<uint8_t>>
+objectFrom(const Retrieval &retrieval, const std::string &name)
+{
+    if (!retrieval.decoded)
+        return Status::dataLoss(formatMessage(
+            "the channel defeated the decoder (%zu codewords failed, "
+            "%zu columns erased); the directory is unrecoverable",
+            retrieval.failedCodewords, retrieval.erasedColumns));
+    if (!retrieval.exact)
+        return Status::dataLoss(formatMessage(
+            "the unit decoded with errors (%zu codewords failed); "
+            "retrieveAll() exposes the partial recovery",
+            retrieval.failedCodewords));
+    const NamedFile *file = retrieval.objects.find(name);
+    if (file == nullptr)
+        return Status::dataLoss(formatMessage(
+            "object '%s' missing from the recovered directory",
+            name.c_str()));
+    return file->data;
+}
 
 /** Everything behind the façade. Heap-allocated so submitted jobs can
  *  hold a stable pointer across Store moves. */
@@ -184,7 +222,7 @@ struct Store::Rep
     /**
      * Pool mutation counter, bumped by every repair that lands (sync
      * age()/scrub() and — on their own thread — in-flight ScrubJobs).
-     * retrieveCached() serves the memo only when the generation it
+     * retrieveShared() serves the memo only when the generation it
      * was decoded at still matches, so a stale memo can never serve
      * pre-repair bytes. Shared so a ScrubJob outliving a Store move
      * still invalidates through it.
@@ -501,7 +539,7 @@ Store::synthesize()
 }
 
 Result<std::shared_ptr<const Retrieval>>
-Store::retrieveCached()
+Store::retrieveShared()
 {
     // The pool-backed retrieval cannot combine gamma coverage with
     // the real clusterer (retrieveClustered reads fixed pool
@@ -555,11 +593,10 @@ Store::retrieveCached()
 Result<Retrieval>
 Store::retrieveAll()
 {
-    Result<std::shared_ptr<const Retrieval>> cached =
-        retrieveCached();
-    if (!cached.ok())
-        return cached.status();
-    return **cached;
+    Result<std::shared_ptr<const Retrieval>> shared = retrieveShared();
+    if (!shared.ok())
+        return shared.status();
+    return **shared;
 }
 
 Result<Retrieval>
@@ -589,27 +626,10 @@ Store::get(const std::string &name)
             formatMessage("no object named '%s'", name.c_str()));
     // Read through the shared memo: repeated gets cost one decode
     // pass and copy only the requested object's bytes.
-    Result<std::shared_ptr<const Retrieval>> cached =
-        retrieveCached();
-    if (!cached.ok())
-        return cached.status();
-    const Retrieval &retrieval = **cached;
-    if (!retrieval.decoded)
-        return Status::dataLoss(formatMessage(
-            "the channel defeated the decoder (%zu codewords failed, "
-            "%zu columns erased); the directory is unrecoverable",
-            retrieval.failedCodewords, retrieval.erasedColumns));
-    if (!retrieval.exact)
-        return Status::dataLoss(formatMessage(
-            "the unit decoded with errors (%zu codewords failed); "
-            "retrieveAll() exposes the partial recovery",
-            retrieval.failedCodewords));
-    const NamedFile *file = retrieval.objects.find(name);
-    if (file == nullptr)
-        return Status::dataLoss(formatMessage(
-            "object '%s' missing from the recovered directory",
-            name.c_str()));
-    return file->data;
+    Result<std::shared_ptr<const Retrieval>> shared = retrieveShared();
+    if (!shared.ok())
+        return shared.status();
+    return objectFrom(**shared, name);
 }
 
 Result<size_t>
@@ -693,14 +713,7 @@ Store::scrub(const ScrubOptions &options)
             rep_->poolGeneration->fetch_add(1);
             rep_->lastRetrieval.reset();
         }
-        if (!report.repairable && report.lowMargin > 0)
-            return Status::unavailable(formatMessage(
-                "%zu clusters need repair but %zu codewords failed at "
-                "the current read depth, so the recovered data cannot "
-                "be trusted for rewriting; retry after re-synthesis "
-                "or at deeper coverage",
-                report.lowMargin, report.failedCodewords));
-        return mapScrubReport(report);
+        return scrubResult(report);
     } catch (const std::exception &e) {
         return Status::internal(e.what());
     }
@@ -710,9 +723,7 @@ Future<Result<EncodedArtifact>>
 Store::submit(const EncodeJob &)
 {
     if (!rep_)
-        return readyFuture<EncodedArtifact>(Status::unavailable(
-            "the store was moved from or torn down; nothing can be "
-            "submitted against it"));
+        return readyFuture<EncodedArtifact>(movedFromStore());
     Result<StorageConfig> cfg = rep_->resolveConfig();
     if (!cfg.ok())
         return readyFuture<EncodedArtifact>(cfg.status());
@@ -744,9 +755,7 @@ Future<Result<DecodedObjects>>
 Store::submit(const DecodeJob &job)
 {
     if (!rep_)
-        return readyFuture<DecodedObjects>(Status::unavailable(
-            "the store was moved from or torn down; nothing can be "
-            "submitted against it"));
+        return readyFuture<DecodedObjects>(movedFromStore());
     return Future<Result<DecodedObjects>>(std::async(
         std::launch::async,
         [text = job.text,
@@ -880,9 +889,7 @@ Future<Result<TrialSeries>>
 Store::submit(const TrialJob &job)
 {
     if (!rep_)
-        return readyFuture<TrialSeries>(Status::unavailable(
-            "the store was moved from or torn down; nothing can be "
-            "submitted against it"));
+        return readyFuture<TrialSeries>(movedFromStore());
     if (job.useClusterer && !rep_->channel.hasCluster())
         return readyFuture<TrialSeries>(Status::failedPrecondition(
             "TrialJob.useClusterer needs ClusterOptions on the "
@@ -977,9 +984,7 @@ Future<Result<ScrubReport>>
 Store::submit(const ScrubJob &job)
 {
     if (!rep_)
-        return readyFuture<ScrubReport>(Status::unavailable(
-            "the store was moved from or torn down; nothing can be "
-            "submitted against it"));
+        return readyFuture<ScrubReport>(movedFromStore());
     if (rep_->readOnly)
         return readyFuture<ScrubReport>(Status::failedPrecondition(
             "the store was opened read-only; scrub is not available"));
@@ -1004,15 +1009,7 @@ Store::submit(const ScrubJob &job)
                 PoolScrubReport report = sim->scrub(policy);
                 if (report.repaired > 0)
                     generation->fetch_add(1);
-                if (!report.repairable && report.lowMargin > 0)
-                    return Status::unavailable(formatMessage(
-                        "%zu clusters need repair but %zu codewords "
-                        "failed at the current read depth, so the "
-                        "recovered data cannot be trusted for "
-                        "rewriting; retry after re-synthesis or at "
-                        "deeper coverage",
-                        report.lowMargin, report.failedCodewords));
-                return mapScrubReport(report);
+                return scrubResult(report);
             } catch (const std::exception &e) {
                 return Status::internal(e.what());
             }

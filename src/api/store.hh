@@ -102,6 +102,16 @@ struct Retrieval
     double recall = 0.0;
 };
 
+/**
+ * One object out of a retrieval pass: its bytes, or DataLoss when the
+ * pass did not decode, decoded inexactly, or lost the object from the
+ * recovered directory. The one decision ladder behind Store::get and
+ * the daemon's snapshot reads, so both return the same Status for the
+ * same pass.
+ */
+Result<std::vector<uint8_t>> objectFrom(const Retrieval &retrieval,
+                                        const std::string &name);
+
 /** Synthesizable unit text: the EncodeJob artifact. */
 struct EncodedArtifact
 {
@@ -387,6 +397,14 @@ class Store
     Result<Retrieval> retrieveAll();
 
     /**
+     * The memoized pass behind retrieveAll() and get(), shared rather
+     * than copied: the pointee is immutable and stays valid after
+     * later put()s or repairs, which only replace the memo. Same
+     * errors as retrieveAll().
+     */
+    Result<std::shared_ptr<const Retrieval>> retrieveShared();
+
+    /**
      * Retrieve everything at an explicit fixed coverage (pool
      * prefix; must not exceed the channel's maxCoverage()). Always
      * decodes — explicit-coverage sweeps bypass the memo.
@@ -467,13 +485,6 @@ class Store
   private:
     struct Rep;
     explicit Store(std::unique_ptr<Rep> rep);
-
-    /**
-     * The memoized configured-coverage pass, shared: get() reads
-     * through it without copying the recovered objects; the
-     * value-returning retrieveAll() copies once for its caller.
-     */
-    Result<std::shared_ptr<const Retrieval>> retrieveCached();
 
     std::unique_ptr<Rep> rep_;
 };

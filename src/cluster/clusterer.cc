@@ -2,14 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
-#include <stdexcept>
 #include <utility>
 
-#include "cluster/greedy.hh"
 #include "cluster/stream.hh"
-#include "dna/packed_strand.hh"
-#include "util/parallel.hh"
 
 namespace dnastore {
 
@@ -57,58 +52,12 @@ Clustering
 clusterReads(const std::vector<Strand> &reads,
              const ClusterParams &params)
 {
-    using cluster_detail::GreedyState;
-
-    // 2 * qgram bits must fit a uint64_t hash; qgram 0 would hash
-    // every position identically.
-    if (params.qgram < 1 || params.qgram > 31)
-        throw std::invalid_argument(
-            "ClusterParams::qgram must be in [1, 31]");
-
-    // A memory budget means the caller wants the bounded-memory
-    // engine; its output is bit-identical to the path below.
-    if (params.memoryBudgetBytes != 0)
-        return clusterReadsStreaming(reads, params);
-
-    const size_t shards =
-        cluster_detail::resolveShardCount(params, reads.size());
-    if (shards <= 1) {
-        GreedyState state(params);
-        for (size_t r = 0; r < reads.size(); ++r)
-            state.consume(r, reads[r]);
-        return state.finalize(reads.size());
-    }
-
-    // Partition by content minimizer and cluster each shard
-    // independently; the shard jobs are what the thread pool steals.
-    std::vector<std::vector<size_t>> shard_reads(shards);
-    for (size_t r = 0; r < reads.size(); ++r) {
-        uint64_t min =
-            cluster_detail::minimizerOf(reads[r], params.qgram);
-        shard_reads[min % shards].push_back(r);
-    }
-
-    std::vector<std::unique_ptr<GreedyState>> shard_state(shards);
-    parallelFor(shards, params.numThreads, [&](size_t s) {
-        auto state = std::make_unique<GreedyState>(params);
-        for (size_t r : shard_reads[s])
-            state->consume(r, reads[r]);
-        shard_state[s] = std::move(state);
-    });
-
-    // Deterministic merge, shard-major: re-run the greedy join over
-    // shard-cluster representatives, folding whole member lists into
-    // the matched global cluster. Thread count never enters here.
-    GreedyState merged(params);
-    for (size_t s = 0; s < shards; ++s) {
-        GreedyState &local = *shard_state[s];
-        for (size_t c = 0; c < local.clusterCount(); ++c)
-            merged.consumeGroup(local.representativeId(c),
-                                local.representativeStrand(c),
-                                std::move(local.membersOf(c)));
-        shard_state[s].reset();
-    }
-    return merged.finalize(reads.size());
+    // One engine for every caller; with no memory budget it never
+    // spills, so this is the in-memory clustering too.
+    StreamingClusterer engine(params);
+    for (const Strand &read : reads)
+        engine.add(read);
+    return engine.finish();
 }
 
 ClusterQuality

@@ -68,14 +68,14 @@ struct ClusterParams
     size_t numShards = 0;
 
     /**
-     * Memory budget for the read soup, in bytes. 0 (default) keeps
-     * everything in memory; any other value routes clusterReads
+     * Memory budget for the read soup, in bytes. Every clustering runs
      * through the streaming engine (cluster/stream.hh), which buffers
-     * 2-bit packed reads up to the budget and spills the excess to
-     * CRC-checksummed shard segments under spillDir. The clustering
-     * produced is bit-identical to the in-memory path. The budget
-     * governs read buffering only — the representative index scales
-     * with the cluster count, not the read count.
+     * 2-bit packed reads. 0 (default) means no budget: the engine
+     * never spills. Any other value spills the excess to
+     * CRC-checksummed shard segments under spillDir. The budget never
+     * changes the clustering, and it governs read buffering only —
+     * the representative index scales with the cluster count, not the
+     * read count.
      */
     size_t memoryBudgetBytes = 0;
 
@@ -120,10 +120,12 @@ size_t bandedEditDistance(const Strand &a, const Strand &b,
                           size_t limit, size_t band);
 
 /**
- * Cluster reads by similarity. Deterministic for a given input:
- * results are bit-identical for every ClusterParams::numThreads value
- * and for every SIMD dispatch tier (candidate verification uses exact
- * batched edit distances).
+ * Cluster reads by similarity: a thin adapter that feeds @p reads
+ * through StreamingClusterer (cluster/stream.hh). Deterministic for a
+ * given input: results are bit-identical for every
+ * ClusterParams::numThreads value, every memory budget, and every SIMD
+ * dispatch tier (candidate verification uses exact batched edit
+ * distances).
  *
  * With more than one shard, reads are partitioned by the minimizer
  * (smallest q-gram hash) of their content, each shard is clustered

@@ -1,19 +1,17 @@
 /**
  * @file
- * The greedy single-linkage-to-representative clustering core, shared
- * by the in-memory clusterer (cluster/clusterer.cc) and the streaming
- * engine (cluster/stream.hh).
+ * The greedy single-linkage-to-representative clustering core of the
+ * streaming engine (cluster/stream.hh).
  *
  * GreedyState consumes reads one at a time — join the closest
  * verified representative or open a new cluster — against a
  * sketch-filtered flat gram index (cluster/gram_index.hh), and owns
  * every scratch buffer the per-read loop needs, so the steady state
  * does no heap allocation. The consumer is deliberately ignorant of
- * where reads live: the in-memory path feeds it views into the
- * caller's vector, the streaming path feeds it records decoded from
- * spill segments, and identical consume sequences produce identical
- * clusterings — that equivalence is the streaming engine's
- * bit-identity contract.
+ * where reads live: the engine feeds it records decoded from buffered
+ * or spilled segments, and identical consume sequences produce
+ * identical clusterings — that equivalence is the engine's
+ * bit-identity contract across memory budgets.
  *
  * Everything here is an internal contract between the cluster/ TUs
  * (and their tests); the public surface stays cluster/clusterer.hh

@@ -420,9 +420,9 @@ StreamingClusterer::finish()
     });
     shard_segs.clear();
 
-    // ---- Serial deterministic merge, shard-major — identical to
-    // the in-memory clusterer's, so spill schedules, thread counts,
-    // and SIMD tiers can never reach the result.
+    // ---- Serial deterministic merge, shard-major, so spill
+    // schedules, thread counts, and SIMD tiers can never reach the
+    // result.
     GreedyState merged(params_);
     for (size_t s = 0; s < shards; ++s) {
         ShardResult &local = results[s];
@@ -432,16 +432,6 @@ StreamingClusterer::finish()
         local = ShardResult();
     }
     return merged.finalize(n);
-}
-
-Clustering
-clusterReadsStreaming(const std::vector<Strand> &reads,
-                      const ClusterParams &params)
-{
-    StreamingClusterer engine(params);
-    for (const Strand &read : reads)
-        engine.add(read);
-    return engine.finish();
 }
 
 } // namespace dnastore

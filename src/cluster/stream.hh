@@ -1,16 +1,17 @@
 /**
  * @file
- * Streaming, bounded-memory read clustering.
+ * Streaming, bounded-memory read clustering: the one clustering
+ * engine. clusterReads (cluster/clusterer.hh) is a thin adapter that
+ * feeds a std::vector<Strand> through it; there is no separate
+ * in-memory path.
  *
- * clusterReads assumes the whole read soup fits in RAM as a
- * std::vector<Strand>; at tens of millions of reads that is the
- * pipeline's asymptotic wall. StreamingClusterer ingests reads one at
- * a time, keeps them 2-bit packed in CRC-32-checksummed segments, and
- * spills to disk whenever the configured memory budget is exceeded —
- * so a 10M+ read soup clusters within a fixed buffer budget on a
- * laptop.
+ * StreamingClusterer ingests reads one at a time and keeps them 2-bit
+ * packed in CRC-32-checksummed segments. With a nonzero memory budget
+ * it spills to disk whenever the budget is exceeded, so a 10M+ read
+ * soup clusters within a fixed buffer budget on a laptop; with a
+ * budget of 0 it never spills.
  *
- * Three passes, mirroring the in-memory sharded clusterer exactly:
+ * Three passes:
  *
  *  1. Ingest: each read is packed into an append-only log segment
  *     (record = global id, content minimizer, packed bases). The log
@@ -21,15 +22,14 @@
  *     each shard because the log is consumed in ingest order.
  *  3. Cluster: each shard segment is streamed through the greedy
  *     pass (shards fan out over the thread pool), keeping only
- *     representatives and member lists; the serial deterministic
- *     merge and canonical finalize are shared with clusterReads.
+ *     representatives and member lists, then merged serially in
+ *     shard order and canonicalized.
  *
- * Determinism contract: the clustering is bit-identical to
- * clusterReads on the same soup and ClusterParams, for every memory
- * budget (spill or no spill), thread count, and SIMD tier. Corrupt
- * or truncated spill segments raise SpillError — never a wrong
- * clustering (every chunk's CRC is verified before any record in it
- * is parsed).
+ * Determinism contract: the clustering is bit-identical for every
+ * memory budget (spill or no spill), thread count, and SIMD tier.
+ * Corrupt or truncated spill segments raise SpillError — never a
+ * wrong clustering (every chunk's CRC is verified before any record
+ * in it is parsed).
  */
 
 #ifndef DNASTORE_CLUSTER_STREAM_HH
@@ -161,15 +161,6 @@ class StreamingClusterer
     StreamStats stats_;
     std::vector<uint64_t> packScratch_;
 };
-
-/**
- * Convenience wrapper: stream @p reads through a StreamingClusterer.
- * Bit-identical to clusterReads(reads, params) by construction;
- * clusterReads itself routes here when params.memoryBudgetBytes is
- * nonzero.
- */
-Clustering clusterReadsStreaming(const std::vector<Strand> &reads,
-                                 const ClusterParams &params);
 
 } // namespace dnastore
 

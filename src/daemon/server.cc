@@ -6,8 +6,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
+#include <system_error>
 #include <utility>
 
 #include "api/wire.hh"
@@ -18,6 +21,9 @@ namespace dnastore {
 namespace daemon {
 
 namespace {
+
+/** How long the acceptor waits after accept() runs out of fds. */
+constexpr int kAcceptBackoffMs = 100;
 
 /** write() the whole buffer, retrying short writes and EINTR. */
 bool
@@ -166,18 +172,53 @@ Server::acceptLoop()
         }
         if (stopping_.load())
             break;
+        reapFinished();
         if (r == 0 || !(pfds[0].revents & POLLIN))
             continue;
         int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0)
+        if (fd < 0) {
+            // Out of descriptors: the connection stays queued and
+            // poll() reports it again at once, so wait (waking early
+            // on drain) instead of spinning until one frees up.
+            if (errno == EMFILE || errno == ENFILE)
+                pollIn(wakePipe_[0], kAcceptBackoffMs);
             continue;
+        }
         auto conn = std::make_unique<Connection>();
-        conn->fd = fd;
-        conn->thread =
-            std::thread([this, fd] { handleConnection(fd); });
+        Connection *raw = conn.get();
+        try {
+            conn->thread = std::thread([this, fd, raw] {
+                handleConnection(fd);
+                raw->done.store(true, std::memory_order_release);
+            });
+        } catch (const std::system_error &) {
+            // Out of threads: refuse this connection, back off.
+            ::close(fd);
+            pollIn(wakePipe_[0], kAcceptBackoffMs);
+            continue;
+        }
         std::lock_guard<std::mutex> lock(connectionsMu_);
         connections_.push_back(std::move(conn));
     }
+}
+
+void
+Server::reapFinished()
+{
+    std::vector<std::unique_ptr<Connection>> finished;
+    {
+        std::lock_guard<std::mutex> lock(connectionsMu_);
+        auto live = std::partition(
+            connections_.begin(), connections_.end(),
+            [](const std::unique_ptr<Connection> &conn) {
+                return !conn->done.load(std::memory_order_acquire);
+            });
+        finished.assign(std::make_move_iterator(live),
+                        std::make_move_iterator(connections_.end()));
+        connections_.erase(live, connections_.end());
+    }
+    for (auto &conn : finished)
+        conn->thread.join();
 }
 
 void
@@ -253,7 +294,9 @@ Server::handleConnection(int fd)
         // that holds at least one complete frame or is junk, and
         // extractFrame decides which next iteration.
     }
-    ::shutdown(fd, SHUT_RDWR);
+    // The connection owns its descriptor: release it the moment the
+    // conversation ends, not at drain.
+    ::close(fd);
 }
 
 Response
@@ -381,12 +424,8 @@ Server::drain()
         std::lock_guard<std::mutex> lock(connectionsMu_);
         connections.swap(connections_);
     }
-    for (auto &conn : connections) {
-        if (conn->thread.joinable())
-            conn->thread.join();
-        if (conn->fd >= 0)
-            ::close(conn->fd);
-    }
+    for (auto &conn : connections)
+        conn->thread.join();
     for (int i = 0; i < 2; ++i) {
         if (wakePipe_[i] >= 0) {
             ::close(wakePipe_[i]);

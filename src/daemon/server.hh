@@ -24,6 +24,12 @@
  * closes that connection — never crashing, never wedging the other
  * connections.
  *
+ * Resource bounds: a connection closes its own descriptor when it
+ * ends, and the acceptor joins finished connection threads, so
+ * descriptors and threads track the live connections, not every
+ * connection ever accepted. When accept() runs out of descriptors
+ * (EMFILE/ENFILE) the acceptor backs off instead of spinning.
+ *
  * Shutdown: drain() (the CLI calls it on SIGTERM) stops accepting,
  * lets every in-flight request finish and flush its response, joins
  * the connection threads, and atomically saves every dirty tenant
@@ -88,12 +94,17 @@ class Server
   private:
     struct Connection
     {
-        int fd = -1;
         std::thread thread;
+        std::atomic<bool> done{ false }; //!< Thread is about to exit.
     };
 
     void acceptLoop();
+
+    /** Serve one connection until it ends, then close @p fd. */
     void handleConnection(int fd);
+
+    /** Join the threads of connections that have ended. */
+    void reapFinished();
     Response dispatch(const Request &request);
 
     const ServerOptions options_;

@@ -1,5 +1,6 @@
 #include "daemon/tenant.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <utility>
 
@@ -28,6 +29,27 @@ channelFor(const TenantConfig &config)
 } // namespace
 
 // ------------------------------------------------------------------ Tenant
+
+template <typename Snapshot, typename Build>
+std::shared_ptr<const Snapshot>
+Tenant::currentSnapshot(std::shared_ptr<const Snapshot> &slot,
+                        Build build)
+{
+    // Fast path: no lock, one atomic shared_ptr load. A snapshot is
+    // valid while its generation matches the tenant's.
+    std::shared_ptr<const Snapshot> snap = std::atomic_load(&slot);
+    uint64_t generation = generation_.load(std::memory_order_acquire);
+    if (snap && snap->generation == generation)
+        return snap;
+    std::lock_guard<std::mutex> lock(mu_);
+    snap = std::atomic_load(&slot);
+    generation = generation_.load(std::memory_order_acquire);
+    if (snap && snap->generation == generation)
+        return snap;
+    snap = std::make_shared<const Snapshot>(build(generation));
+    std::atomic_store(&slot, snap);
+    return snap;
+}
 
 Tenant::Tenant(std::string name, const TenantConfig &config)
     : name_(std::move(name)),
@@ -79,76 +101,24 @@ Tenant::put(const std::string &objectName, std::vector<uint8_t> data)
     return status;
 }
 
-std::shared_ptr<const ReadSnapshot>
-Tenant::rebuildReadSnapshotLocked(uint64_t generation)
-{
-    auto snap = std::make_shared<ReadSnapshot>();
-    snap->generation = generation;
-    snap->stored = store_->list();
-    api::Result<api::Retrieval> retrieval = store_->retrieveAll();
-    if (!retrieval.ok()) {
-        snap->status = retrieval.status();
-        return snap;
-    }
-    snap->decoded = retrieval->decoded;
-    snap->exact = retrieval->exact;
-    snap->failedCodewords = retrieval->failedCodewords;
-    snap->erasedColumns = retrieval->erasedColumns;
-    snap->files = retrieval->objects.files();
-    return snap;
-}
-
-std::shared_ptr<const ReadSnapshot>
-Tenant::readSnapshot()
-{
-    // Fast path: no lock, one atomic shared_ptr load. The snapshot is
-    // valid while its generation matches the tenant's.
-    std::shared_ptr<const ReadSnapshot> snap =
-        std::atomic_load(&readSnap_);
-    uint64_t gen = generation_.load(std::memory_order_acquire);
-    if (snap && snap->generation == gen)
-        return snap;
-    std::lock_guard<std::mutex> lock(mu_);
-    snap = std::atomic_load(&readSnap_);
-    gen = generation_.load(std::memory_order_acquire);
-    if (snap && snap->generation == gen)
-        return snap;
-    snap = rebuildReadSnapshotLocked(gen);
-    std::atomic_store(&readSnap_,
-                      std::shared_ptr<const ReadSnapshot>(snap));
-    return snap;
-}
-
 api::Result<std::vector<uint8_t>>
 Tenant::get(const std::string &objectName)
 {
-    std::shared_ptr<const ReadSnapshot> snap = readSnapshot();
-    // Exactly Store::get's decision ladder (and messages), served
-    // from the snapshot instead of the live store.
-    bool known = false;
-    for (const api::ObjectInfo &info : snap->stored)
-        known = known || info.name == objectName;
-    if (!known)
+    std::shared_ptr<const ReadSnapshot> snap =
+        currentSnapshot(readSnap_, [this](uint64_t generation) {
+            std::vector<std::string> names;
+            for (api::ObjectInfo &info : store_->list())
+                names.push_back(std::move(info.name));
+            return ReadSnapshot{ generation, std::move(names),
+                                 store_->retrieveShared() };
+        });
+    if (std::find(snap->names.begin(), snap->names.end(), objectName) ==
+        snap->names.end())
         return api::Status::notFound(api::formatMessage(
             "no object named '%s'", objectName.c_str()));
-    if (!snap->status.ok())
-        return snap->status;
-    if (!snap->decoded)
-        return api::Status::dataLoss(api::formatMessage(
-            "the channel defeated the decoder (%zu codewords failed, "
-            "%zu columns erased); the directory is unrecoverable",
-            snap->failedCodewords, snap->erasedColumns));
-    if (!snap->exact)
-        return api::Status::dataLoss(api::formatMessage(
-            "the unit decoded with errors (%zu codewords failed); "
-            "retrieveAll() exposes the partial recovery",
-            snap->failedCodewords));
-    for (const NamedFile &file : snap->files)
-        if (file.name == objectName)
-            return file.data;
-    return api::Status::dataLoss(api::formatMessage(
-        "object '%s' missing from the recovered directory",
-        objectName.c_str()));
+    if (!snap->retrieval.ok())
+        return snap->retrieval.status();
+    return api::objectFrom(**snap->retrieval, objectName);
 }
 
 std::vector<api::ObjectInfo>
@@ -162,31 +132,14 @@ api::Result<std::string>
 Tenant::healthJson(bool *exact)
 {
     std::shared_ptr<const HealthSnapshot> snap =
-        std::atomic_load(&healthSnap_);
-    uint64_t gen = generation_.load(std::memory_order_acquire);
-    if (!snap || snap->generation != gen) {
-        std::lock_guard<std::mutex> lock(mu_);
-        snap = std::atomic_load(&healthSnap_);
-        gen = generation_.load(std::memory_order_acquire);
-        if (!snap || snap->generation != gen) {
-            auto fresh = std::make_shared<HealthSnapshot>();
-            fresh->generation = gen;
+        currentSnapshot(healthSnap_, [this](uint64_t generation) {
             api::Result<api::HealthReport> health = store_->health();
-            if (health.ok()) {
-                fresh->json = health->toJson();
-                fresh->exact = health->exact;
-            } else {
-                fresh->status = health.status();
-            }
-            snap = fresh;
-            std::atomic_store(
-                &healthSnap_,
-                std::shared_ptr<const HealthSnapshot>(snap));
-        }
-    }
-    if (!snap->status.ok())
-        return snap->status;
-    if (exact != nullptr)
+            if (!health.ok())
+                return HealthSnapshot{ generation, health.status() };
+            return HealthSnapshot{ generation, health->toJson(),
+                                   health->exact };
+        });
+    if (snap->json.ok() && exact != nullptr)
         *exact = snap->exact;
     return snap->json;
 }

@@ -7,12 +7,14 @@
  * discipline that makes the store safe under concurrent clients:
  *
  *  - READS are lock-free against a shared immutable snapshot: the
- *    first get() after a mutation takes the writer lock once, runs
- *    retrieveAll() and captures the recovered objects plus the decode
- *    verdict into a ReadSnapshot published via atomic shared_ptr;
- *    every later get() serves from that snapshot without touching the
- *    Store (whose own methods are not internally synchronized).
- *    Health reports snapshot the same way.
+ *    first get() after a mutation takes the writer lock once and
+ *    publishes a ReadSnapshot via atomic shared_ptr — the manifest's
+ *    names plus the Store's own memoized Retrieval
+ *    (Store::retrieveShared), not a copy of it. Every later get()
+ *    serves from that snapshot without touching the Store (whose own
+ *    methods are not internally synchronized), through the same
+ *    api::objectFrom ladder Store::get uses. Health reports snapshot
+ *    through the same generation-checked publish helper.
  *
  *  - MUTATIONS (put/scrub/save) serialize through the tenant's writer
  *    lock and bump the generation counter, so stale snapshots are
@@ -58,29 +60,23 @@ struct TenantConfig
     uint64_t unitSeed = 20220618;
 };
 
-/** Immutable result of one retrieval pass, shared across readers. */
+/** Immutable read state of one generation, shared across readers. */
 struct ReadSnapshot
 {
     uint64_t generation = 0;
-    api::Status status; //!< retrieveAll() failure, when not ok().
-    bool decoded = false;
-    bool exact = false;
-    size_t failedCodewords = 0;
-    size_t erasedColumns = 0;
 
-    /** The manifest at snapshot time (name lookup for NotFound). */
-    std::vector<api::ObjectInfo> stored;
+    /** The manifest's object names (name lookup for NotFound). */
+    std::vector<std::string> names;
 
-    /** The recovered objects (empty when !decoded). */
-    std::vector<NamedFile> files;
+    /** Store::retrieveShared()'s pass, or its failure. */
+    api::Result<std::shared_ptr<const api::Retrieval>> retrieval;
 };
 
 /** Immutable health probe result, shared across readers. */
 struct HealthSnapshot
 {
     uint64_t generation = 0;
-    api::Status status;
-    std::string json;
+    api::Result<std::string> json; //!< HealthReport::toJson(), or why not.
     bool exact = false;
 };
 
@@ -106,8 +102,10 @@ class Tenant
 
     /**
      * Serve one object from the current read snapshot (building it
-     * first if stale). Result and error statuses are exactly
-     * Store::get's on the same store state.
+     * first if stale). The snapshot holds the store's memoized
+     * Retrieval and answers through api::objectFrom, so results and
+     * error statuses are Store::get's on the same store state by
+     * construction.
      */
     api::Result<std::vector<uint8_t>> get(const std::string &objectName);
 
@@ -135,9 +133,14 @@ class Tenant
     api::Status saveIfDirty();
 
   private:
-    std::shared_ptr<const ReadSnapshot> readSnapshot();
-    std::shared_ptr<const ReadSnapshot> rebuildReadSnapshotLocked(
-        uint64_t generation);
+    /**
+     * The snapshot in @p slot, rebuilt by @p build under the writer
+     * lock when its generation is stale: the one publish rule of the
+     * read and health snapshots.
+     */
+    template <typename Snapshot, typename Build>
+    std::shared_ptr<const Snapshot> currentSnapshot(
+        std::shared_ptr<const Snapshot> &slot, Build build);
 
     const std::string name_;
     const std::string poolPath_;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "channel/aging.hh"
+#include "cluster/stream.hh"
 #include "util/parallel.hh"
 
 namespace dnastore {
@@ -159,36 +160,38 @@ StorageSimulator::decodeClusteredBatch(const ReadBatch &batch,
 
     // Interleave reads round-robin across molecules so the clusterer
     // sees them the way a sequencing run would deliver them, not
-    // pre-grouped.
-    std::vector<Strand> flat;
+    // pre-grouped. The soup and the regrouped batch are views into
+    // the caller's batch; only the engine keeps a (packed) copy.
+    std::vector<StrandView> soup;
     std::vector<size_t> truth;
-    flat.reserve(batch.views.size());
+    soup.reserve(batch.views.size());
     truth.reserve(batch.views.size());
+    StreamingClusterer engine(params);
     for (size_t j = 0; j < max_reads; ++j) {
         for (size_t cl = 0; cl < batch.clusters(); ++cl) {
             if (j < batch.clusterSize(cl)) {
-                flat.push_back(batch.cluster(cl)[j].toStrand());
+                soup.push_back(batch.cluster(cl)[j]);
                 truth.push_back(cl);
+                engine.add(soup.back());
             }
         }
     }
+    Clustering clustering = engine.finish();
 
-    Clustering clustering = clusterReads(flat, params);
-
-    std::vector<std::vector<Strand>> clusters(clustering.count());
-    for (size_t c = 0; c < clustering.count(); ++c) {
-        for (size_t r : clustering.members[c])
-            clusters[c].push_back(flat[r]);
+    ReadBatch regrouped;
+    regrouped.views.reserve(soup.size());
+    regrouped.offsets.reserve(clustering.count() + 1);
+    regrouped.offsets.push_back(0);
+    for (const auto &members : clustering.members) {
+        for (size_t r : members)
+            regrouped.views.push_back(soup[r]);
+        regrouped.offsets.push_back(regrouped.views.size());
     }
 
     ClusteredRetrievalResult out;
     out.clustersFound = clustering.count();
     out.quality = scoreClustering(clustering, truth);
-    out.result.coverage = coverage_label;
-    out.result.decoded = decoder_.decode(clusters);
-    const auto &raw = out.result.decoded.rawStream;
-    out.result.exactPayload = raw.size() >= stored_.size() &&
-        std::equal(stored_.begin(), stored_.end(), raw.begin());
+    out.result = decodeBatch(regrouped, coverage_label, {});
     return out;
 }
 

@@ -270,8 +270,8 @@ class StorageSimulator
      * Decode without the perfect-clustering assumption: the pool's
      * reads are flattened into one interleaved stream (round-robin
      * across molecules, the order a sequencer might emit them), run
-     * through clusterReads with @p params, and the resulting clusters
-     * are decoded. Exercises the paper's side-stepped clustering
+     * through the clustering engine (StreamingClusterer) with
+     * @p params, and the resulting clusters are decoded. Exercises the paper's side-stepped clustering
      * stage end-to-end (section 2.1).
      */
     ClusteredRetrievalResult retrieveClustered(

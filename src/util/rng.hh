@@ -19,8 +19,8 @@ namespace dnastore {
 /**
  * The splitmix64 finalizer: a stateless 64-bit mixer. Used to expand
  * seeds into generator state and wherever a cheap position-keyed
- * pseudo-random value is needed (e.g. the constrained codec's trit
- * whitening) — one definition, so the constants can never diverge.
+ * pseudo-random value is needed (e.g. the daemon's trial seeds) —
+ * one definition, so the constants can never diverge.
  */
 uint64_t splitmix64Mix(uint64_t z);
 

@@ -264,7 +264,7 @@ TEST(ClusterOptions, StreamingKnobs)
     EXPECT_EQ(opt.params().memoryBudgetBytes, size_t(512) << 20);
     EXPECT_EQ(opt.params().sketchBits, 24u);
     EXPECT_EQ(opt.params().spillDir, "/tmp/x");
-    // 0 MiB reverts to the in-memory path.
+    // 0 MiB means no budget: the engine never spills.
     opt.memoryBudgetMb(0);
     EXPECT_EQ(opt.params().memoryBudgetBytes, 0u);
 }

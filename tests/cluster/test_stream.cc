@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <dirent.h>
@@ -71,29 +72,64 @@ entryCount(const std::string &dir)
     return n;
 }
 
-TEST(StreamingCluster, BitIdenticalToInMemoryAcrossBudgetsAndThreads)
+TEST(StreamingCluster, MatchesPinnedReferenceClustering)
 {
-    // The streaming engine's whole contract: for every memory budget
-    // (spilling or not), thread count, and shard schedule, the
-    // clustering is byte-identical to the in-memory path.
+    // The independent reference: clusterOf for a fixed soup, recorded
+    // from the standalone in-memory clusterer this engine replaced.
+    // Read i is a noisy copy of strand i % 24; the pin lists the
+    // reads that split off into clusters of their own. Every budget
+    // and thread count must reproduce it exactly.
+    auto reads = makeSoup(24, 5, 0.09, 310);
+    ASSERT_EQ(reads.size(), 120u);
+    struct Pin
+    {
+        size_t shards;
+        std::vector<std::pair<size_t, size_t>> splits; // read, cluster
+    };
+    for (const Pin &pin : { Pin{ 0, { { 81, 24 } } },
+                            Pin{ 5, { { 30, 24 }, { 102, 25 } } } }) {
+        std::vector<size_t> expected(reads.size());
+        for (size_t i = 0; i < reads.size(); ++i)
+            expected[i] = i % 24;
+        for (const auto &split : pin.splits)
+            expected[split.first] = split.second;
+        for (size_t budget : { size_t(0), size_t(4096) }) {
+            for (size_t threads : { size_t(1), size_t(4) }) {
+                SCOPED_TRACE("shards " + std::to_string(pin.shards) +
+                             " budget " + std::to_string(budget) +
+                             " threads " + std::to_string(threads));
+                ClusterParams params;
+                params.numShards = pin.shards;
+                params.memoryBudgetBytes = budget;
+                params.numThreads = threads;
+                EXPECT_EQ(clusterReads(reads, params).clusterOf,
+                          expected);
+            }
+        }
+    }
+}
+
+TEST(StreamingCluster, BitIdenticalAcrossBudgetsAndThreads)
+{
+    // The engine's whole contract: for every memory budget (spilling
+    // or not), thread count, and shard schedule, the clustering is
+    // byte-identical to the serial run with no budget.
     auto reads = makeSoup(60, 8, 0.07, 301);
 
     for (size_t shards : { size_t(0), size_t(5), size_t(13) }) {
         SCOPED_TRACE("shards " + std::to_string(shards));
-        ClusterParams in_memory;
-        in_memory.numShards = shards;
-        Clustering base = clusterReads(reads, in_memory);
+        ClusterParams unbudgeted;
+        unbudgeted.numShards = shards;
+        Clustering base = clusterReads(reads, unbudgeted);
 
         for (size_t budget : { size_t(1) << 30, size_t(4096) }) {
             for (size_t threads : { size_t(1), size_t(4),
                                     size_t(8) }) {
                 SCOPED_TRACE("budget " + std::to_string(budget) +
                              " threads " + std::to_string(threads));
-                ClusterParams streaming = in_memory;
+                ClusterParams streaming = unbudgeted;
                 streaming.memoryBudgetBytes = budget;
                 streaming.numThreads = threads;
-                // Through the public entry point: a budget routes
-                // clusterReads into the streaming engine.
                 Clustering got = clusterReads(reads, streaming);
                 EXPECT_EQ(got.clusterOf, base.clusterOf);
                 EXPECT_EQ(got.members, base.members);
@@ -102,10 +138,10 @@ TEST(StreamingCluster, BitIdenticalToInMemoryAcrossBudgetsAndThreads)
     }
 }
 
-TEST(StreamingCluster, FuzzAgainstInMemory)
+TEST(StreamingCluster, FuzzBudgetsAgainstUnbudgeted)
 {
-    // Randomized soups and parameters; every streaming run must
-    // reproduce the in-memory clustering exactly.
+    // Randomized soups and parameters; every budgeted, threaded run
+    // must reproduce the serial unbudgeted clustering exactly.
     Rng rng(302);
     for (int iter = 0; iter < fuzzIters(12); ++iter) {
         auto reads = makeSoup(10 + rng.nextBelow(30),
@@ -135,17 +171,17 @@ TEST(StreamingCluster, ParallelShardFinishHasNoSharedSealing)
     // serially before the parallel phase. This pins the racy shape:
     // many shards whose buffers are still open entering a maximally
     // threaded finish (generous budget, so nothing spilled or sealed
-    // early), repeated a few rounds, bit-identical to the in-memory
-    // clustering throughout. Run under TSan this fails on any
+    // early), repeated a few rounds, bit-identical to the serial
+    // unbudgeted clustering throughout. Run under TSan this fails on any
     // reintroduction of shared sealing.
     auto reads = makeSoup(80, 6, 0.06, 309);
 
-    ClusterParams in_memory;
-    in_memory.numShards = 16;
-    Clustering base = clusterReads(reads, in_memory);
+    ClusterParams unbudgeted;
+    unbudgeted.numShards = 16;
+    Clustering base = clusterReads(reads, unbudgeted);
 
     for (int round = 0; round < 4; ++round) {
-        ClusterParams streaming = in_memory;
+        ClusterParams streaming = unbudgeted;
         streaming.memoryBudgetBytes = size_t(1) << 30;
         streaming.numThreads = 8;
         StreamingClusterer engine(streaming);

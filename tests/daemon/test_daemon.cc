@@ -6,10 +6,13 @@
  *    direct api::Store configured exactly as the daemon configures
  *    tenant stores (same options, seed, and put order);
  *  - the Status taxonomy crosses the wire unchanged, quota
- *    CAPACITY_EXCEEDED included;
+ *    CAPACITY_EXCEEDED included, and a tenant's NotFound/DataLoss
+ *    statuses equal the direct Store's, message for message;
  *  - corruption containment: malformed payloads fail one request,
  *    framing failures close one connection, and an every-byte
  *    corruption sweep never crashes or wedges the server;
+ *  - bounded resources: finished connections release their
+ *    descriptors, so short connections never exhaust the fd limit;
  *  - drain durability: drain() persists every dirty tenant pool as a
  *    loadable .dnapool, and (subprocess test) SIGTERM mid-load exits
  *    0 with every acked put durable.
@@ -17,7 +20,13 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <dirent.h>
+#include <netinet/in.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -281,6 +290,35 @@ TEST(DaemonE2E, NotFoundStatusesMatchTheFacade)
     EXPECT_FALSE(bool(ghost_pool));
 }
 
+TEST(DaemonE2E, DataLossStatusesMatchTheFacade)
+{
+    // A channel that defeats the decoder: the daemon's get must fail
+    // with the direct Store's code and message on the same inputs.
+    const std::string root = freshRoot("dataloss");
+    ServerOptions options;
+    options.tenants = tenantConfig(root);
+    options.tenants.errorRate = 0.2;
+    options.tenants.coverage = 2;
+    Server server(options);
+    ASSERT_TRUE(server.start().ok());
+
+    const std::vector<uint8_t> payload = patternBytes(300, 9);
+    Client client;
+    ASSERT_TRUE(client.connect(server.port()).ok());
+    ASSERT_TRUE(client.put("alice", "a.bin", payload).ok());
+    api::Result<std::vector<uint8_t>> remote =
+        client.get("alice", "a.bin");
+
+    api::Store direct = directStoreFor(options.tenants);
+    ASSERT_TRUE(direct.put("a.bin", payload).ok());
+    api::Result<std::vector<uint8_t>> local = direct.get("a.bin");
+    ASSERT_FALSE(local.ok());
+    EXPECT_EQ(local.status().code(), api::StatusCode::DataLoss);
+    ASSERT_FALSE(remote.ok());
+    EXPECT_EQ(remote.status().code(), local.status().code());
+    EXPECT_EQ(remote.status().message(), local.status().message());
+}
+
 // ----------------------------------------------------- corruption handling
 
 TEST(DaemonE2E, MalformedRequestFailsOnlyThatRequest)
@@ -370,6 +408,125 @@ TEST(DaemonE2E, EveryByteCorruptionSweepNeverWedgesTheServer)
     Client client;
     ASSERT_TRUE(client.connect(port).ok());
     EXPECT_TRUE(client.ping().ok());
+    EXPECT_TRUE(server.drain().ok());
+}
+
+// --------------------------------------------------------- resource bounds
+
+namespace {
+
+size_t
+openFdCount()
+{
+    DIR *dir = ::opendir("/proc/self/fd");
+    if (dir == nullptr)
+        return 0;
+    size_t n = 0;
+    while (struct dirent *entry = ::readdir(dir))
+        if (entry->d_name[0] != '.')
+            ++n;
+    ::closedir(dir);
+    return n;
+}
+
+/**
+ * Ping over a fresh connection that is closed afterwards. Every step
+ * is bounded by @p timeoutMs, so a server that stopped accepting
+ * fails the call instead of hanging it.
+ */
+bool
+pingOnFreshConnection(uint16_t port, int timeoutMs)
+{
+    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (fd < 0)
+        return false;
+    struct sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    struct pollfd pfd = { fd, POLLOUT, 0 };
+    int err = 0;
+    socklen_t len = sizeof err;
+    bool ok = false;
+    if ((::connect(fd, reinterpret_cast<struct sockaddr *>(&addr),
+                   sizeof addr) == 0 ||
+         errno == EINPROGRESS) &&
+        ::poll(&pfd, 1, timeoutMs) == 1 &&
+        ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) == 0 &&
+        err == 0) {
+        Request ping;
+        ping.op = Op::Ping;
+        const std::vector<uint8_t> wire = frame(encodeRequest(ping));
+        std::vector<uint8_t> buf;
+        bool sent = ::write(fd, wire.data(), wire.size()) ==
+            ssize_t(wire.size());
+        pfd.events = POLLIN;
+        while (sent && ::poll(&pfd, 1, timeoutMs) == 1) {
+            uint8_t chunk[256];
+            ssize_t n = ::read(fd, chunk, sizeof chunk);
+            if (n <= 0)
+                break;
+            buf.insert(buf.end(), chunk, chunk + n);
+            std::vector<uint8_t> payload;
+            size_t consumed = 0;
+            std::string error;
+            FrameStatus fs =
+                extractFrame(buf, &payload, &consumed, &error);
+            if (fs == FrameStatus::NeedMore)
+                continue;
+            Response response;
+            ok = fs == FrameStatus::Ok &&
+                decodeResponse(payload, &response, &error) &&
+                response.status().ok();
+            break;
+        }
+    }
+    ::close(fd);
+    return ok;
+}
+
+} // namespace
+
+TEST(DaemonE2E, ShortConnectionsNeverExhaustTheFdLimit)
+{
+    // Regression: a finished connection used to keep its descriptor
+    // and thread until drain(), so the daemon stopped serving after
+    // about RLIMIT_NOFILE connections over its lifetime. Churn ten
+    // times a lowered limit in short connections; the server must
+    // keep serving and hold no more descriptors than before.
+    const std::string root = freshRoot("reap");
+    ServerOptions options;
+    options.tenants = tenantConfig(root);
+    Server server(options);
+    ASSERT_TRUE(server.start().ok());
+
+    struct rlimit saved;
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    struct RestoreLimit
+    {
+        struct rlimit limit;
+        ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &limit); }
+    } restore{ saved };
+    const size_t baseline = openFdCount();
+    struct rlimit low = saved;
+    low.rlim_cur = rlim_t(baseline + 16);
+    ASSERT_LE(low.rlim_cur, saved.rlim_max);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+
+    const size_t churn = 10 * size_t(low.rlim_cur);
+    for (size_t i = 0; i < churn; ++i)
+        ASSERT_TRUE(pingOnFreshConnection(server.port(), 2000))
+            << "connection " << i << " of " << churn;
+    EXPECT_TRUE(pingOnFreshConnection(server.port(), 2000));
+
+    // Connection threads close their descriptors as they exit; give
+    // the last ones a moment.
+    size_t open = openFdCount();
+    for (int i = 0; i < 250 && open != baseline; ++i) {
+        ::usleep(20 * 1000);
+        open = openFdCount();
+    }
+    EXPECT_EQ(open, baseline);
     EXPECT_TRUE(server.drain().ok());
 }
 
