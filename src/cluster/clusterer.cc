@@ -1,52 +1,11 @@
 #include "cluster/clusterer.hh"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "cluster/stream.hh"
 
 namespace dnastore {
-
-size_t
-bandedEditDistance(const Strand &a, const Strand &b, size_t limit,
-                   size_t band)
-{
-    const size_t n = a.size(), m = b.size();
-    size_t len_gap = n > m ? n - m : m - n;
-    if (len_gap > limit)
-        return limit + 1;
-    const size_t inf = std::numeric_limits<size_t>::max() / 2;
-
-    // Rolling rows restricted to |i - j| <= band.
-    std::vector<size_t> prev(m + 1, inf), cur(m + 1, inf);
-    for (size_t j = 0; j <= std::min(m, band); ++j)
-        prev[j] = j;
-    for (size_t i = 1; i <= n; ++i) {
-        size_t lo = i > band ? i - band : 0;
-        size_t hi = std::min(m, i + band);
-        std::fill(cur.begin(), cur.end(), inf);
-        if (lo == 0)
-            cur[0] = i;
-        size_t row_min = inf;
-        for (size_t j = std::max<size_t>(lo, 1); j <= hi; ++j) {
-            size_t cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-            size_t best = prev[j - 1] + cost;
-            if (prev[j] + 1 < best)
-                best = prev[j] + 1;
-            if (cur[j - 1] + 1 < best)
-                best = cur[j - 1] + 1;
-            cur[j] = best;
-            row_min = std::min(row_min, best);
-        }
-        if (lo == 0)
-            row_min = std::min(row_min, cur[0]);
-        if (row_min > limit)
-            return limit + 1;
-        std::swap(prev, cur);
-    }
-    return std::min(prev[m], limit + 1);
-}
 
 Clustering
 clusterReads(const std::vector<Strand> &reads,

@@ -10,8 +10,10 @@
  * clustering assumption can itself be tested:
  *
  *  - a q-gram (k-mer) signature index buckets reads cheaply;
- *  - candidate pairs within a bucket are verified with banded edit
- *    distance against the cluster representative;
+ *  - candidates are verified against their cluster representatives
+ *    with bounded batched edit distance (editDistanceBatch), which
+ *    computes only what the join decision reads: the distance when it
+ *    is within the join limit, and limit + 1 otherwise;
  *  - reads that match no representative start new clusters.
  *
  * This is the standard single-linkage-to-representative scheme used
@@ -37,16 +39,22 @@ struct ClusterParams
     /** q-gram length for the signature index. */
     size_t qgram = 6;
 
-    /** Number of minimizing q-gram hashes kept per read signature. */
+    /**
+     * Floor on the query signature: a read looks up its
+     * max(signatureSize, 24) smallest distinct q-gram hashes in the
+     * index (representatives are indexed with all their grams). Every
+     * value up to 24, the default 4 included, therefore gives the same
+     * clustering; only larger values change it.
+     */
     size_t signatureSize = 4;
 
     /**
      * Maximum edit distance (as a fraction of read length) to join an
      * existing cluster. 0.25 tolerates ~12% per-strand error rates on
      * both the representative and the read. Candidates are verified
-     * with exact batched edit distances (editDistanceBatch); the
-     * standalone bandedEditDistance remains available for callers
-     * that want the banded approximation.
+     * with bounded batched edit distances (editDistanceBatch): exact
+     * up to the limit, limit + 1 beyond it. The read joins the
+     * closest candidate within the limit, the earliest on ties.
      */
     double maxDistanceFrac = 0.25;
 
@@ -110,22 +118,12 @@ struct Clustering
 };
 
 /**
- * Banded Levenshtein distance with early exit.
- *
- * @param limit Stop early and return limit + 1 once the distance
- *              provably exceeds @p limit.
- * @param band  Half-width of the diagonal band explored.
- */
-size_t bandedEditDistance(const Strand &a, const Strand &b,
-                          size_t limit, size_t band);
-
-/**
  * Cluster reads by similarity: a thin adapter that feeds @p reads
  * through StreamingClusterer (cluster/stream.hh). Deterministic for a
  * given input: results are bit-identical for every
  * ClusterParams::numThreads value, every memory budget, and every SIMD
- * dispatch tier (candidate verification uses exact batched edit
- * distances).
+ * dispatch tier (candidate verification is bounded but exact within
+ * the join limit, and bit-identical across tiers).
  *
  * With more than one shard, reads are partitioned by the minimizer
  * (smallest q-gram hash) of their content, each shard is clustered

@@ -13,19 +13,39 @@ signatureInto(StrandView read, size_t qgram, size_t cap,
               std::vector<uint64_t> &out)
 {
     out.clear();
-    if (read.size() < qgram)
+    if (read.size() < qgram || cap == 0)
         return;
     uint64_t gram = 0;
     const uint64_t mask = (uint64_t(1) << (2 * qgram)) - 1;
+    if (cap > read.size() - qgram) {
+        // Every gram: sort + unique, so no duplicate posting ever
+        // reaches the index's >= 2-hits candidate gate.
+        for (size_t i = 0; i < read.size(); ++i) {
+            gram = ((gram << 2) | bitsFromBase(read[i])) & mask;
+            if (i + 1 >= qgram)
+                out.push_back(mixHash(gram));
+        }
+        std::sort(out.begin(), out.end());
+        out.erase(std::unique(out.begin(), out.end()), out.end());
+        return;
+    }
+    // Selection: out holds the cap smallest distinct hashes so far,
+    // sorted. Once full, one comparison rejects most grams.
     for (size_t i = 0; i < read.size(); ++i) {
         gram = ((gram << 2) | bitsFromBase(read[i])) & mask;
-        if (i + 1 >= qgram)
-            out.push_back(mixHash(gram));
+        if (i + 1 < qgram)
+            continue;
+        const uint64_t h = mixHash(gram);
+        if (out.size() == cap && h >= out.back())
+            continue;
+        const size_t at = size_t(
+            std::lower_bound(out.begin(), out.end(), h) - out.begin());
+        if (at < out.size() && out[at] == h)
+            continue;
+        if (out.size() == cap)
+            out.pop_back();
+        out.insert(out.begin() + long(at), h);
     }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    if (out.size() > cap)
-        out.resize(cap);
 }
 
 uint64_t
@@ -125,20 +145,27 @@ size_t
 GreedyState::bestCluster(StrandView read, size_t limit)
 {
     const size_t k = candidates_.size();
-    if (k == 0)
-        return size_t(-1);
     reps_.clear();
     for (size_t cluster : candidates_)
         reps_.push_back(repArena_.view(cluster));
-    dists_.resize(k);
-    editDistanceBatch(read.data(), read.size(), reps_.data(), k,
-                      dists_.data());
+    // Verify in ascending groups of four (one AVX2 batch each). Only
+    // a strictly closer candidate can displace a match at distance d,
+    // so later groups run bounded by d - 1 -- a later tie comes back
+    // as limit + 1, keeping the earliest-wins rule -- and an exact
+    // match ends the search.
     size_t best_cluster = size_t(-1);
-    size_t best_dist = size_t(-1);
-    for (size_t i = 0; i < k; ++i) {
-        if (dists_[i] <= limit && dists_[i] < best_dist) {
-            best_dist = dists_[i];
-            best_cluster = candidates_[i];
+    uint32_t dists[4];
+    for (size_t base = 0; base < k; base += 4) {
+        const size_t n = std::min<size_t>(4, k - base);
+        editDistanceBatch(read.data(), read.size(), reps_.data() + base,
+                          n, limit, dists);
+        for (size_t i = 0; i < n; ++i) {
+            if (dists[i] > limit)
+                continue;
+            best_cluster = candidates_[base + i];
+            if (dists[i] == 0)
+                return best_cluster;
+            limit = dists[i] - 1;
         }
     }
     return best_cluster;

@@ -46,7 +46,8 @@ mixHash(uint64_t x)
 
 /**
  * Sorted unique q-gram hashes of @p read into @p out, truncated to
- * the @p cap smallest (minhash); pass SIZE_MAX for all of them.
+ * the @p cap smallest (minhash); pass SIZE_MAX for all of them. A
+ * cap below the gram count selects instead of sorting every gram.
  * Reuses @p out's capacity — the reason it is an out-parameter.
  */
 void signatureInto(StrandView read, size_t qgram, size_t cap,
@@ -139,7 +140,6 @@ class GreedyState
     std::vector<uint64_t> sig_, fullSig_;
     std::vector<size_t> hits_, candidates_;
     std::vector<StrandView> reps_;
-    std::vector<uint32_t> dists_;
 };
 
 } // namespace cluster_detail

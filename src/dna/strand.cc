@@ -80,74 +80,43 @@ maxHomopolymerRun(const Strand &s)
     return best;
 }
 
+namespace {
+
+/**
+ * Myers match masks of @p pattern into @p peq, laid out
+ * [base * blocks + block]; returns the 64-row block count.
+ */
+size_t
+buildPeq(const Base *pattern, size_t m, std::vector<uint64_t> &peq)
+{
+    const size_t blocks = (m + 63) / 64;
+    peq.assign(size_t(kNumBases) * blocks, 0);
+    for (size_t i = 0; i < m; ++i)
+        peq[size_t(bitsFromBase(pattern[i])) * blocks + (i >> 6)] |=
+            uint64_t(1) << (i & 63);
+    return blocks;
+}
+
+} // namespace
+
 size_t
 editDistanceRange(const Base *a, size_t na, const Base *b, size_t nb)
 {
-    // Myers' bit-parallel algorithm (Hyyrö's block formulation for
-    // global distance): the DP column is encoded as vertical-delta
-    // bit vectors VP/VN, advanced 64 rows per word operation instead
-    // of one cell at a time. The 4-letter alphabet makes the Peq
-    // match masks tiny. All buffers are thread-local scratch, so the
-    // steady state is allocation-free.
-    //
-    // The pattern is the shorter strand (fewer 64-row blocks).
+    // One text through the bounded Myers kernel (util/simd.hh) at a
+    // limit it can never reach. The pattern is the shorter strand
+    // (fewer 64-row blocks).
     if (nb > na) {
         std::swap(a, b);
         std::swap(na, nb);
     }
     if (nb == 0)
         return na;
-
-    const size_t m = nb;
-    const size_t blocks = (m + 63) / 64;
-    static thread_local std::vector<uint64_t> peq; // per base, per block
-    static thread_local std::vector<uint64_t> vp, vn;
-    peq.assign(size_t(kNumBases) * blocks, 0);
-    for (size_t i = 0; i < m; ++i)
-        peq[size_t(bitsFromBase(b[i])) * blocks + (i >> 6)] |=
-            uint64_t(1) << (i & 63);
-    // Global alignment boundary D(i, 0) = i: all vertical deltas +1.
-    vp.assign(blocks, ~uint64_t(0));
-    vn.assign(blocks, 0);
-
-    size_t score = m;
-    const uint64_t last_bit = uint64_t(1) << ((m - 1) & 63);
-    for (size_t j = 0; j < na; ++j) {
-        const uint64_t *eq_row =
-            peq.data() + size_t(bitsFromBase(a[j])) * blocks;
-        // Boundary D(0, j) = j: horizontal carry into row 0 is +1.
-        int hin = 1;
-        for (size_t blk = 0; blk < blocks; ++blk) {
-            uint64_t eq = eq_row[blk];
-            const uint64_t pv = vp[blk], mv = vn[blk];
-            const uint64_t xv = eq | mv;
-            if (hin < 0)
-                eq |= 1;
-            const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
-            uint64_t ph = mv | ~(xh | pv);
-            uint64_t mh = pv & xh;
-            if (blk == blocks - 1) {
-                // Track the score at the true last pattern row; the
-                // pad rows above it only ever receive carries.
-                if (ph & last_bit)
-                    ++score;
-                if (mh & last_bit)
-                    --score;
-            }
-            const int hout =
-                (ph >> 63) ? 1 : ((mh >> 63) ? -1 : 0);
-            ph <<= 1;
-            mh <<= 1;
-            if (hin < 0)
-                mh |= 1;
-            else if (hin > 0)
-                ph |= 1;
-            vp[blk] = mh | ~(xv | ph);
-            vn[blk] = ph & xv;
-            hin = hout;
-        }
-    }
-    return score;
+    static thread_local std::vector<uint64_t> peq;
+    const size_t blocks = buildPeq(b, nb, peq);
+    const uint8_t *text = reinterpret_cast<const uint8_t *>(a);
+    uint32_t dist = 0;
+    simd::myersBatch(peq.data(), nb, blocks, &text, &na, 1, na, &dist);
+    return dist;
 }
 
 size_t
@@ -158,23 +127,22 @@ editDistance(const Strand &a, const Strand &b)
 
 void
 editDistanceBatch(const Base *pattern, size_t m,
-                  const StrandView *texts, size_t k, uint32_t *dists)
+                  const StrandView *texts, size_t k, size_t limit,
+                  uint32_t *dists)
 {
     if (m == 0) {
-        for (size_t i = 0; i < k; ++i)
-            dists[i] = uint32_t(texts[i].size());
+        for (size_t i = 0; i < k; ++i) {
+            const size_t n = texts[i].size();
+            dists[i] = uint32_t(n <= limit ? n : limit + 1);
+        }
         return;
     }
 
     // Build the pattern's match masks once; every text comparison
     // reuses them. Myers blocks advance 64 DP rows per word (or per
     // vector lane) operation.
-    const size_t blocks = (m + 63) / 64;
     static thread_local std::vector<uint64_t> peq;
-    peq.assign(size_t(kNumBases) * blocks, 0);
-    for (size_t i = 0; i < m; ++i)
-        peq[size_t(bitsFromBase(pattern[i])) * blocks + (i >> 6)] |=
-            uint64_t(1) << (i & 63);
+    const size_t blocks = buildPeq(pattern, m, peq);
 
     static thread_local std::vector<const uint8_t *> ptrs;
     static thread_local std::vector<size_t> lens;
@@ -185,7 +153,7 @@ editDistanceBatch(const Base *pattern, size_t m,
         lens[i] = texts[i].size();
     }
     simd::myersBatch(peq.data(), m, blocks, ptrs.data(), lens.data(),
-                     k, dists);
+                     k, limit, dists);
 }
 
 size_t

@@ -47,7 +47,8 @@ size_t maxHomopolymerRun(const Strand &s);
  * Computed with Myers' bit-parallel algorithm (Hyyrö's block
  * formulation): 64 DP rows advance per word operation, over
  * thread-local scratch bit vectors, so the steady state does no heap
- * allocation. Fuzz-checked against a full-matrix reference.
+ * allocation. It is the kernel behind editDistanceBatch, run
+ * unbounded. Fuzz-checked against a full-matrix reference.
  */
 size_t editDistance(const Strand &a, const Strand &b);
 
@@ -56,20 +57,24 @@ size_t editDistanceRange(const Base *a, size_t na, const Base *b,
                          size_t nb);
 
 /**
- * Batched edit distance: dists[i] = Levenshtein distance between
- * @p pattern and texts[i], for all @p k texts.
+ * Batched bounded edit distance: for all @p k texts, dists[i] is the
+ * Levenshtein distance between @p pattern and texts[i] when that
+ * distance is <= @p limit, and limit + 1 otherwise. A limit >=
+ * max(m, n) makes every result exact.
  *
  * The pattern's Myers match masks are built once and shared by every
  * comparison, and texts are verified four at a time in the 64-bit
- * lanes of the SIMD kernel (util/simd.hh) when available. Results
- * are exact and bit-identical to editDistance on every dispatch
- * tier; this is the candidate-verification primitive behind read
- * clustering, where one read is checked against several cluster
- * representatives at once.
+ * lanes of the SIMD kernel (util/simd.hh) when available. The kernel
+ * computes only the diagonal band the limit allows and retires a text
+ * as soon as its distance provably exceeds the limit, so a rejection
+ * costs a fraction of a full table. Results are bit-identical on
+ * every dispatch tier; this is the candidate-verification primitive
+ * behind read clustering, where one read is checked against several
+ * cluster representatives at once.
  */
 class StrandView;
 void editDistanceBatch(const Base *pattern, size_t m,
-                       const StrandView *texts, size_t k,
+                       const StrandView *texts, size_t k, size_t limit,
                        uint32_t *dists);
 
 /** Number of positions where equal-length prefixes differ. */

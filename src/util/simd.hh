@@ -146,8 +146,8 @@ size_t diffCountPacked(const uint64_t *a, const uint64_t *b,
                        size_t words);
 
 /**
- * Advance k independent Myers global-edit-distance automata that
- * share one pattern.
+ * Advance k independent bounded Myers global-edit-distance automata
+ * that share one pattern.
  *
  * @param peq    Pattern match masks, laid out [base * blocks + block]
  *               (4 * blocks words), as built by editDistanceBatch.
@@ -157,17 +157,24 @@ size_t diffCountPacked(const uint64_t *a, const uint64_t *b,
  *               base). Any k; the vector tier internally chunks the
  *               batch into groups of 4.
  * @param lens   Text lengths.
- * @param dists  Out: exact Levenshtein distance pattern vs text i,
- *               filled for all k texts on every tier.
+ * @param limit  Distance bound; limit >= max(m, n) is unbounded.
+ * @param dists  Out, for all k texts on every tier: the exact
+ *               Levenshtein distance pattern vs text i when it is
+ *               <= limit, else limit + 1.
  *
- * The AVX2 path runs four automata at a time in the four 64-bit lanes
- * of a vector register, column-lockstep; shorter texts retire their
- * lane's score early. Scalar/SSE tiers run the same recurrence one
- * text at a time; results are bit-identical.
+ * The bound is what makes it cheap. A length gap over the limit
+ * settles a text without any DP; each column steps only the 64-row
+ * blocks that meet the diagonal band |row - column| <= limit; and
+ * every 8 columns a text whose diagonal toward the final cell already
+ * exceeds the limit retires. The AVX2 path runs four automata at a
+ * time in the four 64-bit lanes of a vector register,
+ * column-lockstep, and returns once every lane has retired or ended.
+ * Scalar/SSE tiers run the same recurrence one text at a time;
+ * results are bit-identical.
  */
 void myersBatch(const uint64_t *peq, size_t m, size_t blocks,
                 const uint8_t *const *texts, const size_t *lens,
-                size_t k, uint32_t *dists);
+                size_t k, size_t limit, uint32_t *dists);
 
 } // namespace simd
 } // namespace dnastore

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "channel/ids_channel.hh"
@@ -18,174 +17,6 @@ randomStrand(size_t len, Rng &rng)
     for (auto &b : s)
         b = baseFromBits(unsigned(rng.nextBelow(4)));
     return s;
-}
-
-/** Full-matrix Levenshtein reference (no band, no early exit). */
-size_t
-referenceEditDistance(const Strand &a, const Strand &b)
-{
-    std::vector<size_t> prev(b.size() + 1), cur(b.size() + 1);
-    for (size_t j = 0; j <= b.size(); ++j)
-        prev[j] = j;
-    for (size_t i = 1; i <= a.size(); ++i) {
-        cur[0] = i;
-        for (size_t j = 1; j <= b.size(); ++j) {
-            size_t best = prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-            best = std::min(best, prev[j] + 1);
-            best = std::min(best, cur[j - 1] + 1);
-            cur[j] = best;
-        }
-        std::swap(prev, cur);
-    }
-    return prev[b.size()];
-}
-
-/** Mutate @p s with @p edits random indel/substitution edits. */
-Strand
-mutate(const Strand &s, size_t edits, Rng &rng)
-{
-    Strand out = s;
-    for (size_t e = 0; e < edits; ++e) {
-        size_t pos = out.empty() ? 0 : rng.nextBelow(out.size());
-        switch (rng.nextBelow(3)) {
-          case 0:
-            if (!out.empty())
-                out[pos] = baseFromBits(unsigned(rng.nextBelow(4)));
-            break;
-          case 1:
-            if (!out.empty())
-                out.erase(out.begin() + long(pos));
-            break;
-          default:
-            out.insert(out.begin() + long(pos),
-                       baseFromBits(unsigned(rng.nextBelow(4))));
-        }
-    }
-    return out;
-}
-
-TEST(BandedEditDistance, MatchesExactDistanceWithinBand)
-{
-    Rng rng(1);
-    for (int iter = 0; iter < 40; ++iter) {
-        auto a = randomStrand(40 + rng.nextBelow(30), rng);
-        auto b = a;
-        // Apply a few random edits.
-        for (int e = 0; e < 4; ++e) {
-            size_t pos = rng.nextBelow(b.size());
-            switch (rng.nextBelow(3)) {
-              case 0:
-                b[pos] = baseFromBits(unsigned(rng.nextBelow(4)));
-                break;
-              case 1:
-                b.erase(b.begin() + long(pos));
-                break;
-              default:
-                b.insert(b.begin() + long(pos),
-                         baseFromBits(unsigned(rng.nextBelow(4))));
-            }
-        }
-        size_t exact = editDistance(a, b);
-        size_t banded = bandedEditDistance(a, b, 20, 12);
-        EXPECT_EQ(banded, exact);
-    }
-}
-
-TEST(BandedEditDistance, EarlyExitBeyondLimit)
-{
-    Rng rng(2);
-    auto a = randomStrand(60, rng);
-    auto b = randomStrand(60, rng);
-    size_t limited = bandedEditDistance(a, b, 5, 12);
-    if (editDistance(a, b) > 5) {
-        EXPECT_EQ(limited, 6u);
-    }
-}
-
-TEST(BandedEditDistance, LengthGapShortCircuits)
-{
-    Rng rng(3);
-    auto a = randomStrand(100, rng);
-    auto b = randomStrand(10, rng);
-    EXPECT_EQ(bandedEditDistance(a, b, 20, 10), 21u);
-}
-
-TEST(BandedEditDistanceFuzz, AgreesWithFullMatrixWhenInsideBand)
-{
-    // When the band covers the whole matrix and the limit covers the
-    // true distance, the banded result must equal the reference DP —
-    // including unequal-length pairs and empty strands.
-    Rng rng(101);
-    for (int iter = 0; iter < fuzzIters(300); ++iter) {
-        Strand a = randomStrand(rng.nextBelow(70), rng);
-        Strand b = mutate(a, rng.nextBelow(8), rng);
-        size_t exact = referenceEditDistance(a, b);
-        size_t wide_band = a.size() + b.size() + 1;
-        EXPECT_EQ(bandedEditDistance(a, b, exact + 5, wide_band),
-                  exact)
-            << "sizes " << a.size() << "/" << b.size();
-    }
-}
-
-TEST(BandedEditDistanceFuzz, LimitBoundaryIsExact)
-{
-    // d <= limit must return d exactly; limit = d - 1 must return
-    // limit + 1 (the early-exit sentinel), never a smaller value.
-    Rng rng(102);
-    int checked = 0;
-    for (int iter = 0; iter < fuzzIters(400) && checked < 120;
-         ++iter) {
-        Strand a = randomStrand(30 + rng.nextBelow(50), rng);
-        Strand b = mutate(a, 1 + rng.nextBelow(6), rng);
-        size_t exact = referenceEditDistance(a, b);
-        if (exact == 0)
-            continue;
-        size_t band = a.size() + b.size() + 1;
-        EXPECT_EQ(bandedEditDistance(a, b, exact, band), exact);
-        EXPECT_EQ(bandedEditDistance(a, b, exact - 1, band), exact);
-        ++checked;
-    }
-    EXPECT_GT(checked, 0);
-}
-
-TEST(BandedEditDistanceFuzz, NarrowBandNeverUndershoots)
-{
-    // A too-narrow band may overestimate (the optimal path leaves the
-    // band) but must never report less than the true distance, and
-    // must stay deterministic.
-    Rng rng(103);
-    for (int iter = 0; iter < fuzzIters(300); ++iter) {
-        Strand a = randomStrand(20 + rng.nextBelow(60), rng);
-        Strand b = mutate(a, rng.nextBelow(10), rng);
-        size_t exact = referenceEditDistance(a, b);
-        for (size_t band : { size_t(1), size_t(2), size_t(4),
-                             size_t(9) }) {
-            size_t limit = exact + 10;
-            size_t banded = bandedEditDistance(a, b, limit, band);
-            EXPECT_GE(banded, std::min(exact, limit + 1));
-            EXPECT_EQ(banded, bandedEditDistance(a, b, limit, band));
-        }
-    }
-}
-
-TEST(BandedEditDistanceFuzz, UnequalLengthsAndEdges)
-{
-    Rng rng(104);
-    // Length gap beyond the limit short-circuits.
-    Strand a = randomStrand(90, rng);
-    Strand b = randomStrand(40, rng);
-    EXPECT_EQ(bandedEditDistance(a, b, 30, 100), 31u);
-    // Empty vs non-empty: distance is the length (insertions only).
-    Strand empty;
-    Strand c = randomStrand(12, rng);
-    EXPECT_EQ(bandedEditDistance(empty, c, 20, 20), 12u);
-    EXPECT_EQ(bandedEditDistance(c, empty, 20, 20), 12u);
-    EXPECT_EQ(bandedEditDistance(empty, empty, 5, 5), 0u);
-    // Band of zero still scores the pure-diagonal (substitution-only)
-    // path for equal lengths.
-    Strand d = c;
-    d[5] = baseFromBits(bitsFromBase(d[5]) ^ 2);
-    EXPECT_EQ(bandedEditDistance(c, d, 12, 0), 1u);
 }
 
 TEST(Clusterer, SerialAndParallelAreBitIdentical)
@@ -236,6 +67,69 @@ TEST(Clusterer, ShardedModeKeepsQuality)
     auto quality = scoreClustering(clusterReads(reads, params), truth);
     EXPECT_GT(quality.precision, 0.99);
     EXPECT_GT(quality.recall, 0.93);
+}
+
+TEST(Clusterer, SignatureSizeUpTo24ClustersIdentically)
+{
+    // A read queries the index with its max(signatureSize, 24)
+    // smallest gram hashes, so 1, the default 4, and 24 are one
+    // clustering.
+    Rng rng(107);
+    IdsChannel channel(ErrorModel::uniform(0.08));
+    std::vector<Strand> reads;
+    for (size_t s = 0; s < 30; ++s) {
+        Strand original = randomStrand(100, rng);
+        for (size_t c = 0; c < 5; ++c)
+            reads.push_back(channel.transmit(original, rng));
+    }
+    ClusterParams base;
+    base.signatureSize = 4;
+    const Clustering expected = clusterReads(reads, base);
+    for (size_t size : { size_t(1), size_t(24) }) {
+        ClusterParams params = base;
+        params.signatureSize = size;
+        const Clustering got = clusterReads(reads, params);
+        EXPECT_EQ(got.clusterOf, expected.clusterOf) << "size " << size;
+        EXPECT_EQ(got.members, expected.members) << "size " << size;
+    }
+}
+
+TEST(Clusterer, EquidistantReadJoinsEarliestCluster)
+{
+    // R is a palindrome; A0 is R with substitutions in its left half
+    // and A5 = reversed(A0), so edit distance's reversal symmetry
+    // makes R exactly equidistant from both. Four decoys sharing R's
+    // left half sit between them, so A5 is verified in a later batch
+    // than A0. The earliest cluster must win the tie.
+    Rng rng(108);
+    Strand r = randomStrand(60, rng);
+    const Strand left = r;
+    r.insert(r.end(), left.rbegin(), left.rend());
+    Strand a0 = r;
+    for (size_t pos = 3; pos < 60; pos += 7)
+        a0[pos] = baseFromBits(bitsFromBase(a0[pos]) ^ 1);
+    std::vector<Strand> reads{ a0 };
+    for (int d = 0; d < 4; ++d) {
+        Strand decoy = left;
+        Strand tail = randomStrand(60, rng);
+        decoy.insert(decoy.end(), tail.begin(), tail.end());
+        reads.push_back(decoy);
+    }
+    reads.push_back(reversed(a0));
+    reads.push_back(r);
+
+    ClusterParams params;
+    params.maxDistanceFrac = 0.1; // limit 12 on 120 bases
+    const size_t limit = 12;
+    ASSERT_EQ(editDistance(r, reads[0]), editDistance(r, reads[5]));
+    ASSERT_LE(editDistance(r, reads[0]), limit);
+    for (size_t i = 0; i < 6; ++i)
+        for (size_t j = i + 1; j < 6; ++j)
+            ASSERT_GT(editDistance(reads[i], reads[j]), limit)
+                << i << " vs " << j;
+    const Clustering got = clusterReads(reads, params);
+    EXPECT_EQ(got.clusterOf,
+              (std::vector<size_t>{ 0, 1, 2, 3, 4, 5, 0 }));
 }
 
 TEST(Clusterer, RejectsOutOfRangeQgram)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -15,7 +16,9 @@
 #include "cluster/gram_index.hh"
 #include "cluster/greedy.hh"
 #include "cluster/stream.hh"
+#include "dna/primer.hh"
 #include "fuzz_iters.hh"
+#include "pipeline/config.hh"
 #include "util/byteio.hh"
 #include "util/rng.hh"
 
@@ -107,6 +110,102 @@ TEST(StreamingCluster, MatchesPinnedReferenceClustering)
             }
         }
     }
+}
+
+TEST(SignatureFuzz, SelectionEqualsSortUniqueResize)
+{
+    // A capped signature is selected, not sorted; it must equal the
+    // sort + unique + resize of every gram hash, including reads of
+    // repeated grams (duplicates must not take a slot), reads shorter
+    // than q, and caps at or past the distinct-gram count.
+    Rng rng(311);
+    std::vector<uint64_t> got;
+    for (int iter = 0; iter < fuzzIters(400); ++iter) {
+        const size_t qgram = 1 + rng.nextBelow(14);
+        Strand read;
+        switch (rng.nextBelow(3)) {
+          case 0: // low complexity: a short motif repeated
+            {
+                Strand motif = randomStrand(1 + rng.nextBelow(4), rng);
+                for (size_t n = rng.nextBelow(200); read.size() < n;)
+                    read.insert(read.end(), motif.begin(), motif.end());
+                break;
+            }
+          case 1:
+            read = randomStrand(rng.nextBelow(qgram + 2), rng);
+            break;
+          default:
+            read = randomStrand(rng.nextBelow(300), rng);
+        }
+        std::vector<uint64_t> all;
+        cluster_detail::signatureInto(read, qgram, size_t(-1), all);
+        std::vector<uint64_t> expected_all;
+        for (size_t i = 0; i + qgram <= read.size(); ++i) {
+            uint64_t gram = 0;
+            for (size_t j = i; j < i + qgram; ++j)
+                gram = (gram << 2) | bitsFromBase(read[j]);
+            expected_all.push_back(cluster_detail::mixHash(gram));
+        }
+        std::sort(expected_all.begin(), expected_all.end());
+        expected_all.erase(
+            std::unique(expected_all.begin(), expected_all.end()),
+            expected_all.end());
+        ASSERT_EQ(all, expected_all) << "iter " << iter;
+        for (size_t cap : { size_t(1), size_t(4), size_t(24),
+                            all.size(), all.size() + 1,
+                            size_t(rng.nextBelow(all.size() + 2)) }) {
+            std::vector<uint64_t> expected(
+                all.begin(), all.begin() + long(std::min(cap, all.size())));
+            cluster_detail::signatureInto(read, qgram, cap, got);
+            EXPECT_EQ(got, expected)
+                << "iter " << iter << " cap " << cap << " q " << qgram;
+        }
+    }
+}
+
+TEST(StreamingCluster, MatchesPinnedBenchScaleClustering)
+{
+    // The benchmark's shape: benchScale-length strands that all share
+    // one primer pair, 5% IDS, qgram 12, and enough reads that the
+    // shards and the serial shard merge both run. Read i is a noisy
+    // copy of strand i % 256; the pin lists the reads that land
+    // anywhere else, as recorded before candidate verification was
+    // bounded. Any change to the greedy decisions moves it.
+    const StorageConfig cfg = StorageConfig::benchScale();
+    const PrimerPair primers = makePrimerPair(1, cfg.primerLen);
+    const size_t n_strands = 256, copies = 10;
+    Rng rng(1300);
+    IdsChannel channel(ErrorModel::uniform(0.05));
+    std::vector<Strand> originals;
+    for (size_t s = 0; s < n_strands; ++s)
+        originals.push_back(attachPrimers(
+            primers, randomStrand(cfg.strandLen() - 2 * cfg.primerLen,
+                                  rng)));
+    std::vector<Strand> reads;
+    for (size_t c = 0; c < copies; ++c)
+        for (size_t s = 0; s < n_strands; ++s)
+            reads.push_back(channel.transmit(originals[s], rng));
+
+    ClusterParams params;
+    params.qgram = 12;
+    ASSERT_GT(cluster_detail::resolveShardCount(params, reads.size()),
+              1u);
+    const std::vector<std::pair<size_t, size_t>> splits = {
+        { 340, 256 },  { 596, 256 },  { 714, 257 },  { 826, 258 },
+        { 837, 259 },  { 852, 260 },  { 970, 257 },  { 1020, 261 },
+        { 1108, 256 }, { 1414, 262 }, { 1482, 257 }, { 1532, 261 },
+        { 1620, 256 }, { 1738, 257 }, { 1788, 261 }, { 1850, 258 },
+        { 1876, 256 }, { 1994, 257 }, { 2044, 261 }, { 2132, 256 },
+        { 2388, 256 },
+    };
+    std::vector<size_t> expected(reads.size());
+    for (size_t i = 0; i < reads.size(); ++i)
+        expected[i] = i % n_strands;
+    for (const auto &split : splits)
+        expected[split.first] = split.second;
+    Clustering got = clusterReads(reads, params);
+    EXPECT_EQ(got.count(), 263u);
+    EXPECT_EQ(got.clusterOf, expected);
 }
 
 TEST(StreamingCluster, BitIdenticalAcrossBudgetsAndThreads)
