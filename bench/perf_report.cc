@@ -571,7 +571,7 @@ collect(std::vector<BenchResult> &results, const Options &opt)
         Rng rng(18);
         sim.prepare(randomBundle(
             StorageConfig::tinyTest().capacityBytes() / 2, rng));
-        ScrubPolicy policy;
+        ScrubOptions policy;
         policy.minReads = 6;
         uint64_t trial = 0;
         add("lab_trial_scrub_loop", [&sim, &policy, &trial]() {

@@ -47,45 +47,19 @@ readyFuture(Status status)
 }
 
 Retrieval
-mapRetrieval(const RetrievalResult &result)
+mapRetrieval(RetrievalResult &&result)
 {
     Retrieval out;
     out.coverage = result.coverage;
     out.exact = result.exactPayload;
     out.decoded = result.decoded.bundleOk;
-    out.objects = result.decoded.bundle;
+    out.objects = std::move(result.decoded.bundle);
     out.correctedErrors = result.decoded.stats.totalCorrected();
     out.erasedColumns = result.decoded.stats.erasedColumns;
     out.failedCodewords = result.decoded.stats.failedCodewords;
     out.indexFaults = result.decoded.stats.indexFaults;
-    out.errorsPerCodeword = result.decoded.stats.errorsPerCodeword;
-    return out;
-}
-
-HealthReport
-mapHealth(const UnitHealth &health)
-{
-    HealthReport out;
-    out.clusters = health.clusters;
-    out.liveReads = health.liveReads;
-    out.poolCoverage = health.poolCoverage;
-    out.emptyClusters = health.emptyClusters;
-    out.indexFaults = health.indexFaults;
-    out.erasedColumns = health.erasedColumns;
-    out.failedCodewords = health.failedCodewords;
-    out.agedEpochs = health.agedEpochs;
-    out.exact = health.exact;
-    out.meanAgreement = health.meanAgreement;
-    out.minAgreement = health.minAgreement;
-    out.minMargin = health.minMargin;
-    out.perCluster.reserve(health.perCluster.size());
-    for (const ClusterHealth &c : health.perCluster)
-        out.perCluster.push_back(
-            { c.reads, c.indexOk, c.claimed, c.column, c.agreement });
-    out.perCodeword.reserve(health.perCodeword.size());
-    for (const CodewordHealth &cw : health.perCodeword)
-        out.perCodeword.push_back({ cw.ok, cw.errorsCorrected,
-                                    cw.erasuresCorrected, cw.margin });
+    out.errorsPerCodeword =
+        std::move(result.decoded.stats.errorsPerCodeword);
     return out;
 }
 
@@ -105,19 +79,9 @@ checkScrubOptions(const ScrubOptions &options)
     return Status();
 }
 
-ScrubPolicy
-mapScrubOptions(const ScrubOptions &options)
-{
-    ScrubPolicy policy;
-    policy.minReads = options.minReads;
-    policy.minAgreement = options.minAgreement;
-    policy.repairAll = options.repairAll;
-    return policy;
-}
-
 /** The caller's view of a scrub pass, shared by scrub() and ScrubJob. */
 Result<ScrubReport>
-scrubResult(const PoolScrubReport &report)
+scrubResult(ScrubReport report)
 {
     if (!report.repairable && report.lowMargin > 0)
         return Status::unavailable(formatMessage(
@@ -126,15 +90,7 @@ scrubResult(const PoolScrubReport &report)
             "trusted for rewriting; retry after re-synthesis or at "
             "deeper coverage",
             report.lowMargin, report.failedCodewords));
-    ScrubReport out;
-    out.clustersScanned = report.clustersScanned;
-    out.lowMargin = report.lowMargin;
-    out.repaired = report.repaired;
-    out.unrepairable = report.unrepairable;
-    out.failedCodewords = report.failedCodewords;
-    out.readsRewritten = report.readsRewritten;
-    out.repairable = report.repairable;
-    return out;
+    return report;
 }
 
 /** What every submit() on a moved-from Store resolves to. */
@@ -572,7 +528,7 @@ Store::retrieveShared()
             ClusteredRetrievalResult clustered =
                 rep_->sim->retrieveClustered(chan.fixedCoverage(),
                                              chan.clusterParams());
-            out = mapRetrieval(clustered.result);
+            out = mapRetrieval(std::move(clustered.result));
             out.clustered = true;
             out.clustersFound = clustered.clustersFound;
             out.precision = clustered.quality.precision;
@@ -665,7 +621,7 @@ Store::health()
     if (!status.ok())
         return status;
     try {
-        return mapHealth(rep_->sim->probeHealth());
+        return rep_->sim->probeHealth();
     } catch (const std::exception &e) {
         return Status::internal(e.what());
     }
@@ -707,13 +663,12 @@ Store::scrub(const ScrubOptions &options)
     if (!status.ok())
         return status;
     try {
-        PoolScrubReport report =
-            rep_->sim->scrub(mapScrubOptions(options));
+        ScrubReport report = rep_->sim->scrub(options);
         if (report.repaired > 0) {
             rep_->poolGeneration->fetch_add(1);
             rep_->lastRetrieval.reset();
         }
-        return scrubResult(report);
+        return scrubResult(std::move(report));
     } catch (const std::exception &e) {
         return Status::internal(e.what());
     }
@@ -926,13 +881,12 @@ Store::submit(const TrialJob &job)
             rep_->channel.clusterParams());
     const size_t aging_epochs = job.agingEpochs;
     const bool scrub_each_epoch = job.scrubEachEpoch;
-    const ScrubPolicy policy = mapScrubOptions(job.scrub);
     const size_t fixed_coverage = rep_->channel.fixedCoverage();
     return Future<Result<TrialSeries>>(std::async(
         std::launch::async,
         [sim, coverage, cluster, seeds = job.trialSeeds,
          threads = job.threads, aging_epochs, scrub_each_epoch,
-         policy, fixed_coverage]() -> Result<TrialSeries> {
+         policy = job.scrub, fixed_coverage]() -> Result<TrialSeries> {
             try {
                 TrialSeries series;
                 series.trials.resize(seeds.size());
@@ -946,13 +900,11 @@ Store::submit(const TrialJob &job)
                         AgingTrialOutcome outcome = sim->runAgingTrial(
                             fixed_coverage, seeds[t], aging_epochs,
                             scrub_each_epoch, policy);
-                        rec.epochSuccess = outcome.epochSuccess;
                         rec.success = !outcome.epochSuccess.empty() &&
                             outcome.epochSuccess.back() != 0;
-                        rec.byteErrorRate =
-                            outcome.epochByteErrorRate.empty()
-                                ? 0.0
-                                : outcome.epochByteErrorRate.back();
+                        rec.epochSuccess =
+                            std::move(outcome.epochSuccess);
+                        rec.byteErrorRate = outcome.byteErrorRate;
                         rec.readsLost = outcome.readsLost;
                         rec.scrubRepaired = outcome.repaired;
                         return;
@@ -1001,15 +953,14 @@ Store::submit(const ScrubJob &job)
     std::shared_ptr<StorageSimulator> sim = rep_->sim;
     std::shared_ptr<std::atomic<uint64_t>> generation =
         rep_->poolGeneration;
-    const ScrubPolicy policy = mapScrubOptions(job.options);
     return Future<Result<ScrubReport>>(std::async(
         std::launch::async,
-        [sim, generation, policy]() -> Result<ScrubReport> {
+        [sim, generation, policy = job.options]() -> Result<ScrubReport> {
             try {
-                PoolScrubReport report = sim->scrub(policy);
+                ScrubReport report = sim->scrub(policy);
                 if (report.repaired > 0)
                     generation->fetch_add(1);
-                return scrubResult(report);
+                return scrubResult(std::move(report));
             } catch (const std::exception &e) {
                 return Status::internal(e.what());
             }

@@ -84,24 +84,6 @@ SweepRunner::run(const Scenario &scenario) const
         throw std::runtime_error("SweepRunner: " +
                                  series.status().toString());
 
-    std::vector<TrialRecord> records(opt_.trials);
-    for (size_t t = 0; t < opt_.trials; ++t) {
-        const api::TrialResult &outcome = series->trials[t];
-        TrialRecord &rec = records[t];
-        rec.success = outcome.success;
-        rec.byteErrorRate = outcome.byteErrorRate;
-        rec.erasedColumns = outcome.erasedColumns;
-        rec.failedCodewords = outcome.failedCodewords;
-        rec.correctedErrors = outcome.correctedErrors;
-        rec.readsGenerated = outcome.readsGenerated;
-        rec.clustersDropped = outcome.clustersDropped;
-        rec.precision = outcome.precision;
-        rec.recall = outcome.recall;
-        rec.epochSuccess = outcome.epochSuccess;
-        rec.readsLost = outcome.readsLost;
-        rec.scrubRepaired = outcome.scrubRepaired;
-    }
-
     // Serial aggregation in trial order: identical doubles for every
     // thread count.
     ScenarioReport report;
@@ -111,9 +93,10 @@ SweepRunner::run(const Scenario &scenario) const
     report.clustered = scenario.clustered;
     report.minSuccessRate = scenario.minSuccessRate;
     report.agingEpochs = scenario.agingEpochs;
+    report.perTrial = std::move(series->trials);
     if (scenario.agingEpochs > 0)
         report.epochSuccessRate.assign(scenario.agingEpochs, 0.0);
-    for (const auto &rec : records) {
+    for (const auto &rec : report.perTrial) {
         report.successes += rec.success ? 1 : 0;
         for (size_t e = 0;
              e < rec.epochSuccess.size() &&
@@ -156,7 +139,6 @@ SweepRunner::run(const Scenario &scenario) const
     // e.g. a 0.80 bound at 8 trials allows 6/8, not only 7/8.
     report.passed = double(report.successes) >=
         std::floor(report.minSuccessRate * double(opt_.trials));
-    report.perTrial = std::move(records);
 
     const auto t1 = std::chrono::steady_clock::now();
     report.wallMs =

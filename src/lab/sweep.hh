@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "api/store.hh"
 #include "lab/scenario.hh"
 
 namespace dnastore {
@@ -37,25 +38,11 @@ struct SweepOptions
     uint64_t seed = 20220618;
 };
 
-/** Deterministic per-trial record (one Monte-Carlo sample). */
-struct TrialRecord
-{
-    bool success = false;
-    double byteErrorRate = 0.0;
-    size_t erasedColumns = 0;
-    size_t failedCodewords = 0;
-    size_t correctedErrors = 0;
-    size_t readsGenerated = 0;
-    size_t clustersDropped = 0;
-    double precision = 0.0; //!< Clustered scenarios only.
-    double recall = 0.0;    //!< Clustered scenarios only.
-
-    // Aging scenarios only (Scenario::agingEpochs > 0); success and
-    // byteErrorRate then describe the final epoch.
-    std::vector<uint8_t> epochSuccess; //!< Decode success per epoch.
-    size_t readsLost = 0;              //!< Reads lost to aging.
-    size_t scrubRepaired = 0;          //!< Clusters scrub rewrote.
-};
+/**
+ * Deterministic per-trial record (one Monte-Carlo sample): the
+ * TrialJob's own result, kept as the sweep returns it.
+ */
+using TrialRecord = api::TrialResult;
 
 /** Aggregated result of sweeping one scenario. */
 struct ScenarioReport
@@ -105,7 +92,7 @@ struct ScenarioReport
     double wallMs = 0.0;
 
     /** Per-trial records, trial order (deterministic). */
-    std::vector<TrialRecord> perTrial;
+    std::vector<api::TrialResult> perTrial;
 };
 
 /** Monte-Carlo runner over the scenario grid. */

@@ -64,7 +64,7 @@ UnitDecoder::decode(const std::vector<std::vector<Strand>> &clusters,
 DecodedUnit
 UnitDecoder::decode(const ReadBatch &batch,
                     const std::vector<size_t> &forced_erasures,
-                    DecodeProbe *probe) const
+                    std::vector<ClusterHealthEntry> *probe) const
 {
     const size_t n_cols = cfg_.codewordLen();
     const size_t strand_len = cfg_.strandLen();
@@ -74,9 +74,8 @@ UnitDecoder::decode(const ReadBatch &batch,
     out.stats.rsErrors.assign(map_->codewords(), 0);
     out.stats.rsErasures.assign(map_->codewords(), 0);
     if (probe != nullptr) {
-        probe->clusters.clear();
-        probe->clusters.resize(
-            std::min(batch.clusters(), size_t(n_cols)));
+        probe->clear();
+        probe->resize(std::min(batch.clusters(), size_t(n_cols)));
     }
 
     std::vector<bool> forced(n_cols, false);
@@ -131,7 +130,7 @@ UnitDecoder::decode(const ReadBatch &batch,
             // Telemetry only: per-read agreement with the consensus.
             // Slot-per-cluster writes, so thread count cannot leak
             // into the probe.
-            ClusterProbe &p = probe->clusters[cl];
+            ClusterHealthEntry &p = (*probe)[cl];
             p.reads = n_reads;
             double total = 0.0;
             for (size_t r = 0; r < n_reads; ++r) {
@@ -161,8 +160,8 @@ UnitDecoder::decode(const ReadBatch &batch,
             return;
         }
         if (probe != nullptr) {
-            probe->clusters[cl].indexOk = true;
-            probe->clusters[cl].column = idx;
+            (*probe)[cl].indexOk = true;
+            (*probe)[cl].column = idx;
         }
         // Unpack payload bases into row symbols directly: the bases
         // form one MSB-first bitstream consumed symbolBits at a time.
@@ -204,7 +203,7 @@ UnitDecoder::decode(const ReadBatch &batch,
             continue; // column artificially erased
         claimed[o.idx] = true;
         if (probe != nullptr)
-            probe->clusters[cl].claimed = true;
+            (*probe)[cl].claimed = true;
         for (size_t row = 0; row < cfg_.rows; ++row)
             received.at(row, size_t(o.idx)) = o.symbols[row];
     }

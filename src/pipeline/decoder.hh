@@ -28,6 +28,7 @@
 #include "layout/matrix.hh"
 #include "pipeline/bundle.hh"
 #include "pipeline/config.hh"
+#include "pipeline/health.hh"
 
 namespace dnastore {
 
@@ -57,34 +58,6 @@ struct DecodeStats
 
     /** Total corrected symbol errors across codewords. */
     size_t totalCorrected() const;
-};
-
-/**
- * Optional per-cluster telemetry of one decode pass — the measure
- * half of the durability loop (Store::health / Store::scrub). Filled
- * only when a probe is passed to decode(): the agreement computation
- * costs one edit-distance per read, which the hot paths skip.
- */
-struct ClusterProbe
-{
-    size_t reads = 0;       //!< Reads consensus saw for this cluster.
-    bool indexOk = false;   //!< Consensus framed and indexed validly.
-    bool claimed = false;   //!< Column claim won (first claim wins).
-    uint64_t column = 0;    //!< Claimed column (valid when indexOk).
-
-    /**
-     * Mean per-read agreement with the cluster consensus:
-     * 1 - editDistance(read, consensus) / strandLen, averaged over
-     * the cluster's reads; 0 for empty clusters. Low agreement means
-     * noisy or decayed reads even when the index still parses.
-     */
-    double agreement = 0.0;
-};
-
-/** decode() telemetry sink: per-cluster probes, slot per cluster. */
-struct DecodeProbe
-{
-    std::vector<ClusterProbe> clusters;
 };
 
 /** Result of decoding one unit. */
@@ -137,15 +110,16 @@ class UnitDecoder
      * vector-of-vectors overload.
      *
      * @param probe When non-null, per-cluster health telemetry
-     *        (read counts, index validity, consensus agreement) is
-     *        collected into it. Slot-per-cluster writes keep the
-     *        probe bit-identical at any thread count; the decode
-     *        result itself is unaffected.
+     *        (read counts, index validity, column claims, consensus
+     *        agreement) is collected into it, one slot per cluster —
+     *        the measure half of the durability loop. Slot-per-cluster
+     *        writes keep the probe bit-identical at any thread count;
+     *        the decode result itself is unaffected.
      */
     DecodedUnit decode(
         const ReadBatch &batch,
         const std::vector<size_t> &forced_erasures = {},
-        DecodeProbe *probe = nullptr) const;
+        std::vector<ClusterHealthEntry> *probe = nullptr) const;
 
     const StorageConfig &config() const { return cfg_; }
     LayoutScheme scheme() const { return scheme_; }

@@ -1,10 +1,9 @@
-#include "api/health.hh"
+#include "pipeline/health.hh"
 
 #include <cstdio>
 #include <sstream>
 
 namespace dnastore {
-namespace api {
 
 namespace {
 
@@ -93,5 +92,4 @@ ScrubReport::toJson() const
     return out.str();
 }
 
-} // namespace api
 } // namespace dnastore

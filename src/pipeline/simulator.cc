@@ -252,15 +252,19 @@ StorageSimulator::runTrial(const CoverageModel &coverage,
         out.result = decodeBatch(batch, label, {});
     }
 
-    const auto &raw = out.result.decoded.rawStream;
+    out.byteErrorRate = byteErrorRate(out.result.decoded.rawStream);
+    return out;
+}
+
+double
+StorageSimulator::byteErrorRate(const std::vector<uint8_t> &raw) const
+{
     size_t bad = 0;
     for (size_t i = 0; i < stored_.size(); ++i) {
         if (i >= raw.size() || raw[i] != stored_[i])
             ++bad;
     }
-    out.byteErrorRate =
-        stored_.empty() ? 0.0 : double(bad) / double(stored_.size());
-    return out;
+    return stored_.empty() ? 0.0 : double(bad) / double(stored_.size());
 }
 
 size_t
@@ -283,7 +287,7 @@ StorageSimulator::age(size_t epochs)
     return lost;
 }
 
-UnitHealth
+HealthReport
 StorageSimulator::probeHealth() const
 {
     if (!pool_)
@@ -291,15 +295,13 @@ StorageSimulator::probeHealth() const
     return probePool(*pool_);
 }
 
-UnitHealth
+HealthReport
 StorageSimulator::probePool(const ReadPool &pool) const
 {
     ReadBatch batch;
     pool.fillBatch(pool.maxCoverage(), batch);
-    DecodeProbe probe;
-    DecodedUnit decoded = decoder_.decode(batch, {}, &probe);
-
-    UnitHealth health;
+    HealthReport health;
+    DecodedUnit decoded = decoder_.decode(batch, {}, &health.perCluster);
     health.clusters = pool.clusters();
     health.poolCoverage = pool.maxCoverage();
     health.agedEpochs = agedEpochs_;
@@ -308,18 +310,10 @@ StorageSimulator::probePool(const ReadPool &pool) const
     health.failedCodewords = decoded.stats.failedCodewords;
     health.exact = decoded.exact;
 
-    health.perCluster.resize(probe.clusters.size());
     double agreement_sum = 0.0;
     double agreement_min = 1.0;
     size_t live_clusters = 0;
-    for (size_t c = 0; c < probe.clusters.size(); ++c) {
-        const ClusterProbe &p = probe.clusters[c];
-        ClusterHealth &h = health.perCluster[c];
-        h.reads = p.reads;
-        h.indexOk = p.indexOk;
-        h.claimed = p.claimed;
-        h.column = p.column;
-        h.agreement = p.agreement;
+    for (const ClusterHealthEntry &p : health.perCluster) {
         health.liveReads += p.reads;
         if (p.reads == 0) {
             ++health.emptyClusters;
@@ -337,7 +331,7 @@ StorageSimulator::probePool(const ReadPool &pool) const
     health.perCodeword.resize(n_codewords);
     int min_margin = int(cfg_.paritySymbols);
     for (size_t j = 0; j < n_codewords; ++j) {
-        CodewordHealth &cw = health.perCodeword[j];
+        CodewordHealthEntry &cw = health.perCodeword[j];
         cw.ok = decoded.stats.codewordOk[j] != 0;
         cw.errorsCorrected = decoded.stats.rsErrors[j];
         cw.erasuresCorrected = decoded.stats.rsErasures[j];
@@ -350,8 +344,8 @@ StorageSimulator::probePool(const ReadPool &pool) const
     return health;
 }
 
-PoolScrubReport
-StorageSimulator::scrub(const ScrubPolicy &policy)
+ScrubReport
+StorageSimulator::scrub(const ScrubOptions &policy)
 {
     if (!pool_)
         throw std::logic_error("StorageSimulator: store() first");
@@ -361,17 +355,17 @@ StorageSimulator::scrub(const ScrubPolicy &policy)
     return scrubPool(*pool_, policy, scrub_seed);
 }
 
-PoolScrubReport
-StorageSimulator::scrubPool(ReadPool &pool, const ScrubPolicy &policy,
+ScrubReport
+StorageSimulator::scrubPool(ReadPool &pool, const ScrubOptions &policy,
                             uint64_t scrub_seed) const
 {
     // Measure: one full-depth probe decode.
     ReadBatch batch;
     pool.fillBatch(pool.maxCoverage(), batch);
-    DecodeProbe probe;
+    std::vector<ClusterHealthEntry> probe;
     DecodedUnit decoded = decoder_.decode(batch, {}, &probe);
 
-    PoolScrubReport report;
+    ScrubReport report;
     report.clustersScanned = pool.clusters();
     report.failedCodewords = decoded.stats.failedCodewords;
 
@@ -380,9 +374,8 @@ StorageSimulator::scrubPool(ReadPool &pool, const ScrubPolicy &policy,
     // always low-margin — it currently contributes an erasure.
     std::vector<uint8_t> selected(pool.clusters(), 0);
     for (size_t c = 0; c < pool.clusters(); ++c) {
-        const ClusterProbe &p = c < probe.clusters.size()
-            ? probe.clusters[c]
-            : ClusterProbe{};
+        const ClusterHealthEntry &p =
+            c < probe.size() ? probe[c] : ClusterHealthEntry{};
         const bool low = policy.repairAll || !p.claimed ||
             p.reads < policy.minReads ||
             p.agreement < policy.minAgreement;
@@ -446,7 +439,7 @@ StorageSimulator::scrubPool(ReadPool &pool, const ScrubPolicy &policy,
 AgingTrialOutcome
 StorageSimulator::runAgingTrial(size_t coverage, uint64_t trial_seed,
                                 size_t epochs, bool scrub_each_epoch,
-                                const ScrubPolicy &policy) const
+                                const ScrubOptions &policy) const
 {
     if (unit_.strands.empty())
         throw std::logic_error(
@@ -460,28 +453,16 @@ StorageSimulator::runAgingTrial(size_t coverage, uint64_t trial_seed,
     const AgingProfile &aging = profileChannel_.profile().aging;
     AgingTrialOutcome out;
     out.epochSuccess.reserve(epochs);
-    out.epochByteErrorRate.reserve(epochs);
     ReadBatch batch;
     for (size_t e = 0; e < epochs; ++e) {
         out.readsLost += agePoolEpoch(local, aging, rng.next(), 1);
         if (scrub_each_epoch) {
-            PoolScrubReport rep = scrubPool(local, policy, rng.next());
-            out.repaired += rep.repaired;
-            if (!rep.repairable)
-                ++out.unrepairableEpochs;
+            out.repaired += scrubPool(local, policy, rng.next()).repaired;
         }
         local.fillBatch(coverage, batch);
         RetrievalResult result = decodeBatch(batch, coverage, {});
         out.epochSuccess.push_back(result.exactPayload ? 1 : 0);
-        const auto &raw = result.decoded.rawStream;
-        size_t bad = 0;
-        for (size_t i = 0; i < stored_.size(); ++i) {
-            if (i >= raw.size() || raw[i] != stored_[i])
-                ++bad;
-        }
-        out.epochByteErrorRate.push_back(
-            stored_.empty() ? 0.0
-                            : double(bad) / double(stored_.size()));
+        out.byteErrorRate = byteErrorRate(result.decoded.rawStream);
     }
     return out;
 }

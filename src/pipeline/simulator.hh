@@ -25,6 +25,7 @@
 #include "pipeline/config.hh"
 #include "pipeline/decoder.hh"
 #include "pipeline/encoder.hh"
+#include "pipeline/health.hh"
 
 namespace dnastore {
 
@@ -76,90 +77,16 @@ struct TrialOutcome
     size_t clustersFound = 0;
 };
 
-/** One cluster's health, from a full-depth probe decode. */
-struct ClusterHealth
-{
-    size_t reads = 0;     //!< Live reads the probe decoded from.
-    bool indexOk = false; //!< Consensus framed and indexed validly.
-    bool claimed = false; //!< Won its column claim.
-    uint64_t column = 0;  //!< Claimed column (valid when indexOk).
-    double agreement = 0.0; //!< Mean read/consensus agreement.
-};
-
-/** One codeword's health, from the same probe decode. */
-struct CodewordHealth
-{
-    bool ok = false;            //!< RS decoded this codeword.
-    size_t errorsCorrected = 0; //!< True errors (2 parity each).
-    size_t erasuresCorrected = 0; //!< Erasures (1 parity each).
-
-    /**
-     * Remaining correction budget: paritySymbols - (2*errors +
-     * erasures). -1 when the codeword failed (budget exhausted).
-     */
-    int margin = 0;
-};
-
-/** Unit-level health snapshot: the measure half of the scrub loop. */
-struct UnitHealth
-{
-    size_t clusters = 0;
-    size_t liveReads = 0;      //!< Reads surviving across clusters.
-    size_t poolCoverage = 0;   //!< Pool depth when fully populated.
-    size_t emptyClusters = 0;  //!< Clusters aged down to zero reads.
-    size_t indexFaults = 0;
-    size_t erasedColumns = 0;
-    size_t failedCodewords = 0;
-    size_t agedEpochs = 0;     //!< Epochs of decay applied so far.
-    bool exact = false;        //!< Full-depth decode was clean.
-    double meanAgreement = 0.0; //!< Over non-empty clusters.
-    double minAgreement = 0.0;  //!< Over non-empty clusters.
-    int minMargin = 0;          //!< Min codeword margin (-1 = failed).
-    std::vector<ClusterHealth> perCluster;
-    std::vector<CodewordHealth> perCodeword;
-};
-
-/** What the scrubber repairs and when (see StorageSimulator::scrub). */
-struct ScrubPolicy
-{
-    /** Repair clusters with fewer live reads than this. */
-    size_t minReads = 0;
-
-    /** Repair clusters whose consensus agreement falls below this. */
-    double minAgreement = 0.0;
-
-    /** Rewrite every cluster regardless of margin. */
-    bool repairAll = false;
-};
-
-/** What one scrub pass did. */
-struct PoolScrubReport
-{
-    size_t clustersScanned = 0;
-    size_t lowMargin = 0; //!< Clusters the policy selected for repair.
-    size_t repaired = 0;  //!< Clusters rewritten at full depth.
-
-    /**
-     * Clusters selected but not repairable: some codeword failed at
-     * the current read depth, so every column holds an untrusted
-     * symbol and no rewrite is safe. Transient — more coverage (or a
-     * later, luckier consensus) can clear it.
-     */
-    size_t unrepairable = 0;
-    size_t failedCodewords = 0; //!< Codewords failing the probe decode.
-    size_t readsRewritten = 0;
-    bool repairable = false; //!< Probe decode recovered every codeword.
-};
-
 /** Per-epoch outcome of one aging Monte-Carlo trial. */
 struct AgingTrialOutcome
 {
     /** Decode success after each epoch (aging, optional scrub). */
     std::vector<uint8_t> epochSuccess;
-    std::vector<double> epochByteErrorRate;
-    size_t readsLost = 0;          //!< Total reads lost to aging.
-    size_t repaired = 0;           //!< Clusters rewritten (scrubbing).
-    size_t unrepairableEpochs = 0; //!< Epochs scrub had to skip.
+
+    /** Fraction of stored bytes recovered wrong after the last epoch. */
+    double byteErrorRate = 0.0;
+    size_t readsLost = 0; //!< Total reads lost to aging.
+    size_t repaired = 0;  //!< Clusters rewritten (scrubbing).
 };
 
 /** Simulates storage and retrieval of one encoding unit. */
@@ -309,7 +236,7 @@ class StorageSimulator
      *
      * @throws std::logic_error before store().
      */
-    UnitHealth probeHealth() const;
+    HealthReport probeHealth() const;
 
     /**
      * Scrub the stored pool: probe-decode at full depth, select the
@@ -326,7 +253,7 @@ class StorageSimulator
      *         is cross-checked against the stored unit and a mismatch
      *         throws (internal inconsistency).
      */
-    PoolScrubReport scrub(const ScrubPolicy &policy);
+    ScrubReport scrub(const ScrubOptions &policy);
 
     /**
      * One Monte-Carlo aging trial over a trial-local pool (the stored
@@ -341,7 +268,7 @@ class StorageSimulator
     AgingTrialOutcome runAgingTrial(size_t coverage,
                                     uint64_t trial_seed, size_t epochs,
                                     bool scrub_each_epoch,
-                                    const ScrubPolicy &policy) const;
+                                    const ScrubOptions &policy) const;
 
     /** The unit as written (for error accounting in benches). */
     const EncodedUnit &unit() const { return unit_; }
@@ -353,6 +280,12 @@ class StorageSimulator
     const ChannelProfile &profile() const { return profileChannel_.profile(); }
 
   private:
+    /**
+     * Fraction of the stored bytes @p raw gets wrong (missing trailing
+     * bytes count as wrong); 0.0 on exact recovery.
+     */
+    double byteErrorRate(const std::vector<uint8_t> &raw) const;
+
     RetrievalResult decodeBatch(
         const ReadBatch &batch, size_t coverage_label,
         const std::vector<size_t> &forced_erasures) const;
@@ -364,10 +297,10 @@ class StorageSimulator
      * serially for ALL clusters from @p scrub_seed, so which clusters
      * the policy selects can never shift another cluster's noise.
      */
-    PoolScrubReport scrubPool(ReadPool &pool, const ScrubPolicy &policy,
-                              uint64_t scrub_seed) const;
+    ScrubReport scrubPool(ReadPool &pool, const ScrubOptions &policy,
+                          uint64_t scrub_seed) const;
 
-    UnitHealth probePool(const ReadPool &pool) const;
+    HealthReport probePool(const ReadPool &pool) const;
 
     ClusteredRetrievalResult decodeClusteredBatch(
         const ReadBatch &batch, size_t coverage_label,

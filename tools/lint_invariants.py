@@ -2,7 +2,7 @@
 """Repo-specific invariant linter for dnastore.
 
 Generic tools (clang-tidy, sanitizers) cannot know this repo's
-contracts; this linter machine-checks the three that reviews have had
+contracts; this linter machine-checks the four that reviews have had
 to police by hand:
 
   1. no-throw-boundary
@@ -28,6 +28,14 @@ to police by hand:
      escapes live in ALLOWLIST below; every entry must still match
      real source (a stale entry is itself an error) so the list can
      only shrink, never silently rot.
+
+  4. mirror-structs
+     No two structs under src/ may declare the same ordered list of
+     data-member names (3 or more members). Such a pair is one
+     concept declared twice — a report mirrored field for field
+     across a layer boundary and copied by hand at every crossing.
+     Keep one definition and alias it where the other name is needed
+     (`using Old = New;`).
 
 Exit status: 0 clean, 1 violations found, 2 usage/internal error.
 
@@ -313,12 +321,152 @@ def check_determinism(root):
 
 
 # --------------------------------------------------------------------------
+# Check 4: no mirrored structs.
+
+MIRROR_DIRS = ("src",)
+MIRROR_MIN_MEMBERS = 3
+
+STRUCT_RE = re.compile(
+    r"(?<![A-Za-z0-9_])struct\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"(?:\s+final)?\s*(?::[^{;()]*)?\{"
+)
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+ACCESS_RE = re.compile(r"^\s*(public|private|protected)\s*:(?!:)")
+NON_MEMBER_PREFIXES = (
+    "using", "typedef", "friend", "static", "template", "static_assert",
+    "constexpr", "enum", "struct", "class", "union",
+)
+
+
+def match_brace(text, open_idx):
+    """Index just past the brace that closes text[open_idx] == '{'."""
+    depth = 0
+    for i in range(open_idx, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    return len(text)
+
+
+def split_top_level(text, sep):
+    """Split on @p sep outside (), <> and [] nesting."""
+    parts, depth, cur = [], 0, []
+    for c in text:
+        if c in "(<[":
+            depth += 1
+        elif c in ")>]":
+            depth -= 1
+        if c == sep and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(c)
+    parts.append("".join(cur))
+    return parts
+
+
+def member_names(body):
+    """Ordered data-member names declared directly in a struct body.
+
+    Nested braces are collapsed first: a `{...}` after a `)` is an
+    inline function body (its declaration is dropped), any other one
+    is a nested type or a brace initializer (kept as `{}`). Each
+    top-level `;` statement that is not a function, type, alias or
+    static then contributes its declarator names.
+    """
+    flat, i = [], 0
+    while i < len(body):
+        c = body[i]
+        if c == "{":
+            end = match_brace(body, i)
+            if "".join(flat).rstrip().endswith(
+                (")", "const", "override", "noexcept")
+            ):
+                flat.append(";")  # inline function body ends the decl
+            else:
+                flat.append("{}")
+            i = end
+            continue
+        flat.append(c)
+        i += 1
+    names = []
+    for stmt in "".join(flat).split(";"):
+        stmt = stmt.strip()
+        while True:
+            m = ACCESS_RE.match(stmt)
+            if not m:
+                break
+            stmt = stmt[m.end():].strip()
+        if not stmt:
+            continue
+        words = IDENT_RE.findall(stmt)
+        if words and words[0] in NON_MEMBER_PREFIXES:
+            # `enum Kind {} kind;` still declares a member after the
+            # nested type; a bare nested type or alias does not.
+            if words[0] not in ("enum", "struct", "class", "union"):
+                continue
+            stmt = stmt.split("{}", 1)[1] if "{}" in stmt else ""
+            if not stmt.strip():
+                continue
+        decl = re.split(r"[={]", stmt, 1)[0]
+        if "(" in decl or "operator" in IDENT_RE.findall(decl):
+            continue  # function declaration
+        for part in split_top_level(decl, ","):
+            part = re.sub(r"\[[^\]]*\]", "", part)  # array extents
+            part = re.sub(r"(?<!:):\s*\w+\s*$", "", part)  # bit-field width
+            idents = IDENT_RE.findall(part)
+            if idents:
+                names.append(idents[-1])
+    return names
+
+
+def iter_structs(root, rel_dirs):
+    """Yield (rel path, line, name, member names) for every struct."""
+    for path in iter_source_files(root, rel_dirs):
+        rel = os.path.relpath(path, root).replace(os.sep, "/")
+        stripped = strip_comments_and_strings(read_text(path))
+        for m in STRUCT_RE.finditer(stripped):
+            open_idx = m.end() - 1
+            body = stripped[open_idx + 1 : match_brace(stripped, open_idx) - 1]
+            line = stripped.count("\n", 0, m.start()) + 1
+            yield rel, line, m.group("name"), member_names(body)
+
+
+def check_mirror_structs(root):
+    groups = {}
+    for rel, line, name, members in iter_structs(root, MIRROR_DIRS):
+        if len(members) >= MIRROR_MIN_MEMBERS:
+            groups.setdefault(tuple(members), []).append((rel, line, name))
+    violations = []
+    for members, defs in sorted(groups.items(), key=lambda kv: kv[1]):
+        if len(defs) < 2:
+            continue
+        rel, line, name = defs[0]
+        others = ", ".join("%s (%s:%d)" % (n, r, l) for r, l, n in defs[1:])
+        violations.append(
+            Violation(
+                "mirror-structs",
+                rel,
+                line,
+                "struct %s is mirrored by %s: identical members (%s); keep "
+                "one definition and alias it instead of copying field by "
+                "field" % (name, others, ", ".join(members)),
+            )
+        )
+    return violations
+
+
+# --------------------------------------------------------------------------
 # Driver.
 
 ALL_CHECKS = (
     ("no-throw-boundary", check_no_throw),
     ("statuscode-wire-mapping", check_wire_mapping),
     ("determinism-hygiene", check_determinism),
+    ("mirror-structs", check_mirror_structs),
 )
 
 
@@ -385,6 +533,22 @@ def clean_tree_files():
             "int toStrandCount(int n) { return n; }  // rand( in name\n"
         ),
         "src/pipeline/sim.cc": "int simulate(int seed) { return seed; }\n",
+        # Same member names in a different order, or a shared prefix
+        # of two members, are distinct concepts: no mirror.
+        "src/pipeline/report.hh": (
+            "struct UnitReport {\n"
+            "    size_t reads = 0; bool ok{}; double rate = 0.0;\n"
+            "    std::string toJson() const;\n"
+            "};\n"
+            "struct Pair { size_t reads; bool ok; };\n"
+        ),
+        "src/api/report.hh": (
+            "struct Report {\n"
+            "    bool ok = false; size_t reads = 0; double rate = 0.0;\n"
+            "    size_t total() const { return reads; }\n"
+            "};\n"
+            "struct Other { size_t reads; bool ok; };\n"
+        ),
     }
 
 
@@ -465,6 +629,29 @@ def self_test():
                     "seeded %s not caught" % ban_name,
                     failures,
                 )
+
+            # Seed 4: a report mirrored field for field across a layer,
+            # its copy hiding behind access specifiers, a nested enum
+            # member and an inline method.
+            seeded = dict(clean_tree_files())
+            seeded["src/api/report.hh"] += (
+                "struct UnitReportEntry {\n"
+                "  public:\n"
+                "    size_t reads = 0;\n"
+                "    bool ok() const { return reads > 0; }\n"
+                "    enum Kind { A, B } ok{ A };\n"
+                "    double rate[2];\n"
+                "};\n"
+            )
+            write_tree(root, seeded)
+            got = [v for v in run_checks(root) if v.check == "mirror-structs"]
+            expect(
+                len(got) == 1
+                and "UnitReport" in got[0].detail
+                and "UnitReportEntry" in got[0].detail,
+                "seeded mirrored struct pair not caught exactly once",
+                failures,
+            )
 
             # Seed 3b: an allowlisted violation passes, and a stale
             # allowlist entry fails.
