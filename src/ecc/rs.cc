@@ -7,22 +7,7 @@ namespace dnastore {
 
 namespace {
 
-/** Polynomial product, coefficients low-order first. */
-std::vector<uint32_t>
-polyMul(const GaloisField &gf, const std::vector<uint32_t> &a,
-        const std::vector<uint32_t> &b)
-{
-    std::vector<uint32_t> out(a.size() + b.size() - 1, 0);
-    for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i] == 0)
-            continue;
-        for (size_t j = 0; j < b.size(); ++j)
-            out[i + j] ^= gf.mul(a[i], b[j]);
-    }
-    return out;
-}
-
-/** Polynomial product into a reusable output buffer. */
+/** Polynomial product (coefficients low-order first) into @p out. */
 void
 polyMulInto(const GaloisField &gf, const std::vector<uint32_t> &a,
             const std::vector<uint32_t> &b, std::vector<uint32_t> &out)
@@ -54,10 +39,54 @@ polyEvalAt(const GaloisField &gf, const uint32_t *p, size_t len,
     return acc;
 }
 
+/**
+ * Feedback slices are at most this many bits wide: 2^5 rows per slice
+ * keeps the benchmark-scale tables (m 10, E 188) at 23 KB, inside L1,
+ * and m 16 needs four slices of 4 bits.
+ */
+constexpr unsigned kMaxSliceBits = 5;
+
+/**
+ * Long division of d(x) x^E by the monic g(x), highest degree first,
+ * with S slices per feedback symbol. acc[d] accumulates the
+ * coefficient of x^d: the feedback at degree i + E is
+ * f = data[i] ^ acc[i + E], and f g(x) x^i minus its leading term is
+ * the XOR of S table rows over acc[i, i + E).
+ */
+template <unsigned S>
+void
+divideBySlices(const uint32_t *data, size_t k, size_t e,
+               const uint16_t *table, unsigned bits, uint16_t *acc)
+{
+    const uint32_t mask = (uint32_t(1) << bits) - 1;
+    for (size_t i = k; i-- > 0;) {
+        const uint32_t f = data[i] ^ acc[i + e];
+        if (f == 0)
+            continue;
+        const uint16_t *row[S];
+        for (unsigned s = 0; s < S; ++s) {
+            const size_t v = (f >> (s * bits)) & mask;
+            row[s] = table + ((size_t(s) << bits) + v) * e;
+        }
+        uint16_t *w = acc + i;
+        for (size_t j = 0; j < e; ++j) {
+            uint16_t x = w[j];
+            for (unsigned s = 0; s < S; ++s)
+                x ^= row[s][j];
+            w[j] = x;
+        }
+    }
+}
+
+/** Per-thread remainder buffer for encode() and isCodeword(). */
+thread_local std::vector<uint16_t> tlsRemainder;
+
 } // namespace
 
 ReedSolomon::ReedSolomon(const GaloisField &gf, size_t n_par)
-    : gf_(gf), n_(gf.order()), nPar_(n_par)
+    : gf_(gf), n_(gf.order()), nPar_(n_par),
+      slices_((gf.degree() + kMaxSliceBits - 1) / kMaxSliceBits),
+      sliceBits_((gf.degree() + slices_ - 1) / slices_)
 {
     if (n_par == 0 || n_par >= n_)
         throw std::invalid_argument("ReedSolomon: bad parity count");
@@ -65,14 +94,39 @@ ReedSolomon::ReedSolomon(const GaloisField &gf, size_t n_par)
     // Generator g(x) = prod_{i=1}^{E} (x - alpha^i); roots at
     // alpha^1 .. alpha^E so the Forney formula needs no position
     // exponent correction (fcr = 1).
-    generator_ = { 1 };
-    for (size_t i = 1; i <= nPar_; ++i)
-        generator_ = polyMul(gf_, generator_, { gf_.alphaPow(i), 1 });
+    std::vector<uint32_t> generator = { 1 }, next;
+    for (size_t i = 1; i <= nPar_; ++i) {
+        polyMulInto(gf_, generator, { gf_.alphaPow(i), 1 }, next);
+        generator.swap(next);
+    }
 
-    genLog_.resize(generator_.size());
-    for (size_t i = 0; i < generator_.size(); ++i)
-        genLog_[i] = generator_[i]
-            ? int32_t(gf_.logOf(generator_[i])) : -1;
+    // Split tables: row (s, v) is (v << s b) g(x) mod x^E. When b does
+    // not divide m, top-slice values past the field stay zero rows.
+    const size_t values = size_t(1) << sliceBits_;
+    table_.assign(slices_ * values * nPar_, 0);
+    for (unsigned s = 0; s < slices_; ++s) {
+        for (size_t v = 1; v < values; ++v) {
+            const uint32_t f = uint32_t(v) << (s * sliceBits_);
+            if (f > n_)
+                continue;
+            uint16_t *row = &table_[(s * values + v) * nPar_];
+            for (size_t j = 0; j < nPar_; ++j)
+                row[j] = uint16_t(gf_.mul(f, generator[j]));
+        }
+    }
+}
+
+void
+ReedSolomon::dataRemainder(const uint32_t *data,
+                           std::vector<uint16_t> &rem) const
+{
+    static constexpr decltype(&divideBySlices<1>) kDivide[] = {
+        divideBySlices<1>, divideBySlices<2>, divideBySlices<3>,
+        divideBySlices<4>
+    };
+    rem.assign(n_, 0);
+    kDivide[slices_ - 1](data, k(), nPar_, table_.data(), sliceBits_,
+                         rem.data());
 }
 
 std::vector<uint32_t>
@@ -81,91 +135,48 @@ ReedSolomon::encode(const std::vector<uint32_t> &data) const
     if (data.size() != k())
         throw std::invalid_argument("ReedSolomon: data size != k");
 
-    const uint16_t *lg = gf_.logData();
-    const uint16_t *ex = gf_.expData();
-
-    // Systematic encoding: remainder of data * x^E divided by g(x).
-    // Work with the data high-order first for the long division; the
-    // feedback log is hoisted so each tap is a single antilog lookup.
-    std::vector<uint32_t> rem(nPar_, 0);
-    for (size_t i = data.size(); i-- > 0;) {
-        uint32_t feedback = data[i] ^ rem[nPar_ - 1];
-        if (feedback) {
-            const uint32_t lf = lg[feedback];
-            for (size_t j = nPar_; j-- > 1;) {
-                rem[j] = rem[j - 1] ^
-                    (genLog_[j] >= 0 ? ex[lf + uint32_t(genLog_[j])]
-                                     : 0);
-            }
-            rem[0] =
-                genLog_[0] >= 0 ? ex[lf + uint32_t(genLog_[0])] : 0;
-        } else {
-            for (size_t j = nPar_; j-- > 1;)
-                rem[j] = rem[j - 1];
-            rem[0] = 0;
-        }
-    }
-
+    // Systematic encoding: the parity is d(x) x^E mod g(x), stored at
+    // codeword positions k..n-1.
+    dataRemainder(data.data(), tlsRemainder);
     std::vector<uint32_t> codeword;
     codeword.reserve(n_);
     codeword.insert(codeword.end(), data.begin(), data.end());
-    // Parity symbols: codeword positions k..n-1.
-    for (size_t j = 0; j < nPar_; ++j)
-        codeword.push_back(rem[j]);
+    codeword.insert(codeword.end(), tlsRemainder.begin(),
+                    tlsRemainder.begin() + std::ptrdiff_t(nPar_));
     return codeword;
 }
 
 void
-ReedSolomon::syndromesInto(const uint32_t *cw,
-                           std::vector<uint32_t> &syn) const
+ReedSolomon::syndromesInto(const uint16_t *r, RsScratch &s) const
 {
-    // The codeword polynomial c(x) maps position i to the coefficient
-    // of x^i; we store data at positions [0, k) and parity at [k, n).
-    // Encoding guarantees c(alpha^j) = 0 for j = 1..E when the
-    // codeword polynomial is data * x^E + parity, i.e., coefficient
-    // order (parity low, data high). Build syndromes accordingly,
-    // Horner high-to-low with the evaluation points' logs hoisted.
-    //
-    // Each Horner chain is a dependent load-add-load sequence, so a
-    // single chain is latency-bound; syndromes are independent, so
-    // running kLanes chains through one pass over the coefficients
-    // hides that latency and reads the codeword once per block
-    // instead of once per syndrome.
+    // S_j = r(alpha^j) = sum_i r_i alpha^(i j). Each nonzero term
+    // keeps its running exponent log(r_i) + i j mod n, so a syndrome
+    // is a sum of independent antilog lookups instead of a dependent
+    // Horner chain.
     const uint16_t *lg = gf_.logData();
     const uint16_t *ex = gf_.expData();
-    const size_t kk = k();
-    syn.resize(nPar_);
-
-    constexpr size_t kLanes = 8;
-    uint32_t acc[kLanes];
-    size_t j = 0;
-    for (; j + kLanes <= nPar_; j += kLanes) {
-        for (size_t l = 0; l < kLanes; ++l)
-            acc[l] = 0;
-        // log of alpha^(j+1+l) is j+1+l (< n since j+l+1 <= E < n).
-        const uint32_t la = uint32_t(j + 1);
-        auto step = [&](uint32_t c) {
-            for (size_t l = 0; l < kLanes; ++l) {
-                uint32_t a = acc[l];
-                acc[l] = (a ? ex[lg[a] + la + uint32_t(l)] : 0) ^ c;
-            }
-        };
-        for (size_t i = kk; i-- > 0;)
-            step(cw[i]);
-        for (size_t i = n_; i-- > kk;)
-            step(cw[i]);
-        for (size_t l = 0; l < kLanes; ++l)
-            syn[j + l] = acc[l];
+    s.termExp.clear();
+    s.termDeg.clear();
+    for (size_t i = 0; i < nPar_; ++i) {
+        if (r[i]) {
+            s.termExp.push_back(lg[r[i]]);
+            s.termDeg.push_back(uint32_t(i));
+        }
     }
-    // Scalar tail for the last nPar_ % kLanes syndromes.
-    for (; j < nPar_; ++j) {
-        const uint32_t la = uint32_t(j + 1);
-        uint32_t a = 0;
-        for (size_t i = kk; i-- > 0;)
-            a = (a ? ex[lg[a] + la] : 0) ^ cw[i];
-        for (size_t i = n_; i-- > kk;)
-            a = (a ? ex[lg[a] + la] : 0) ^ cw[i];
-        syn[j] = a;
+    const uint32_t n = uint32_t(n_);
+    const size_t terms = s.termExp.size();
+    uint32_t *term = s.termExp.data();
+    const uint32_t *deg = s.termDeg.data();
+    s.syn.resize(nPar_);
+    for (size_t j = 0; j < nPar_; ++j) {
+        uint32_t acc = 0;
+        for (size_t t = 0; t < terms; ++t) {
+            uint32_t e = term[t] + deg[t];
+            e -= e >= n ? n : 0;
+            term[t] = e;
+            acc ^= ex[e];
+        }
+        s.syn[j] = acc;
     }
 }
 
@@ -183,13 +194,20 @@ ReedSolomon::decode(std::vector<uint32_t> &codeword,
                     RsScratch &s) const
 {
     RsDecodeResult result;
-    if (codeword.size() != n_)
+    if (codeword.size() != n_ || erasures.size() > nPar_)
         return result;
-    if (erasures.size() > nPar_)
+    // Sorted erasures: an out-of-range or repeated position is
+    // rejected here, before any arithmetic (a repeat would give the
+    // erasure locator a double root), and the erasure-only path below
+    // reuses the sorted list as its bad positions.
+    s.badPositions.assign(erasures.begin(), erasures.end());
+    std::sort(s.badPositions.begin(), s.badPositions.end());
+    if (!s.badPositions.empty() &&
+        (s.badPositions.back() >= n_ ||
+         std::adjacent_find(s.badPositions.begin(),
+                            s.badPositions.end()) !=
+             s.badPositions.end())) {
         return result;
-    for (size_t pos : erasures) {
-        if (pos >= n_)
-            return result;
     }
 
     const uint16_t *lg = gf_.logData();
@@ -202,36 +220,35 @@ ReedSolomon::decode(std::vector<uint32_t> &codeword,
         return pos < k() ? nPar_ + pos : pos - k();
     };
 
-    // Fast path: with no erasures the syndromes can be computed on the
-    // received buffer directly, so a clean codeword — the dominant
-    // case at realistic coverage — returns without copying anything.
-    bool all_zero;
-    if (erasures.empty()) {
-        syndromesInto(codeword.data(), s.syn);
-        all_zero = std::all_of(s.syn.begin(), s.syn.end(),
-                               [](uint32_t v) { return v == 0; });
-        if (all_zero) {
-            result.success = true;
-            return result;
-        }
-        s.work = codeword;
-    } else {
-        // Zero out erased symbols so their (unknown) values do not
-        // contaminate the syndromes.
+    // Erased symbols are zeroed so their (unknown) values do not
+    // contaminate the remainder. Without erasures the remainder is
+    // taken on the received buffer, so a clean codeword returns
+    // without copying anything.
+    const uint32_t *cw = codeword.data();
+    if (!erasures.empty()) {
         s.work = codeword;
         for (size_t pos : erasures)
             s.work[pos] = 0;
-        syndromesInto(s.work.data(), s.syn);
-        all_zero = std::all_of(s.syn.begin(), s.syn.end(),
-                               [](uint32_t v) { return v == 0; });
-        if (all_zero) {
-            // Erased values happened to be zero already; accept.
-            codeword = s.work;
-            result.success = true;
-            result.erasuresCorrected = erasures.size();
-            return result;
-        }
+        cw = s.work.data();
     }
+    dataRemainder(cw, s.rem);
+    uint32_t nonzero = 0;
+    for (size_t j = 0; j < nPar_; ++j) {
+        s.rem[j] ^= uint16_t(cw[k() + j]);
+        nonzero |= s.rem[j];
+    }
+    if (nonzero == 0) {
+        // A codeword as received, or once the erased values are
+        // zeroed: accept.
+        if (!erasures.empty())
+            codeword = s.work;
+        result.success = true;
+        result.erasuresCorrected = erasures.size();
+        return result;
+    }
+    if (erasures.empty())
+        s.work = codeword;
+    syndromesInto(s.rem.data(), s);
 
     // Erasure locator Gamma(x) = prod (1 - X_k x), built in place.
     s.gamma.assign(1, 1);
@@ -298,24 +315,15 @@ ReedSolomon::decode(std::vector<uint32_t> &codeword,
         n_errors > 0 ? s.psi : s.gamma;
     const size_t psi_deg = psi.size() - 1;
 
-    s.badPositions.clear();
     s.badX.clear();
     if (n_errors == 0) {
         // Erasure-only fast path: Psi = Gamma, whose roots are exactly
-        // the distinct erasure positions, so the Chien search is
-        // redundant. Duplicated erasure positions give Gamma a
-        // repeated root and fewer distinct roots than its degree —
-        // the classical search would fail below; replicate that.
-        s.badPositions.assign(erasures.begin(), erasures.end());
-        std::sort(s.badPositions.begin(), s.badPositions.end());
-        if (std::adjacent_find(s.badPositions.begin(),
-                               s.badPositions.end()) !=
-            s.badPositions.end()) {
-            return result;
-        }
+        // the erasure positions (sorted and distinct, see above), so
+        // the Chien search is redundant.
         for (size_t pos : s.badPositions)
             s.badX.push_back(gf_.alphaPow(degree_of(pos)));
     } else {
+        s.badPositions.clear();
         // Chien search over coefficient degrees: degree d is bad iff
         // Psi(alpha^{-d}) == 0. Evaluated incrementally — term i is
         // multiplied by alpha^{-i} per step — and cut short once all
@@ -403,10 +411,12 @@ ReedSolomon::isCodeword(const std::vector<uint32_t> &codeword) const
 {
     if (codeword.size() != n_)
         return false;
-    static thread_local std::vector<uint32_t> syn;
-    syndromesInto(codeword.data(), syn);
-    return std::all_of(syn.begin(), syn.end(),
-                       [](uint32_t v) { return v == 0; });
+    dataRemainder(codeword.data(), tlsRemainder);
+    for (size_t j = 0; j < nPar_; ++j) {
+        if (tlsRemainder[j] != codeword[k() + j])
+            return false;
+    }
+    return true;
 }
 
 } // namespace dnastore

@@ -8,22 +8,31 @@
  * symbols; the decoder corrects up to E erasures, or up to E/2 errors,
  * or any mix with (2 * errors + erasures) <= E.
  *
- * Decoding is classical: syndromes, erasure-modified Berlekamp-Massey,
- * Chien search, Forney's algorithm. The hot path is engineered for the
- * simulator's realistic operating point, where most received codewords
- * are clean or erasure-only:
+ * One kernel does the heavy lifting: the remainder of the data part
+ * d(x) x^E modulo the generator g(x), by long division on split
+ * tables (Plank, Greenan and Miller, FAST'13). The constructor splits
+ * a feedback symbol into ceil(m / 5) slices of b <= 5 bits and
+ * precomputes T[s][v] = (v << s b) g(x) mod x^E for every slice value,
+ * so each data symbol costs ceil(m / b) XORed E-symbol rows in a plain
+ * loop the compiler vectorizes. XOR is exact, so every SIMD tier gives
+ * the same bits. The kernel serves three callers:
  *
- *  - syndromes use a fused Horner loop on the raw log/antilog tables
- *    (one log and one antilog lookup per step instead of a full mul);
- *  - an all-zero-syndrome early-out returns before any buffer copy;
- *  - erasure-only decodes (Berlekamp-Massey found no errors) skip the
- *    Chien search entirely — the bad positions are the erasures;
- *  - the post-correction verification updates the syndromes
- *    incrementally from the applied error values, O(bad * E) instead
- *    of recomputing O(n * E);
- *  - all working buffers live in an RsScratch that callers (or a
- *    thread-local default) reuse, so steady-state decodes perform no
- *    heap allocation.
+ *  - encode(): the parity is the remainder itself;
+ *  - isCodeword(): c(x) = d(x) x^E + p(x) is a codeword iff the
+ *    remainder equals the received parity;
+ *  - decode(): r(x) = remainder XOR parity is c(x) mod g(x), and since
+ *    g(alpha^j) = 0 the syndromes are S_j = c(alpha^j) = r(alpha^j),
+ *    an E-coefficient evaluation instead of an n-coefficient one
+ *    (Lin and Costello, Error Control Coding). r = 0 is the clean
+ *    early-out, before any buffer copy.
+ *
+ * The rest of decoding is classical: erasure-modified Berlekamp-
+ * Massey, Chien search, Forney's algorithm. Erasure-only decodes skip
+ * the Chien search (the bad positions are the erasures); the
+ * post-correction check updates the syndromes incrementally from the
+ * applied error values, O(bad * E); all working buffers live in an
+ * RsScratch that callers (or a thread-local default) reuse, so
+ * steady-state decodes perform no heap allocation.
  */
 
 #ifndef DNASTORE_ECC_RS_HH
@@ -53,8 +62,9 @@ struct RsDecodeResult
  */
 struct RsScratch
 {
+    std::vector<uint16_t> rem;
     std::vector<uint32_t> syn, work, gamma, modified, lambda, prev, tmp,
-        psi, omega, psiDeriv, chien, evals;
+        psi, omega, psiDeriv, chien, evals, termExp, termDeg;
     std::vector<size_t> badPositions;
     std::vector<uint32_t> badX;
 };
@@ -63,7 +73,8 @@ struct RsScratch
  * Systematic Reed-Solomon codec over GF(2^m).
  *
  * Codewords are laid out data-first: positions [0, k) hold the data
- * symbols, positions [k, n) the parity symbols.
+ * symbols, positions [k, n) the parity symbols. Every symbol must be a
+ * field element (< 2^m).
  */
 class ReedSolomon
 {
@@ -94,10 +105,11 @@ class ReedSolomon
      * Decode a codeword in place.
      *
      * @param codeword  n received symbols; corrected on success.
-     * @param erasures  Known-bad positions (each in [0, n)); their
-     *                  symbol values are ignored.
-     * @return Decode status and correction counts. On failure the
-     *         codeword is left unmodified.
+     * @param erasures  Known-bad positions, each in [0, n) and
+     *                  distinct; their symbol values are ignored.
+     * @return Decode status and correction counts. On failure,
+     *         including a malformed erasure list, the codeword is
+     *         left unmodified.
      */
     RsDecodeResult decode(std::vector<uint32_t> &codeword,
                           const std::vector<size_t> &erasures = {}) const;
@@ -111,22 +123,29 @@ class ReedSolomon
                           const std::vector<size_t> &erasures,
                           RsScratch &scratch) const;
 
-    /** True if @p codeword is a valid codeword (all syndromes zero). */
+    /** True if @p codeword is a valid codeword (zero remainder). */
     bool isCodeword(const std::vector<uint32_t> &codeword) const;
 
     /** The field this code is defined over. */
     const GaloisField &field() const { return gf_; }
 
   private:
-    /** Fused-Horner syndromes of @p cw (n symbols) into @p syn. */
-    void syndromesInto(const uint32_t *cw,
-                       std::vector<uint32_t> &syn) const;
+    /**
+     * d(x) x^E mod g(x) for the k data symbols at @p data, into
+     * rem[0, E), low-first; @p rem is resized to n as working space.
+     */
+    void dataRemainder(const uint32_t *data,
+                       std::vector<uint16_t> &rem) const;
+
+    /** Syndromes S_j = r(alpha^j), j = 1..E, of a remainder r. */
+    void syndromesInto(const uint16_t *r, RsScratch &s) const;
 
     const GaloisField &gf_;
     size_t n_;
     size_t nPar_;
-    std::vector<uint32_t> generator_; // generator polynomial, low-first
-    std::vector<int32_t> genLog_;     // log of each coeff, -1 for zero
+    unsigned slices_;              // feedback slices, ceil(m / 5)
+    unsigned sliceBits_;           // b = ceil(m / slices) <= 5
+    std::vector<uint16_t> table_;  // [slice][value][E]: (value << slice b) g
 };
 
 } // namespace dnastore

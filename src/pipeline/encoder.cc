@@ -69,18 +69,14 @@ UnitEncoder::encode(const FileBundle &bundle) const
 
     // 3. Reed-Solomon encode each codeword along the layout map; the
     // first M symbol slots of every codeword are data (columns < M by
-    // the CodewordMap contract), the rest parity.
+    // the CodewordMap contract), the rest parity, so the gathered
+    // codeword truncated to M is the data, and scattering the
+    // systematic codeword rewrites those slots with themselves.
+    std::vector<uint32_t> data;
     for (size_t j = 0; j < map_->codewords(); ++j) {
-        std::vector<uint32_t> data(cfg_.dataCols());
-        for (size_t t = 0; t < cfg_.dataCols(); ++t) {
-            MatrixPos p = map_->position(j, t);
-            data[t] = unit.matrix.at(p.row, p.col);
-        }
-        std::vector<uint32_t> codeword = rs_.encode(data);
-        for (size_t t = cfg_.dataCols(); t < map_->length(); ++t) {
-            MatrixPos p = map_->position(j, t);
-            unit.matrix.at(p.row, p.col) = codeword[t];
-        }
+        map_->gatherInto(unit.matrix, j, data);
+        data.resize(cfg_.dataCols());
+        map_->scatter(unit.matrix, j, rs_.encode(data));
     }
 
     // 4. Emit strands: primer + index + payload bases + primer.

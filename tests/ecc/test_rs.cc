@@ -273,6 +273,29 @@ TEST(ReedSolomon, DuplicateErasurePositionsFail)
     EXPECT_EQ(noisy, before);
 }
 
+TEST(ReedSolomon, DuplicateErasureOfZeroSymbolFails)
+{
+    // The duplicate check must not depend on symbol values: a clean
+    // codeword whose repeated erasure position already holds zero is
+    // rejected too, and untouched, like the corrupted case above.
+    GaloisField gf(8);
+    ReedSolomon rs(gf, 16);
+    Rng rng(25);
+    auto data = randomData(rs, rng);
+    data[5] = 0;
+    auto cw = rs.encode(data);
+    auto before = cw;
+    auto result = rs.decode(cw, { 5, 5 });
+    EXPECT_FALSE(result.success);
+    EXPECT_EQ(result.erasuresCorrected, 0u);
+    EXPECT_EQ(cw, before);
+
+    cw[40] ^= 0x21; // one error elsewhere: same verdict
+    before = cw;
+    EXPECT_FALSE(rs.decode(cw, { 5, 5 }).success);
+    EXPECT_EQ(cw, before);
+}
+
 TEST(ReedSolomon, ExplicitScratchMatchesThreadLocalDefault)
 {
     GaloisField gf(8);

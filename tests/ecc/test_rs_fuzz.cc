@@ -104,7 +104,7 @@ TEST_P(RsFuzz, SuccessAlwaysYieldsValidCodeword)
 }
 
 INSTANTIATE_TEST_SUITE_P(Fields, RsFuzz,
-                         ::testing::Values(4u, 6u, 8u, 10u));
+                         ::testing::Values(3u, 4u, 6u, 8u, 10u, 16u));
 
 } // namespace
 } // namespace dnastore
