@@ -1,10 +1,9 @@
 /**
  * @file
  * Hot-path performance report: measures ns/op for the simulator's
- * performance-critical substrates and emits machine-readable JSON, so
- * every PR leaves a perf trajectory to regress against (BENCH_*.json
- * at the repo root; see tools/perf_compare.py for the before/after
- * merge).
+ * performance-critical substrates and emits machine-readable JSON
+ * (the BENCH_*.json files at the repo root are past before/after
+ * records of these rows).
  *
  * Baselines are measured by building this file at the parent
  * revision, which has every API it uses.

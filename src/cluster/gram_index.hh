@@ -24,6 +24,13 @@
  *    one contiguous entry pool. No per-key allocation, no node
  *    chasing; growth rehashes slots only, never the entries.
  *
+ * A new representative indexes all its distinct grams in one
+ * GramIndex::insertAll batch. At scale the slot arrays are many MiB
+ * and nearly every insert misses cache, so the batch prefetches the
+ * slots of the key eight positions ahead and the misses overlap. The
+ * fingerprint and head arrays stay separate: an interleaved
+ * {fingerprint, head} slot ran no faster and held more memory.
+ *
  * Both structures are content-deterministic: the stored multiset of
  * (gram, cluster) pairs — and therefore every candidate list derived
  * from them — depends only on the insertion sequence, never on
@@ -124,7 +131,19 @@ class GramIndex
     void clear();
 
     /** Add @p cluster to @p key's postings (duplicates allowed). */
-    void insert(uint64_t key, size_t cluster);
+    void
+    insert(uint64_t key, size_t cluster)
+    {
+        insertAll(&key, 1, cluster);
+    }
+
+    /**
+     * Add @p cluster to the postings of each of @p keys, in order,
+     * prefetching the slots of the key eight positions ahead so the
+     * cache misses overlap. The 1/2-load grow check runs per key; a
+     * grow mid-batch only makes the pending prefetches stale.
+     */
+    void insertAll(const uint64_t *keys, size_t n, size_t cluster);
 
     /** Append every cluster posted under @p key to @p out. */
     void

@@ -48,6 +48,44 @@ signatureInto(StrandView read, size_t qgram, size_t cap,
     }
 }
 
+void
+DistinctGrams::collect(StrandView read, size_t qgram,
+                       std::vector<uint64_t> &out)
+{
+    out.clear();
+    if (read.size() < qgram)
+        return;
+    const size_t grams = read.size() - qgram + 1;
+    size_t want = 64;
+    while (want < grams * 2)
+        want *= 2;
+    if (slots_.size() < want) {
+        slots_.assign(want, Slot{ 0, 0 });
+        gen_ = 0;
+    }
+    if (++gen_ == 0) { // wrapped: stale stamps could read as current
+        for (Slot &slot : slots_)
+            slot.gen = 0;
+        gen_ = 1;
+    }
+    const size_t slot_mask = slots_.size() - 1;
+    uint64_t gram = 0;
+    const uint64_t mask = (uint64_t(1) << (2 * qgram)) - 1;
+    for (size_t i = 0; i < read.size(); ++i) {
+        gram = ((gram << 2) | bitsFromBase(read[i])) & mask;
+        if (i + 1 < qgram)
+            continue;
+        const uint64_t h = mixHash(gram);
+        size_t s = h & slot_mask;
+        while (slots_[s].gen == gen_ && slots_[s].key != h)
+            s = (s + 1) & slot_mask;
+        if (slots_[s].gen == gen_)
+            continue;
+        slots_[s] = { h, gen_ };
+        out.push_back(h);
+    }
+}
+
 uint64_t
 minimizerOf(StrandView read, size_t qgram)
 {
@@ -119,7 +157,7 @@ void
 GreedyState::gatherCandidates()
 {
     hits_.clear();
-    candidates_.clear();
+    ranked_.clear();
     for (uint64_t h : sig_) {
         // The sketch rejects grams no representative ever had —
         // the common case for a noisy read's corrupted grams —
@@ -131,14 +169,22 @@ GreedyState::gatherCandidates()
     std::sort(hits_.begin(), hits_.end());
     // One shared gram happens by chance; two is a strong hint (tiny
     // signatures keep the single-hit rule so short reads still join).
+    // Each survivor is ranked by (hits descending, id ascending) in
+    // one key; ids fit 32 bits (GramIndex enforces it) and a run is
+    // at most a few postings per signature gram.
     for (size_t i = 0; i < hits_.size();) {
         size_t j = i;
         while (j < hits_.size() && hits_[j] == hits_[i])
             ++j;
         if (j - i >= 2 || sig_.size() < 4)
-            candidates_.push_back(hits_[i]);
+            ranked_.push_back(uint64_t(0xffffffffu - (j - i)) << 32 |
+                              hits_[i]);
         i = j;
     }
+    std::sort(ranked_.begin(), ranked_.end());
+    candidates_.clear();
+    for (uint64_t key : ranked_)
+        candidates_.push_back(size_t(key & 0xffffffffu));
 }
 
 size_t
@@ -148,24 +194,25 @@ GreedyState::bestCluster(StrandView read, size_t limit)
     reps_.clear();
     for (size_t cluster : candidates_)
         reps_.push_back(repArena_.view(cluster));
-    // Verify in ascending groups of four (one AVX2 batch each). Only
-    // a strictly closer candidate can displace a match at distance d,
-    // so later groups run bounded by d - 1 -- a later tie comes back
-    // as limit + 1, keeping the earliest-wins rule -- and an exact
-    // match ends the search.
-    size_t best_cluster = size_t(-1);
+    // Verify in groups of four (one AVX2 batch each), likeliest
+    // first: the first group usually holds the true cluster at a
+    // small distance, and every later group runs bounded by it, so an
+    // unrelated representative retires within a few columns. Only
+    // the (distance, cluster id) minimum is kept, which is the
+    // smallest distance, earliest cluster on ties, in any order.
+    size_t best_d = limit, best_cluster = size_t(-1);
     uint32_t dists[4];
     for (size_t base = 0; base < k; base += 4) {
         const size_t n = std::min<size_t>(4, k - base);
         editDistanceBatch(read.data(), read.size(), reps_.data() + base,
-                          n, limit, dists);
+                          n, best_d, dists);
         for (size_t i = 0; i < n; ++i) {
-            if (dists[i] > limit)
-                continue;
-            best_cluster = candidates_[base + i];
-            if (dists[i] == 0)
-                return best_cluster;
-            limit = dists[i] - 1;
+            const size_t cluster = candidates_[base + i];
+            if (dists[i] < best_d ||
+                (dists[i] == best_d && cluster < best_cluster)) {
+                best_d = dists[i];
+                best_cluster = cluster;
+            }
         }
     }
     return best_cluster;
@@ -178,13 +225,13 @@ GreedyState::openCluster(size_t rep_id, StrandView read)
     members_.emplace_back();
     representative_.push_back(rep_id);
     repArena_.append(read);
-    // Index the representative with ALL its grams so future noisy
-    // reads still find it.
-    signatureInto(read, params_.qgram, size_t(-1), fullSig_);
-    for (uint64_t h : fullSig_) {
-        index_.insert(h, cluster);
+    // Index the representative with ALL its distinct grams so future
+    // noisy reads still find it. Their order is irrelevant: the index
+    // is a multiset and gatherCandidates sorts what it finds.
+    distinct_.collect(read, params_.qgram, repGrams_);
+    index_.insertAll(repGrams_.data(), repGrams_.size(), cluster);
+    for (uint64_t h : repGrams_)
         sketch_.insert(GramIndex::fingerprint(h));
-    }
     // Auto-sized sketches track the index: past ~8 bits per key the
     // false-positive rate decays, so rebuild with headroom.
     if (autoSketch_ && index_.keyCount() * 8 > sketch_.bitCount())

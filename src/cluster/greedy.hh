@@ -13,6 +13,18 @@
  * identical clusterings — that equivalence is the engine's
  * bit-identity contract across memory budgets.
  *
+ * The per-read loop has two hot spots, both kept exact:
+ *
+ *  - Opening a cluster indexes every distinct gram of its
+ *    representative. DistinctGrams collects them in read order
+ *    without sorting, and GramIndex::insertAll inserts them with
+ *    prefetch. The index is a multiset and gatherCandidates sorts its
+ *    hits, so insert order never reaches a result.
+ *  - Verification runs candidates likeliest first (most signature
+ *    hits), each batch bounded by the best distance so far, keeping
+ *    the (distance, cluster id) minimum: the smallest distance,
+ *    earliest cluster on ties, exactly as in id order.
+ *
  * Everything here is an internal contract between the cluster/ TUs
  * (and their tests); the public surface stays cluster/clusterer.hh
  * and cluster/stream.hh.
@@ -52,6 +64,32 @@ mixHash(uint64_t x)
  */
 void signatureInto(StrandView read, size_t qgram, size_t cap,
                    std::vector<uint64_t> &out);
+
+/**
+ * Distinct q-gram hashes of a read in first-occurrence order: the
+ * set of signatureInto(read, q, SIZE_MAX) without its sort. A
+ * generation-stamped open-addressing set keyed by the full 64-bit
+ * hash drops repeats, so two distinct grams always both survive —
+ * keying by the 32-bit GramIndex fingerprint would merge colliding
+ * grams and drop a posting. The set is reused across reads; a new
+ * generation empties it in O(1).
+ */
+class DistinctGrams
+{
+  public:
+    /** The distinct gram hashes of @p read into @p out. */
+    void collect(StrandView read, size_t qgram,
+                 std::vector<uint64_t> &out);
+
+  private:
+    struct Slot
+    {
+        uint64_t key;
+        uint32_t gen; //!< Occupied in this call iff == gen_.
+    };
+    std::vector<Slot> slots_; //!< Power-of-two size, load <= 1/2.
+    uint32_t gen_ = 0;
+};
 
 /**
  * The minimizer: the smallest q-gram hash of the read (0 when the
@@ -116,10 +154,16 @@ class GreedyState
     /** Candidate generation + verification; returns the cluster id. */
     size_t joinOrOpen(size_t rep_id, StrandView read);
 
-    /** Candidates for sig_, ascending, via sketch + flat index. */
+    /**
+     * Candidates for sig_ via sketch + flat index, likeliest first:
+     * by signature-hit count descending, ascending id on equal counts.
+     */
     void gatherCandidates();
 
-    /** Smallest verified distance <= limit, earliest on ties. */
+    /**
+     * Smallest verified distance <= limit, earliest cluster on ties,
+     * whatever order the candidates are verified in.
+     */
     size_t bestCluster(StrandView read, size_t limit);
 
     /** Open a new cluster represented by @p read, indexing its grams. */
@@ -137,7 +181,8 @@ class GreedyState
 
     // Reusable per-read scratch: one signature/candidate/verify set
     // per state instead of a fresh vector per read.
-    std::vector<uint64_t> sig_, fullSig_;
+    DistinctGrams distinct_;
+    std::vector<uint64_t> sig_, repGrams_, ranked_;
     std::vector<size_t> hits_, candidates_;
     std::vector<StrandView> reps_;
 };

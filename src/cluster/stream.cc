@@ -141,6 +141,31 @@ struct StreamingClusterer::Segment
     size_t fileBytes = 0;        //!< Chunk bytes flushed to disk.
     std::vector<uint8_t> chunks; //!< Sealed, CRC-framed chunks.
     ByteWriter open;             //!< Records of the unsealed chunk.
+
+    Segment() = default;
+    Segment(const Segment &) = delete;
+    Segment &operator=(const Segment &) = delete;
+
+    /** The spill file goes with the segment, error paths included. */
+    ~Segment() { discard(); }
+
+    /** Close and remove the spill file and free every buffer. */
+    void
+    discard()
+    {
+        if (file != nullptr) {
+            std::fclose(file);
+            file = nullptr;
+        }
+        if (!path.empty()) {
+            std::remove(path.c_str());
+            path.clear();
+        }
+        fileBytes = 0;
+        chunks.clear();
+        chunks.shrink_to_fit();
+        open = ByteWriter();
+    }
 };
 
 /** What survives a shard's greedy pass into the serial merge. */
@@ -163,11 +188,7 @@ StreamingClusterer::StreamingClusterer(const ClusterParams &params)
             "ClusterParams::qgram must be in [1, 31]");
 }
 
-StreamingClusterer::~StreamingClusterer()
-{
-    if (log_)
-        releaseSegment(*log_);
-}
+StreamingClusterer::~StreamingClusterer() = default;
 
 void
 StreamingClusterer::appendRecord(Segment &seg, uint64_t id,
@@ -246,19 +267,8 @@ StreamingClusterer::enforceBudget(std::vector<Segment> &segs)
 void
 StreamingClusterer::releaseSegment(Segment &seg)
 {
-    if (seg.file != nullptr) {
-        std::fclose(seg.file);
-        seg.file = nullptr;
-    }
-    if (!seg.path.empty()) {
-        std::remove(seg.path.c_str());
-        seg.path.clear();
-    }
     bufferedBytes_ -= seg.chunks.size() + seg.open.size();
-    seg.chunks.clear();
-    seg.chunks.shrink_to_fit();
-    seg.open = ByteWriter();
-    seg.fileBytes = 0;
+    seg.discard();
 }
 
 void
@@ -386,7 +396,7 @@ StreamingClusterer::finish()
 
     // ---- Cluster each shard independently (the parallel part),
     // keeping only what the merge needs: representative ids +
-    // strands and member lists. Shard segments are released the
+    // strands and member lists. Shard segments are discarded the
     // moment their greedy pass ends; they deliberately skip
     // releaseSegment, which would also write shared accounting.
     std::vector<ShardResult> results(shards);
@@ -409,14 +419,7 @@ StreamingClusterer::finish()
             out.reps.append(state.representativeStrand(c));
             out.members.push_back(std::move(state.membersOf(c)));
         }
-        if (shard_segs[s].file != nullptr) {
-            std::fclose(shard_segs[s].file);
-            shard_segs[s].file = nullptr;
-            std::remove(shard_segs[s].path.c_str());
-            shard_segs[s].path.clear();
-        }
-        shard_segs[s].chunks.clear();
-        shard_segs[s].chunks.shrink_to_fit();
+        shard_segs[s].discard();
     });
     shard_segs.clear();
 

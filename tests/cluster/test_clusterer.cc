@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "channel/ids_channel.hh"
 #include "cluster/clusterer.hh"
+#include "cluster/greedy.hh"
 #include "fuzz_iters.hh"
 #include "util/rng.hh"
 
@@ -130,6 +132,155 @@ TEST(Clusterer, EquidistantReadJoinsEarliestCluster)
     const Clustering got = clusterReads(reads, params);
     EXPECT_EQ(got.clusterOf,
               (std::vector<size_t>{ 0, 1, 2, 3, 4, 5, 0 }));
+}
+
+/** @p r with base i flipped to another base at each of @p at. */
+Strand
+substituted(Strand r, const std::vector<size_t> &at)
+{
+    for (size_t i : at)
+        r[i] = baseFromBits(bitsFromBase(r[i]) ^ 1);
+    return r;
+}
+
+/** The query signature: a read's 24 smallest gram hashes. */
+std::vector<uint64_t>
+querySignature(const Strand &read, size_t qgram)
+{
+    std::vector<uint64_t> sig;
+    cluster_detail::signatureInto(read, qgram, 24, sig);
+    return sig;
+}
+
+/** Grams of @p query's signature that @p rep also holds. */
+size_t
+signatureHits(const Strand &query, const Strand &rep,
+              const ClusterParams &params)
+{
+    const std::vector<uint64_t> sig =
+        querySignature(query, params.qgram);
+    std::vector<uint64_t> grams;
+    cluster_detail::signatureInto(rep, params.qgram, size_t(-1), grams);
+    size_t hits = 0;
+    for (uint64_t h : sig)
+        hits += std::binary_search(grams.begin(), grams.end(), h);
+    return hits;
+}
+
+/**
+ * Positions of @p r ordered by how many of its signature grams cover
+ * them, most covered first: substituting the first ones costs a
+ * representative the most signature hits, the last ones the fewest.
+ */
+std::vector<size_t>
+positionsByCoverage(const Strand &r, const ClusterParams &params)
+{
+    const std::vector<uint64_t> sig = querySignature(r, params.qgram);
+    std::vector<size_t> cover(r.size(), 0);
+    for (size_t p = 0; p + params.qgram <= r.size(); ++p) {
+        uint64_t gram = 0;
+        for (size_t i = p; i < p + params.qgram; ++i)
+            gram = (gram << 2) | bitsFromBase(r[i]);
+        if (std::binary_search(sig.begin(), sig.end(),
+                               cluster_detail::mixHash(gram)))
+            for (size_t i = p; i < p + params.qgram; ++i)
+                ++cover[i];
+    }
+    std::vector<size_t> order(r.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) { return cover[a] > cover[b]; });
+    return order;
+}
+
+/** Every @p step-th entry of @p from, @p n of them. */
+std::vector<size_t>
+spaced(const std::vector<size_t> &from, size_t n, size_t step)
+{
+    std::vector<size_t> out;
+    for (size_t i = 0; out.size() < n; i += step)
+        out.push_back(from[i]);
+    return out;
+}
+
+TEST(Clusterer, EquidistantTieIgnoresSignatureHits)
+{
+    // Candidates are verified likeliest first (most signature hits),
+    // but a tie still goes to the earliest cluster. A1 (cluster 5)
+    // and A0 (cluster 0) are both 8 substitutions from R; A1's sit
+    // where R's signature grams are sparse, A0's where they are
+    // dense, so A1 has the most hits and is verified first. Four
+    // decoys sharing R's first 84 bases out-rank A0 too, pushing it
+    // into a later batch than A1.
+    Rng rng(109);
+    ClusterParams params;
+    params.qgram = 12;
+    params.maxDistanceFrac = 0.1; // limit 12 on 120 bases
+    const size_t limit = 12;
+    const Strand r = randomStrand(120, rng);
+    const std::vector<size_t> order = positionsByCoverage(r, params);
+    const std::vector<size_t> dense = spaced(order, 8, 3);
+    std::vector<size_t> sparse =
+        spaced(std::vector<size_t>(order.rbegin(), order.rend()), 8, 3);
+    std::vector<Strand> reads{ substituted(r, dense) };
+    for (int d = 0; d < 4; ++d) {
+        Strand decoy(r.begin(), r.begin() + 84);
+        Strand tail = randomStrand(36, rng);
+        decoy.insert(decoy.end(), tail.begin(), tail.end());
+        reads.push_back(decoy);
+    }
+    reads.push_back(substituted(r, sparse));
+    reads.push_back(r);
+
+    const size_t d = editDistance(r, reads[0]);
+    ASSERT_EQ(editDistance(r, reads[5]), d);
+    ASSERT_LE(d, limit);
+    for (size_t i = 0; i < 6; ++i)
+        for (size_t j = i + 1; j < 6; ++j)
+            ASSERT_GT(editDistance(reads[i], reads[j]), limit)
+                << i << " vs " << j;
+    const size_t hits0 = signatureHits(r, reads[0], params);
+    ASSERT_GE(hits0, 2u);
+    for (size_t i = 1; i < 5; ++i)
+        ASSERT_GT(signatureHits(r, reads[i], params), hits0) << i;
+    for (size_t i = 1; i < 5; ++i)
+        ASSERT_GT(signatureHits(r, reads[5], params),
+                  signatureHits(r, reads[i], params))
+            << i;
+    const Clustering got = clusterReads(reads, params);
+    EXPECT_EQ(got.clusterOf,
+              (std::vector<size_t>{ 0, 1, 2, 3, 4, 5, 0 }));
+}
+
+TEST(Clusterer, CloserCandidateBeatsEarlierFartherOne)
+{
+    // The other half of the tie rule: a lower cluster id wins only
+    // at an equal distance. A0 (cluster 0) is 10 substitutions from
+    // R and A1 (cluster 1) is 4, so A1 has more signature hits and
+    // is verified first, in the same batch as A0. R must join A1.
+    Rng rng(110);
+    ClusterParams params;
+    params.qgram = 12;
+    params.maxDistanceFrac = 0.1; // limit 12 on 120 bases
+    const size_t limit = 12;
+    const Strand r = randomStrand(120, rng);
+    std::vector<size_t> far_at, near_at;
+    for (size_t i = 0; i < 10; ++i)
+        far_at.push_back(2 + 4 * i);
+    for (size_t i = 0; i < 4; ++i)
+        near_at.push_back(50 + 20 * i);
+    const std::vector<Strand> reads{ substituted(r, far_at),
+                                     substituted(r, near_at), r };
+
+    ASSERT_EQ(editDistance(r, reads[0]), 10u);
+    ASSERT_EQ(editDistance(r, reads[1]), 4u);
+    ASSERT_GT(editDistance(reads[0], reads[1]), limit);
+    ASSERT_GE(signatureHits(r, reads[0], params), 2u);
+    ASSERT_GT(signatureHits(r, reads[1], params),
+              signatureHits(r, reads[0], params));
+    const Clustering got = clusterReads(reads, params);
+    EXPECT_EQ(got.clusterOf, (std::vector<size_t>{ 0, 1, 1 }));
 }
 
 TEST(Clusterer, RejectsOutOfRangeQgram)

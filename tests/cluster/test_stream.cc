@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <dirent.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "channel/ids_channel.hh"
@@ -117,9 +121,12 @@ TEST(SignatureFuzz, SelectionEqualsSortUniqueResize)
     // A capped signature is selected, not sorted; it must equal the
     // sort + unique + resize of every gram hash, including reads of
     // repeated grams (duplicates must not take a slot), reads shorter
-    // than q, and caps at or past the distinct-gram count.
+    // than q, and caps at or past the distinct-gram count. The
+    // unsorted DistinctGrams set must hold exactly the sort + unique
+    // hashes, in first-occurrence order.
     Rng rng(311);
     std::vector<uint64_t> got;
+    cluster_detail::DistinctGrams distinct;
     for (int iter = 0; iter < fuzzIters(400); ++iter) {
         const size_t qgram = 1 + rng.nextBelow(14);
         Strand read;
@@ -151,6 +158,22 @@ TEST(SignatureFuzz, SelectionEqualsSortUniqueResize)
             std::unique(expected_all.begin(), expected_all.end()),
             expected_all.end());
         ASSERT_EQ(all, expected_all) << "iter " << iter;
+        // The sort-free routine behind openCluster: the same set, in
+        // first-occurrence order, through one reused generation set.
+        std::vector<uint64_t> first_seen;
+        for (size_t i = 0; i + qgram <= read.size(); ++i) {
+            uint64_t gram = 0;
+            for (size_t j = i; j < i + qgram; ++j)
+                gram = (gram << 2) | bitsFromBase(read[j]);
+            const uint64_t h = cluster_detail::mixHash(gram);
+            if (std::find(first_seen.begin(), first_seen.end(), h) ==
+                first_seen.end())
+                first_seen.push_back(h);
+        }
+        distinct.collect(read, qgram, got);
+        ASSERT_EQ(got, first_seen) << "iter " << iter;
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, expected_all) << "iter " << iter;
         for (size_t cap : { size_t(1), size_t(4), size_t(24),
                             all.size(), all.size() + 1,
                             size_t(rng.nextBelow(all.size() + 2)) }) {
@@ -161,6 +184,31 @@ TEST(SignatureFuzz, SelectionEqualsSortUniqueResize)
                 << "iter " << iter << " cap " << cap << " q " << qgram;
         }
     }
+}
+
+TEST(SignatureFuzz, DistinctGramsKeepsFingerprintCollidingGrams)
+{
+    // Two 12-grams whose hashes differ but share a 32-bit GramIndex
+    // fingerprint (found by exhaustive search). A dedupe keyed by
+    // fingerprint would drop the second and lose its posting.
+    const Strand read =
+        strandFromString(std::string("AAACGACTAAAC") + "AAACGAGGTTAA");
+    auto gramHash = [&](size_t at) {
+        uint64_t gram = 0;
+        for (size_t j = at; j < at + 12; ++j)
+            gram = (gram << 2) | bitsFromBase(read[j]);
+        return cluster_detail::mixHash(gram);
+    };
+    const uint64_t a = gramHash(0), b = gramHash(12);
+    ASSERT_NE(a, b);
+    ASSERT_EQ(GramIndex::fingerprint(a), GramIndex::fingerprint(b));
+
+    std::vector<uint64_t> got;
+    cluster_detail::DistinctGrams distinct;
+    distinct.collect(read, 12, got);
+    EXPECT_EQ(got.size(), 13u);
+    EXPECT_EQ(got.front(), a);
+    EXPECT_EQ(got.back(), b);
 }
 
 TEST(StreamingCluster, MatchesPinnedBenchScaleClustering)
@@ -354,6 +402,62 @@ TEST(StreamingCluster, UnwritableSpillDirIsACleanError)
     EXPECT_THROW(engine.add(read), SpillError);
 }
 
+TEST(StreamingCluster, ShardSpillErrorRemovesEverySegment)
+{
+    // Regression: a SpillError during the shuffle used to leave every
+    // shard's spill file (and FILE*) behind, because only the ingest
+    // log was released on the way out. The log here fits the budget
+    // and stays in memory; the shard segments outgrow it and spill
+    // into files capped by RLIMIT_FSIZE, so a shard write comes up
+    // short. rlimits are per process, hence the forked child.
+    auto reads = makeSoup(100, 30, 0.05, 312);
+    std::string dir = makeTempDir();
+
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        std::signal(SIGXFSZ, SIG_IGN); // fail the write, not the child
+        struct rlimit cap = { 40 << 10, 40 << 10 };
+        if (setrlimit(RLIMIT_FSIZE, &cap) != 0)
+            _exit(4);
+        int status = 1; // 1: no error, 2: wrong error type
+        try {
+            ClusterParams params;
+            params.numShards = 2;     // ~80 KB per shard segment
+            params.numThreads = 1;    // no pool workers in a fork
+            params.memoryBudgetBytes = 200 << 10; // log ~160 KB
+            params.spillDir = dir;
+            StreamingClusterer engine(params);
+            for (const auto &r : reads)
+                engine.add(r);
+            if (engine.stats().spilledBytes != 0)
+                _exit(3); // the log spilled: not the shape under test
+            engine.finish();
+        } catch (const SpillError &) {
+            status = 0;
+        } catch (...) {
+            status = 2;
+        }
+        _exit(status);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "0 = SpillError, 1 = none, 2 = other error, 3 = log spilled";
+    EXPECT_EQ(entryCount(dir), 0u);
+
+    if (DIR *d = opendir(dir.c_str())) {
+        while (struct dirent *e = readdir(d)) {
+            std::string name = e->d_name;
+            if (name != "." && name != "..")
+                std::remove((dir + "/" + name).c_str());
+        }
+        closedir(d);
+    }
+    rmdir(dir.c_str());
+}
+
 TEST(StreamingCluster, LifecycleMisuseThrows)
 {
     StreamingClusterer engine(ClusterParams{});
@@ -501,6 +605,72 @@ TEST(GramSketch, AutoSizingTargetsEightBitsPerKey)
     GramSketch sketch;
     EXPECT_THROW(sketch.reset(9), std::invalid_argument);
     EXPECT_THROW(sketch.reset(37), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------
+// Index equivalence: the prefetched batch insert must store exactly the
+// postings a loop of single inserts stores, grows and fingerprint
+// collisions included.
+
+TEST(GramIndex, InsertAllMatchesInsertLoopAndReference)
+{
+    Rng rng(313);
+    GramIndex batched, looped;
+    // Reference: postings per fingerprint, since colliding keys share
+    // one chain by design.
+    std::map<uint32_t, std::vector<size_t>> reference;
+    std::vector<uint64_t> probes;
+    std::vector<uint64_t> keys;
+    for (size_t cluster = 0; cluster < 40; ++cluster) {
+        keys.clear();
+        // Batches of up to ~1900 keys from 1024 initial slots, grown
+        // at 1/2 load: the slot array doubles mid-batch many times.
+        const size_t n = cluster == 0 ? 0 : rng.nextBelow(1500);
+        for (size_t i = 0; i < n; ++i) {
+            const uint64_t k = rng.next();
+            keys.push_back(k);
+            switch (rng.nextBelow(4)) {
+              case 0: // forced fingerprint collision: same lo ^ hi
+                {
+                    const uint64_t d = rng.next() & 0xffffffffu;
+                    keys.push_back(k ^ (d | d << 32));
+                    break;
+                }
+              case 1: // repeated key within the batch
+                keys.push_back(k);
+                break;
+              default:
+                break;
+            }
+        }
+        batched.insertAll(keys.data(), keys.size(), cluster);
+        for (uint64_t k : keys) {
+            looped.insert(k, cluster);
+            reference[GramIndex::fingerprint(k)].push_back(cluster);
+        }
+        probes.insert(probes.end(), keys.begin(), keys.end());
+    }
+    for (int i = 0; i < 1000; ++i)
+        probes.push_back(rng.next()); // almost surely never indexed
+
+    EXPECT_EQ(batched.keyCount(), reference.size());
+    EXPECT_EQ(looped.keyCount(), reference.size());
+    EXPECT_EQ(batched.entryCount(), looped.entryCount());
+    std::vector<size_t> got, want, expected;
+    for (uint64_t k : probes) {
+        got.clear();
+        want.clear();
+        batched.lookup(k, got);
+        looped.lookup(k, want);
+        std::sort(got.begin(), got.end());
+        std::sort(want.begin(), want.end());
+        auto it = reference.find(GramIndex::fingerprint(k));
+        expected.clear();
+        if (it != reference.end())
+            expected = it->second; // ascending: clusters go in order
+        ASSERT_EQ(got, want) << "key " << k;
+        ASSERT_EQ(got, expected) << "key " << k;
+    }
 }
 
 // ---------------------------------------------------------------------
