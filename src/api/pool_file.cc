@@ -1,16 +1,22 @@
 #include "api/pool_file.hh"
 
+#include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
-#ifndef _WIN32
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 #include "api/options.hh"
 #include "util/byteio.hh"
 #include "util/crc32.hh"
+#include "util/errno_text.hh"
 
 namespace dnastore {
 namespace api {
@@ -396,38 +402,188 @@ parsePoolFile(const std::vector<uint8_t> &bytes)
     return out;
 }
 
+namespace {
+
+/** With the pid, names every save's temp file uniquely. */
+std::atomic<uint64_t> saveCounter{0};
+
+/** Temp names a save tries while each one it picks is taken. */
+constexpr int kTempAttempts = 100;
+
+/** The directory holding @p path. */
+std::string
+parentDir(const std::string &path)
+{
+    const size_t slash = path.find_last_of('/');
+    return slash == std::string::npos ? "."
+        : slash == 0                  ? "/"
+                                      : path.substr(0, slash);
+}
+
+/** True for a temp-name tail `<digits>.<digits>`. */
+bool
+isTempTail(const char *s)
+{
+    int fields = 0;
+    while (true) {
+        if (!std::isdigit(static_cast<unsigned char>(*s)))
+            return false;
+        while (std::isdigit(static_cast<unsigned char>(*s)))
+            ++s;
+        ++fields;
+        if (*s == '\0')
+            return fields == 2;
+        if (*s++ != '.' || fields == 2)
+            return false;
+    }
+}
+
+/** True when @p fd is still the file named @p name. */
+bool
+namesFile(const std::string &name, int fd)
+{
+    struct stat by_fd, by_name;
+    return ::fstat(fd, &by_fd) == 0 &&
+        ::lstat(name.c_str(), &by_name) == 0 &&
+        by_fd.st_dev == by_name.st_dev && by_fd.st_ino == by_name.st_ino;
+}
+
+/**
+ * Remove the temp siblings `<path>.tmp.<pid>.<n>` of saves that died
+ * mid-write. A live save holds an exclusive flock on its temp file
+ * until it has renamed it away, so a regular file whose lock can be
+ * taken is abandoned. Best-effort: an unreadable directory or a
+ * filesystem without flock reclaims nothing.
+ */
+void
+removeStaleTemps(const std::string &path)
+{
+    const std::string dir = parentDir(path);
+    const size_t slash = path.find_last_of('/');
+    const std::string prefix =
+        path.substr(slash == std::string::npos ? 0 : slash + 1) + ".tmp.";
+    DIR *d = ::opendir(dir.c_str());
+    if (d == nullptr)
+        return;
+    while (const dirent *entry = ::readdir(d)) {
+        if (std::strncmp(entry->d_name, prefix.c_str(), prefix.size()) != 0 ||
+            !isTempTail(entry->d_name + prefix.size()))
+            continue;
+        const std::string name = dir + "/" + entry->d_name;
+        const int fd = ::open(name.c_str(),
+                              O_RDONLY | O_NOFOLLOW | O_NONBLOCK | O_CLOEXEC);
+        if (fd < 0)
+            continue;
+        struct stat st;
+        if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) &&
+            ::flock(fd, LOCK_EX | LOCK_NB) == 0 && namesFile(name, fd))
+            ::unlink(name.c_str());
+        ::close(fd);
+    }
+    ::closedir(d);
+}
+
+/**
+ * Mark the new temp file @p fd named @p name live with an exclusive
+ * flock. False when a concurrent reclaim removed the name before the
+ * lock was taken; the save then picks another name.
+ */
+bool
+lockLive(const std::string &name, int fd)
+{
+    while (::flock(fd, LOCK_EX) != 0) {
+        if (errno != EINTR)
+            return true; // no flock here: nothing reclaims either
+    }
+    return namesFile(name, fd);
+}
+
+/**
+ * fsync the directory holding @p path, making a rename durable. A
+ * directory that cannot be opened (no read permission) or whose
+ * filesystem does not sync directories is skipped: the rename has
+ * taken effect. False only when the sync itself failed.
+ */
+bool
+syncParentDir(const std::string &path)
+{
+    const int fd =
+        ::open(parentDir(path).c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd < 0)
+        return true;
+    const bool synced =
+        ::fsync(fd) == 0 || errno == EINVAL || errno == EROFS;
+    ::close(fd);
+    return synced;
+}
+
+} // namespace
+
 Status
 writePoolFile(const std::string &path, const PoolFileContents &contents)
 {
     const std::vector<uint8_t> bytes = serializePoolFile(contents);
-    // Crash-safe replacement: stream into a sibling temp file, flush
-    // it to stable storage, then rename() over the target. A crash or
-    // power loss mid-save leaves any previous good file untouched (at
-    // worst plus a stale .tmp sibling, overwritten by the next save).
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr)
-        return Status::unavailable(formatMessage(
-            "cannot open '%s' for writing", tmp.c_str()));
-    const size_t written =
-        bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
-    bool synced = std::fflush(f) == 0;
-#ifndef _WIN32
-    synced = synced && ::fsync(fileno(f)) == 0;
-#endif
-    const bool closed = std::fclose(f) == 0;
-    if (written != bytes.size() || !synced || !closed) {
-        std::remove(tmp.c_str());
+    // Crash-safe replacement: stream into a fresh sibling temp file,
+    // flush it to stable storage, rename() it over the target, then
+    // sync the directory. A crash or power loss mid-save leaves any
+    // previous good file untouched (at worst plus a stale temp
+    // sibling, which the next save of the pool removes). The temp
+    // name is unique per save and created with O_EXCL | O_NOFOLLOW,
+    // so a planted file or symlink is never written through, and
+    // concurrent savers of one pool never share (or remove) each
+    // other's temp file.
+    removeStaleTemps(path);
+    std::string tmp;
+    int fd = -1;
+    for (int attempt = 0; fd < 0; ++attempt) {
+        tmp = formatMessage(
+            "%s.tmp.%ld.%llu", path.c_str(), long(::getpid()),
+            static_cast<unsigned long long>(saveCounter.fetch_add(1)));
+        fd = ::open(tmp.c_str(),
+                    O_WRONLY | O_CREAT | O_EXCL | O_NOFOLLOW | O_CLOEXEC,
+                    0666);
+        if (fd >= 0 && !lockLive(tmp, fd)) {
+            ::close(fd);
+            fd = -1;
+            errno = EEXIST; // reclaimed before it was locked
+        }
+        if (fd < 0 && (errno != EEXIST || attempt + 1 == kTempAttempts))
+            return Status::unavailable(
+                formatMessage("cannot create '%s' for writing: %s",
+                              tmp.c_str(), errnoText(errno).c_str()));
+    }
+    size_t written = 0;
+    while (written < bytes.size()) {
+        const ssize_t k =
+            ::write(fd, bytes.data() + written, bytes.size() - written);
+        if (k < 0 && errno == EINTR)
+            continue;
+        if (k <= 0)
+            break;
+        written += size_t(k);
+    }
+    // The temp file stays open, and so locked live, until it has been
+    // renamed away.
+    if (written != bytes.size() || ::fsync(fd) != 0) {
+        ::unlink(tmp.c_str());
+        ::close(fd);
         return Status::unavailable(formatMessage(
             "write to '%s' failed (%zu of %zu bytes durable)",
             tmp.c_str(), written, bytes.size()));
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
+    const bool renamed = std::rename(tmp.c_str(), path.c_str()) == 0;
+    if (!renamed)
+        ::unlink(tmp.c_str());
+    ::close(fd);
+    if (!renamed)
         return Status::unavailable(formatMessage(
             "cannot move '%s' into place as '%s'", tmp.c_str(),
             path.c_str()));
-    }
+    if (!syncParentDir(path))
+        return Status::unavailable(formatMessage(
+            "'%s' is in place but its directory sync failed, so the save "
+            "may not survive a crash: %s",
+            path.c_str(), errnoText(errno).c_str()));
     return Status();
 }
 

@@ -1,6 +1,17 @@
+/*
+ * The one-way BMA core on per-read base masks (see bma.hh).
+ *
+ * Word h of mask M[b] holds bit 8a + j = "base j of active read
+ * 8h + a's window is b": one byte lane per read, one bit per window
+ * position, built from each window's base bit planes with a few
+ * multiplies (no SIMD tier involved). Clusters of up to 16 reads use
+ * two words per mask fixed at compile time, so every word loop
+ * unrolls; larger clusters size the same core at runtime.
+ */
+
 #include "consensus/bma.hh"
 
-#include <array>
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -10,304 +21,332 @@ namespace dnastore {
 
 namespace {
 
-/** Majority base among the given votes; ties break to the lowest. */
-int
-majority(const std::array<uint32_t, kNumBases> &votes)
-{
-    int best = 0;
-    for (int b = 1; b < kNumBases; ++b)
-        if (votes[size_t(b)] > votes[size_t(best)])
-            best = b;
-    return best;
-}
+/** Bit 0 of every byte: one per-read lane of a mask word. */
+constexpr uint64_t kLanes = 0x0101010101010101ULL;
 
-/** Lookahead window used to classify an outlier's error type. */
-constexpr size_t kWindow = 3;
+/** Bit 7 of every byte: the per-lane result of a byte compare. */
+constexpr uint64_t kHigh = 0x8080808080808080ULL;
 
-/** Base @p i of read @p r, optionally through a reversing lens. */
-template <bool kRev>
-inline Base
-readAt(const StrandView &r, size_t i)
-{
-    return kRev ? r[r.size() - 1 - i] : r[i];
-}
+/** Packs bit 0 of each byte j into bit j of the top byte. */
+constexpr uint64_t kPack = 0x0102040810204080ULL;
 
-/** Raw byte pointer of a view (Base is a uint8_t enum). */
-inline const uint8_t *
-bytes(const StrandView &r)
+/** A vote step reads window positions 0..3. */
+constexpr size_t kVoteSpan = 4;
+
+/** Per byte lane, bit 7 set iff x >= y (byte values below 128). */
+inline uint64_t
+geBytes(uint64_t x, uint64_t y)
 {
-    return reinterpret_cast<const uint8_t *>(r.data());
+    return ((x | kHigh) - y) & kHigh;
 }
 
 /**
- * The next min(rem, 8) bases of the read starting at lens position
- * @p cur, packed one per byte (byte i = base cur + i); missing bytes
- * are zero. One word load serves the vote, the lookahead windows, and
- * the outlier classification, replacing up to eight scattered
- * per-base fetches. The reversed lens walks the strand downward, so
- * the load is byte-swapped into lens order.
+ * The next min(rem, 8) bases of a read in lens order, one per byte
+ * (byte j = the base j positions past @p p); bytes past the read's
+ * end are 0xff, which equals no base. The reversed lens walks the
+ * strand downward from @p p, so its load is byte-swapped.
  */
 template <bool kRev>
 inline uint64_t
-loadWindow(const StrandView &read, size_t cur, size_t rem)
+loadWindow(const uint8_t *p, ptrdiff_t rem)
 {
-    const uint8_t *base = bytes(read);
-    if (!kRev) {
-        uint64_t w;
-        if (rem >= 8) {
-            std::memcpy(&w, base + cur, 8);
+    uint64_t w;
+    if (rem >= 8) {
+        if (!kRev) {
+            std::memcpy(&w, p, 8);
             return w;
         }
-        w = 0;
-        std::memcpy(&w, base + cur, rem);
+        std::memcpy(&w, p - 7, 8);
+        return __builtin_bswap64(w);
+    }
+    const size_t len = size_t(rem);
+    if (!kRev) {
+        w = ~uint64_t(0);
+        std::memcpy(&w, p, len);
         return w;
     }
-    size_t p = read.size() - 1 - cur;
-    uint64_t t;
-    if (p >= 7) {
-        std::memcpy(&t, base + p - 7, 8);
-        return __builtin_bswap64(t);
-    }
-    t = 0;
-    std::memcpy(&t, base, p + 1);
-    return __builtin_bswap64(t) >> (8 * (7 - p));
+    w = 0;
+    std::memcpy(&w, p + 1 - len, len);
+    return (__builtin_bswap64(w) >> (8 * (8 - len))) |
+        (~uint64_t(0) << (8 * len));
 }
 
-/**
- * Length of the run of positions, starting at the current cursors,
- * over which reads @p read and @p read0 agree — at most @p cap
- * positions. Through the reversing lens the windows walk down the
- * strands, so the comparison is a common-suffix scan of the
- * underlying bytes.
- */
+/** Length of the run over which two reads agree from their heads. */
 template <bool kRev>
 inline size_t
-agreeRun(const StrandView &read, size_t cur, const StrandView &read0,
-         size_t cur0, size_t cap)
+agreeRun(const uint8_t *a, const uint8_t *b, size_t cap)
 {
     if (!kRev)
-        return simd::matchRunForward(bytes(read) + cur,
-                                     bytes(read0) + cur0, cap);
-    size_t p = read.size() - 1 - cur;
-    size_t p0 = read0.size() - 1 - cur0;
-    return simd::matchRunBackward(bytes(read) + p + 1 - cap,
-                                  bytes(read0) + p0 + 1 - cap, cap);
+        return simd::matchRunForward(a, b, cap);
+    return simd::matchRunBackward(a + 1 - cap, b + 1 - cap, cap);
 }
 
 /**
- * The one-way lookahead-majority scan, shared by the forward and
- * reversed entry points. Reads are only ever accessed through
- * readAt<kRev> (or its bulk equivalents), so the reversed pass needs
- * no materialized copies.
+ * The one-way lookahead-majority scan, for both lenses and every
+ * width.
  *
- * Positions where every active read agrees are the common case at
- * realistic error rates, and a whole run of them is detected with one
- * vectorized compare per read (32 bases per step) instead of a
- * per-position vote: the run's bases are emitted in bulk and every
- * cursor jumps forward by the run length, which is exactly what the
- * per-position unanimity fast path did one base at a time.
- * Disagreeing positions take the vote path: one packed 8-base window
- * load per active read feeds the SIMD column histogram, the lookahead
- * majority windows, and the Figure 2 error-type classification.
+ * Active reads stay compact, in read order, as a lens head pointer
+ * plus a remaining-base count; a read that ends drops out. Lane 0 is
+ * the first active read.
+ *
+ *  - Unanimous run: the lanes that agree with lane 0 at each window
+ *    position (equality is transitive), ANDed over lanes; the run is
+ *    that byte's count of trailing ones. A run that fills the window
+ *    continues with vectorized compares straight from the reads.
+ *  - Votes: a count sums one selected bit of every lane byte with a
+ *    multiply; the largest (count << 2 | 3 - b) is the majority with
+ *    ties broken to the lowest base. The lookahead votes count only
+ *    the lanes that agree with the winner.
+ *  - Classification: every read's substitution, insertion and
+ *    deletion scores are byte sums (at most 3), compared lane-wise
+ *    into an advance of 0, 1 or 2.
+ *
+ * When every read moved by the same amount and none ended, the masks
+ * shift down by it instead of being gathered again, as long as they
+ * still cover a vote step's kVoteSpan positions.
  */
+template <size_t kW, bool kRev>
+void
+scanCore(const StrandView *reads, size_t n, size_t target_len,
+         BmaScratch &scratch, Strand &out)
+{
+    const size_t width = kW ? kW : (n + 7) / 8;
+    // Rows of one word per 8 reads: M[0..3], the per-lane advances,
+    // and the padding lanes past the last active read.
+    scratch.masks.resize(6 * width);
+    auto row = [&](size_t i) { return scratch.masks.data() + i * width; };
+    uint64_t *const m[4] = {row(0), row(1), row(2), row(3)};
+    uint64_t *const adv = row(4);
+    uint64_t *const pad = row(5);
+
+    scratch.head.resize(n);
+    scratch.remaining.resize(n);
+    const uint8_t **head = scratch.head.data();
+    ptrdiff_t *rem = scratch.remaining.data();
+    size_t na = 0;
+    for (size_t r = 0; r < n; ++r) {
+        const size_t size = reads[r].size();
+        if (size == 0)
+            continue;
+        const auto *p = reinterpret_cast<const uint8_t *>(reads[r].data());
+        head[na] = kRev ? p + size - 1 : p;
+        rem[na] = ptrdiff_t(size);
+        ++na;
+    }
+    auto setPadding = [&]() {
+        for (size_t h = 0; h < width; ++h) {
+            const size_t first = 8 * h;
+            pad[h] = na >= first + 8 ? 0
+                : na <= first        ? ~uint64_t(0)
+                                     : ~uint64_t(0) << (8 * (na - first));
+        }
+    };
+    setPadding();
+
+    // Every active read moves by its own step and reads that end drop
+    // out; true when none did.
+    auto advanceAll = [&](auto step) {
+        size_t kept = 0;
+        for (size_t a = 0; a < na; ++a) {
+            const ptrdiff_t s = ptrdiff_t(step(a));
+            const ptrdiff_t left = rem[a] - s;
+            head[kept] = kRev ? head[a] - s : head[a] + s;
+            rem[kept] = left;
+            kept += size_t(left > 0);
+        }
+        if (kept == na)
+            return true;
+        na = kept;
+        setPadding();
+        return false;
+    };
+
+    // Window positions the masks still describe; 0 forces a gather.
+    size_t known = 0;
+    uint64_t w0 = 0; // lane 0's window, for emitting short runs
+    // After a step that moved every read by @p s (@p in_step) the
+    // masks shift down instead, while a vote step's span stays known.
+    auto afterStep = [&](bool in_step, size_t s) {
+        if (!in_step || known < s + kVoteSpan) {
+            known = 0;
+            return;
+        }
+        known -= s;
+        const uint64_t keep = kLanes * (0xffu >> s);
+        for (unsigned b = 0; b < 4; ++b)
+            for (size_t h = 0; h < width; ++h)
+                m[b][h] = (m[b][h] >> s) & keep;
+        w0 >>= 8 * s;
+    };
+
+    out.resize(target_len);
+    Base *o = out.data();
+    size_t pos = 0;
+    while (pos < target_len) {
+        if (na == 0) {
+            // All reads exhausted: pad with the last consensus base.
+            std::fill(o + pos, o + target_len, pos ? o[pos - 1] : Base::A);
+            break;
+        }
+
+        if (known == 0) {
+            known = 8;
+            w0 = loadWindow<kRev>(head[0], rem[0]);
+            for (unsigned b = 0; b < 4; ++b)
+                for (size_t h = 0; h < width; ++h)
+                    m[b][h] = 0;
+            // Bit planes of the window bytes: base bits 0 and 1,
+            // and bit 7, which only the past-the-end 0xff has.
+            for (size_t a = 0; a < na; ++a) {
+                const uint64_t w =
+                    a == 0 ? w0 : loadWindow<kRev>(head[a], rem[a]);
+                const uint64_t b0 = ((w & kLanes) * kPack) >> 56;
+                const uint64_t b1 = (((w >> 1) & kLanes) * kPack) >> 56;
+                const uint64_t in =
+                    ~(((w >> 7) & kLanes) * kPack) >> 56;
+                const unsigned shift = unsigned(8 * (a & 7));
+                m[0][a >> 3] |= (~b0 & ~b1 & in) << shift;
+                m[1][a >> 3] |= (b0 & ~b1 & in) << shift;
+                m[2][a >> 3] |= (~b0 & b1 & in) << shift;
+                m[3][a >> 3] |= (b0 & b1 & in) << shift;
+            }
+        }
+
+        // Unanimous run: the window positions where every lane agrees
+        // with lane 0. Positions the masks no longer describe hold no
+        // bits, so the run stops at them.
+        uint64_t lane0[4];
+        for (unsigned b = 0; b < 4; ++b)
+            lane0[b] = (m[b][0] & 0xff) * kLanes;
+        uint64_t all = ~uint64_t(0);
+        for (size_t h = 0; h < width; ++h) {
+            uint64_t agree = pad[h];
+            for (unsigned b = 0; b < 4; ++b)
+                agree |= m[b][h] & lane0[b];
+            all &= agree;
+        }
+        all &= all >> 32;
+        all &= all >> 16;
+        all &= all >> 8;
+        const size_t agreed =
+            size_t(__builtin_ctzll((~all & 0xff) | 0x100));
+        if (agreed != 0) {
+            size_t run = std::min(agreed, target_len - pos);
+            if (run == 8 && target_len - pos > 8) {
+                // Every read holds 8 more matching bases: extend the
+                // run past the window with vectorized compares.
+                size_t cap = target_len - pos;
+                for (size_t a = 0; a < na; ++a)
+                    cap = std::min(cap, size_t(rem[a]));
+                size_t ext = cap - 8;
+                const uint8_t *h0 = kRev ? head[0] - 8 : head[0] + 8;
+                for (size_t a = 1; a < na && ext > 0; ++a)
+                    ext = agreeRun<kRev>(kRev ? head[a] - 8 : head[a] + 8,
+                                         h0, ext);
+                run = 8 + ext;
+            }
+            if (run <= 8)
+                std::memcpy(o + pos, &w0, run);
+            else if (!kRev)
+                std::memcpy(o + pos, head[0], run);
+            else
+                std::reverse_copy(head[0] + 1 - run, head[0] + 1,
+                                  reinterpret_cast<uint8_t *>(o + pos));
+            pos += run;
+            afterStep(advanceAll([run](size_t) { return run; }), run);
+            continue;
+        }
+
+        // The majority over the lanes @p select picks for each base.
+        auto vote = [&](auto select) {
+            size_t best = 0;
+            for (unsigned b = 0; b < 4; ++b) {
+                size_t count = 0;
+                if (kW != 0) {
+                    // At most kW per lane byte, 8 * kW <= 64 in all:
+                    // the multiply's byte sum cannot carry.
+                    uint64_t acc = 0;
+                    for (size_t h = 0; h < width; ++h)
+                        acc += select(b, h);
+                    count = size_t((acc * kLanes) >> 56);
+                } else {
+                    for (size_t h = 0; h < width; ++h)
+                        count += size_t((select(b, h) * kLanes) >> 56);
+                }
+                best = std::max(best, (count << 2) | (3 - b));
+            }
+            return best;
+        };
+        const size_t column =
+            vote([&](unsigned b, size_t h) { return m[b][h] & kLanes; });
+        const unsigned c = unsigned(3 - (column & 3));
+        // Lanes agreeing with the winner, as whole 0xff bytes; they
+        // vote the next three consensus bases from window positions
+        // 1..3 ("the next two characters are GT in most sequences").
+        for (size_t h = 0; h < width; ++h)
+            adv[h] = (m[c][h] & kLanes) * 0xff;
+        const uint64_t *next[3];
+        uint64_t have[3];
+        for (size_t wi = 0; wi < 3; ++wi) {
+            const size_t best = vote([&](unsigned b, size_t h) {
+                return (m[b][h] >> (wi + 1)) & adv[h] & kLanes;
+            });
+            next[wi] = m[3 - (best & 3)];
+            // A lookahead position no agreeing read reaches is no
+            // evidence for any hypothesis.
+            have[wi] = (best >> 2) != 0 ? ~uint64_t(0) : 0;
+        }
+
+        // Figure 2 classification of every lane at once.
+        uint64_t uneven = 0;
+        for (size_t h = 0; h < width; ++h) {
+            const uint64_t n0 = next[0][h] & have[0];
+            const uint64_t n1 = next[1][h] & have[1];
+            const uint64_t n2 = next[2][h] & have[2];
+            // Substitution: the window after the outlier base matches
+            // the upcoming consensus.
+            const uint64_t sub = ((n0 >> 1) & kLanes) +
+                ((n1 >> 2) & kLanes) + ((n2 >> 3) & kLanes);
+            // Insertion: c and then the upcoming consensus follow it.
+            const uint64_t ins = ((m[c][h] >> 1) & kLanes) +
+                ((n0 >> 2) & kLanes) + ((n1 >> 3) & kLanes);
+            // Deletion: the outlier base itself starts the upcoming
+            // consensus.
+            const uint64_t del = (n0 & kLanes) + ((n1 >> 1) & kLanes) +
+                ((n2 >> 2) & kLanes);
+            const uint64_t is_sub = geBytes(sub, ins) & geBytes(sub, del);
+            const uint64_t is_ins = geBytes(ins, del) & ~is_sub;
+            const uint64_t agree = adv[h];
+            // 1 for agreeing reads and substitutions, 2 for
+            // insertions, 0 for deletions.
+            adv[h] = (((is_sub >> 7) | (is_ins >> 6)) & ~agree) |
+                (agree & kLanes);
+            uneven |= (adv[h] ^ kLanes) & ~pad[h];
+        }
+        o[pos++] = Base(c);
+        const bool all_active = advanceAll([adv](size_t a) {
+            return (adv[a >> 3] >> (8 * (a & 7))) & 0xff;
+        });
+        afterStep(all_active && uneven == 0, 1);
+    }
+}
+
 template <bool kRev>
 void
 reconstructCore(const StrandView *reads, size_t n, size_t target_len,
                 BmaScratch &scratch, Strand &out)
 {
-    // The packed 16-bit vote counters bound the cluster size; real
-    // coverages are orders of magnitude below this.
+    // The documented cluster-size limit (it dates from packed 16-bit
+    // vote counters); real coverages are far below it.
     if (n >= 0xffff)
         throw std::invalid_argument(
             "BMA consensus supports at most 65534 reads per cluster");
-
-    std::vector<size_t> &cursor = scratch.cursor;
-    cursor.assign(n, 0);
-    out.clear();
-    out.reserve(target_len);
-
-    std::vector<uint8_t> &column = scratch.column;
-    std::vector<uint64_t> &window = scratch.window;
-    std::vector<uint8_t> &wlen = scratch.windowLen;
-    std::vector<uint32_t> &aread = scratch.activeRead;
-
-    Base last_consensus = Base::A;
-    size_t pos = 0;
-    while (pos < target_len) {
-        // Cheap unanimity probe: find the first active read and check
-        // whether every other active read shows the same base. Run
-        // positions (the common case) pay only these one-byte loads.
-        size_t first = n;
-        bool unanimous = true;
-        Base c = Base::A;
-        for (size_t r = 0; r < n; ++r) {
-            if (cursor[r] >= reads[r].size())
-                continue;
-            Base b = readAt<kRev>(reads[r], cursor[r]);
-            if (first == n) {
-                first = r;
-                c = b;
-            } else if (b != c) {
-                unanimous = false;
-                break;
-            }
-        }
-
-        if (first == n) {
-            // All reads exhausted: pad with the last consensus base.
-            out.push_back(last_consensus);
-            ++pos;
-            continue;
-        }
-
-        if (unanimous) {
-            // Extend the unanimous stretch as far as every active
-            // read keeps matching the first active read (equality is
-            // transitive, so pairwise-vs-first suffices): one
-            // vectorized compare per read covers the whole run
-            // instead of a vote per position.
-            size_t run = target_len - pos;
-            for (size_t r = first; r < n; ++r) {
-                if (cursor[r] < reads[r].size())
-                    run = std::min(run, reads[r].size() - cursor[r]);
-            }
-            const StrandView &read0 = reads[first];
-            for (size_t r = first + 1; r < n && run > 1; ++r) {
-                if (cursor[r] >= reads[r].size())
-                    continue;
-                run = agreeRun<kRev>(reads[r], cursor[r], read0,
-                                     cursor[first], run);
-            }
-            // run >= 1: the probe already matched the current bases.
-            for (size_t i = 0; i < run; ++i)
-                out.push_back(readAt<kRev>(read0, cursor[first] + i));
-            for (size_t r = first; r < n; ++r) {
-                if (cursor[r] < reads[r].size())
-                    cursor[r] += run;
-            }
-            last_consensus = out.back();
-            pos += run;
-            continue;
-        }
-
-        // Vote path. Gather each active read's packed 8-base window
-        // once; everything below runs on the gathered words.
-        column.resize(n);
-        window.resize(n);
-        wlen.resize(n);
-        aread.resize(n);
-        size_t active = 0;
-        for (size_t r = 0; r < n; ++r) {
-            size_t cur = cursor[r];
-            if (cur >= reads[r].size())
-                continue;
-            size_t rem = reads[r].size() - cur;
-            uint64_t w = loadWindow<kRev>(reads[r], cur, rem);
-            column[active] = uint8_t(w & 0xff);
-            window[active] = w;
-            wlen[active] = uint8_t(rem < 8 ? rem : 8);
-            aread[active] = uint32_t(r);
-            ++active;
-        }
-
-        // Column base histogram (SIMD kernel), then majority vote.
-        std::array<uint32_t, kNumBases> votes{};
-        simd::histogram4(column.data(), active, votes.data());
-        int best_vote = majority(votes);
-        c = baseFromBits(unsigned(best_vote));
-        const uint8_t c_byte = uint8_t(c);
-
-        // Estimate the next kWindow consensus bases from the reads
-        // that agree at the current position. These drive the
-        // error-type classification below, mirroring the Figure 2
-        // reasoning ("the next two characters are GT in most
-        // sequences..."). The gathered windows already hold the
-        // lookahead bases.
-        // Each window position's votes live in one packed word of
-        // four 16-bit counters (same trick as the narrow histogram).
-        std::array<uint64_t, kWindow> nv_packed{};
-        std::array<uint32_t, kWindow> voters{};
-        for (size_t a = 0; a < active; ++a) {
-            if (column[a] != c_byte)
-                continue;
-            const uint64_t w = window[a];
-            const size_t len = wlen[a];
-            // Branchless: an out-of-range window position contributes
-            // a zero addend instead of taking a data-dependent branch.
-            for (size_t wi = 0; wi < kWindow; ++wi) {
-                uint64_t valid = uint64_t(wi + 1 < len);
-                nv_packed[wi] += valid
-                    << (16 * ((w >> (8 * (wi + 1))) & 0xff));
-                voters[wi] += uint32_t(valid);
-            }
-        }
-        std::array<Base, kWindow> next{};
-        std::array<bool, kWindow> have_next{};
-        for (size_t w = 0; w < kWindow; ++w) {
-            have_next[w] = voters[w] > 0;
-            std::array<uint32_t, kNumBases> nv = {
-                uint32_t(nv_packed[w] & 0xffff),
-                uint32_t((nv_packed[w] >> 16) & 0xffff),
-                uint32_t((nv_packed[w] >> 32) & 0xffff),
-                uint32_t((nv_packed[w] >> 48) & 0xffff),
-            };
-            next[w] = baseFromBits(unsigned(majority(nv)));
-        }
-
-        // Classify each outlier read by scoring the three hypotheses
-        // over the lookahead window and resynchronize its cursor.
-        // Every probe reads the gathered window word (all hypothesis
-        // offsets fit in its 8 bases).
-        for (size_t a = 0; a < active; ++a) {
-            const size_t r = aread[a];
-            const size_t cur = cursor[r];
-            if (column[a] == c_byte) {
-                cursor[r] = cur + 1;
-                continue;
-            }
-            const uint64_t w = window[a];
-            const size_t len = wlen[a];
-            // Branchless probe: 1 when the window holds @p expect at
-            // @p off, 0 otherwise (including out of range).
-            auto at = [w, len](size_t off, Base expect) -> int {
-                return int(off < len) &
-                    int(uint8_t((w >> (8 * off)) & 0xff) ==
-                        uint8_t(expect));
-            };
-            // Score each hypothesis with the same number of evidence
-            // terms (kWindow) so no hypothesis is favored merely by
-            // having more chances to match (this matters on repeated
-            // bases, where an asymmetric insertion score would win
-            // spuriously and desynchronize the read).
-            //
-            // Substitution: read[cur] is a corrupted c; the window
-            // after it should match the upcoming consensus.
-            int score_sub = 0;
-            // Insertion: read[cur] is an extra base; c and then the
-            // upcoming consensus follow it.
-            int score_ins = at(1, c);
-            // Deletion: the read lost c; read[cur] itself should
-            // match the upcoming consensus.
-            int score_del = 0;
-            for (size_t wi = 0; wi < kWindow; ++wi) {
-                const int have = int(have_next[wi]);
-                score_sub += have & at(1 + wi, next[wi]);
-                if (wi + 1 < kWindow)
-                    score_ins += have & at(2 + wi, next[wi]);
-                score_del += have & at(wi, next[wi]);
-            }
-            if (score_sub >= score_ins && score_sub >= score_del) {
-                cursor[r] = cur + 1; // substitution
-            } else if (score_ins >= score_del) {
-                cursor[r] = cur + 2; // insertion: skip it, consume c
-            } else {
-                // deletion: c is missing from the read; keep cursor.
-            }
-        }
-        out.push_back(c);
-        last_consensus = c;
-        ++pos;
-    }
+    // Up to 16 reads the two mask words are fixed at compile time, so
+    // the word loops unroll; larger clusters size them at runtime.
+    if (n <= 16)
+        scanCore<2, kRev>(reads, n, target_len, scratch, out);
+    else
+        scanCore<0, kRev>(reads, n, target_len, scratch, out);
 }
 
 } // namespace

@@ -9,12 +9,27 @@
  * ahead, and their cursors are re-synchronized accordingly. Errors in
  * this classification propagate towards the end of the strand, which
  * is the root cause of the reliability skew (section 3.1).
+ *
+ * The core is bit-parallel across reads (after Myers' bit-vector edit
+ * distance, JACM 1999). Each step gathers every active read's next 8
+ * bases once into per-base masks, one bit per (read, position); the
+ * unanimity run, the column and lookahead votes, and every read's
+ * error-type classification are then byte-lane arithmetic on a few
+ * 64-bit words. A unanimous run that fills the 8-base window
+ * continues with vectorized compares straight from the reads, and
+ * masks are shifted rather than re-gathered while every read moves in
+ * step. Clusters of up to 16 reads use a compile-time mask width;
+ * larger ones size the same core at runtime, up to 65,534 reads. The
+ * masks are built the same way on every SIMD tier; only the run
+ * extension's compares are dispatched, and every width, tier and lens
+ * gives bit-identical output.
  */
 
 #ifndef DNASTORE_CONSENSUS_BMA_HH
 #define DNASTORE_CONSENSUS_BMA_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "dna/packed_strand.hh"
@@ -29,19 +44,14 @@ namespace dnastore {
  */
 struct BmaScratch
 {
-    std::vector<size_t> cursor;
+    /** Per active read, in read order: the lens position's byte. */
+    std::vector<const uint8_t *> head;
 
-    /** Gathered current-position bases (histogram kernel input). */
-    std::vector<uint8_t> column;
+    /** Per active read: bases left from the lens position on. */
+    std::vector<ptrdiff_t> remaining;
 
-    /** Per active read: the next 8 bases packed one per byte. */
-    std::vector<uint64_t> window;
-
-    /** Per active read: valid byte count in window (<= 8). */
-    std::vector<uint8_t> windowLen;
-
-    /** Per active read: index into the reads array. */
-    std::vector<uint32_t> activeRead;
+    /** The core's mask words: a few rows of one word per 8 reads. */
+    std::vector<uint64_t> masks;
 };
 
 /**

@@ -24,8 +24,8 @@
 namespace dnastore {
 
 /**
- * Reusable working state for reconstructTwoSided: the BMA cursor
- * buffer plus the forward/backward estimates. One per thread.
+ * Reusable working state for reconstructTwoSided: the BMA scratch
+ * plus the forward/backward estimates. One per thread.
  */
 struct TwoSidedScratch
 {

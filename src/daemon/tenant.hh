@@ -94,7 +94,6 @@ class Tenant
     api::Status open();
 
     const std::string &name() const { return name_; }
-    const std::string &poolPath() const { return poolPath_; }
 
     /** Quota check + Store::put + generation bump, under the lock. */
     api::Status put(const std::string &objectName,

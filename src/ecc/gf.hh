@@ -69,9 +69,6 @@ class GaloisField
     /** Discrete log base alpha of a nonzero element. */
     uint32_t logOf(uint32_t a) const;
 
-    /** The primitive polynomial used (bit i = coefficient of x^i). */
-    uint32_t primitivePoly() const { return poly_; }
-
     /**
      * Raw log table (size 2^m; entry 0 is unused). Logs fit uint16_t
      * for every supported degree, which halves the table footprint and

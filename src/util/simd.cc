@@ -695,13 +695,13 @@ setLevel(Level level)
     return table.level;
 }
 
-namespace detail {
-
 void
-histogram4Wide(const uint8_t *vals, size_t n, uint32_t counts[4])
+histogram4(const uint8_t *vals, size_t n, uint32_t counts[4])
 {
     dispatch().histogram4(vals, n, counts);
 }
+
+namespace detail {
 
 size_t
 matchRunForwardWide(const uint8_t *a, const uint8_t *b, size_t n)

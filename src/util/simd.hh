@@ -2,14 +2,14 @@
  * @file
  * Runtime-dispatched SIMD kernels for the decode-path inner loops.
  *
- * Three loop families dominate the retrieve side of the pipeline:
- * consensus column voting (base histograms and unanimity-run
- * detection), packed-strand mismatch counting, and Myers bit-parallel
- * edit distance for cluster candidate verification. Each kernel here
- * has an AVX2 path, an SSE4.2 path, and a portable scalar fallback;
- * the implementation is chosen once at startup from CPUID, and every
- * path returns bit-identical results so the choice never changes an
- * output (the determinism suites run with DNASTORE_FORCE_SCALAR=1 to
+ * The kernels serve the retrieve side of the pipeline: base
+ * histograms for the clusterer's read soup, unanimity-run detection
+ * for consensus, packed-strand mismatch counting, and Myers
+ * bit-parallel edit distance for cluster candidate verification.
+ * Each kernel here has an AVX2 path, an SSE4.2 path, and a portable
+ * scalar fallback; the implementation is chosen once at startup from
+ * CPUID, and every path returns bit-identical results so the choice
+ * never changes an output (the determinism suites run with DNASTORE_FORCE_SCALAR=1 to
  * prove it).
  *
  * The vector paths are compiled with per-function target attributes,
@@ -60,7 +60,6 @@ namespace detail {
 // Dispatched wide-input implementations; the inline entry points
 // below peel the short cases so hot loops with tiny operands skip the
 // indirect call entirely. Results are bit-identical on every tier.
-void histogram4Wide(const uint8_t *vals, size_t n, uint32_t counts[4]);
 size_t matchRunForwardWide(const uint8_t *a, const uint8_t *b,
                            size_t n);
 size_t matchRunBackwardWide(const uint8_t *a, const uint8_t *b,
@@ -70,27 +69,9 @@ size_t matchRunBackwardWide(const uint8_t *a, const uint8_t *b,
 /**
  * Accumulate a histogram of the values in vals[0..n) into counts[4].
  * Values must be in {0, 1, 2, 3} (2-bit base codes); counts are
- * added to, not reset. Narrow columns (consensus at typical
- * coverage) count inline through packed 16-bit-lane counters; wide
- * ones take the vector compare/popcount path.
+ * added to, not reset.
  */
-inline void
-histogram4(const uint8_t *vals, size_t n, uint32_t counts[4])
-{
-    if (n >= 32) {
-        detail::histogram4Wide(vals, n, counts);
-        return;
-    }
-    // 4 packed 16-bit counters: one add per value, no store-forward
-    // stalls on the counter array.
-    uint64_t packed = 0;
-    for (size_t i = 0; i < n; ++i)
-        packed += uint64_t(1) << (16 * vals[i]);
-    counts[0] += uint32_t(packed & 0xffff);
-    counts[1] += uint32_t((packed >> 16) & 0xffff);
-    counts[2] += uint32_t((packed >> 32) & 0xffff);
-    counts[3] += uint32_t((packed >> 48) & 0xffff);
-}
+void histogram4(const uint8_t *vals, size_t n, uint32_t counts[4]);
 
 /** Length of the longest common prefix of a[0..n) and b[0..n). */
 inline size_t

@@ -1,7 +1,6 @@
 #include "util/stats.hh"
 
 #include <algorithm>
-#include <cmath>
 
 namespace dnastore {
 
@@ -24,12 +23,6 @@ double
 RunningStat::variance() const
 {
     return n_ > 1 ? m2_ / double(n_ - 1) : 0.0;
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
 }
 
 double

@@ -27,9 +27,6 @@ class RunningStat
     /** Unbiased sample variance (0 for fewer than two samples). */
     double variance() const;
 
-    /** Sample standard deviation. */
-    double stddev() const;
-
     /** Smallest sample seen. */
     double min() const { return min_; }
 

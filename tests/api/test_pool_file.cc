@@ -10,9 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/file.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "api/pool_file.hh"
 #include "util/crc32.hh"
@@ -278,22 +287,36 @@ TEST(PoolFileFormat, TraversalNameInManifestIsRejected)
               std::string::npos);
 }
 
-// Saves replace atomically: a successful save leaves no ".tmp"
-// sibling behind, saving over an existing file round-trips, and a
+/** Names of the temp siblings of @p path (`<name>.tmp*`) on disk. */
+std::vector<std::string>
+tempSiblings(const std::string &path)
+{
+    const std::filesystem::path p(path);
+    const std::string prefix = p.filename().string() + ".tmp";
+    std::vector<std::string> out;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(p.parent_path())) {
+        const std::string name = entry.path().filename().string();
+        if (name.compare(0, prefix.size(), prefix) == 0)
+            out.push_back(name);
+    }
+    return out;
+}
+
+// Saves replace atomically: a successful save leaves no temp sibling
+// of any name behind, saving over an existing file round-trips, and a
 // failing save is Unavailable (never a half-written target).
 TEST(PoolFileFormat, WriteIsAtomicReplacement)
 {
     const std::string path =
         testing::TempDir() + "pool_file_atomic.dnapool";
     ASSERT_TRUE(writePoolFile(path, sampleContents()).ok());
-    std::FILE *tmp = std::fopen((path + ".tmp").c_str(), "rb");
-    EXPECT_EQ(tmp, nullptr) << "stale temp file left behind";
-    if (tmp != nullptr)
-        std::fclose(tmp);
+    EXPECT_TRUE(tempSiblings(path).empty()) << "stale temp file left behind";
 
     PoolFileContents second = sampleContents();
     second.unitSeed = 1;
     ASSERT_TRUE(writePoolFile(path, second).ok());
+    EXPECT_TRUE(tempSiblings(path).empty()) << "stale temp file left behind";
     Result<PoolFileContents> parsed = readPoolFile(path);
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     EXPECT_EQ(parsed->unitSeed, 1u);
@@ -302,6 +325,152 @@ TEST(PoolFileFormat, WriteIsAtomicReplacement)
     Status bad =
         writePoolFile("/nonexistent/dir/x.dnapool", sampleContents());
     EXPECT_EQ(bad.code(), StatusCode::Unavailable);
+}
+
+// A `<path>.tmp` planted as a symlink must not redirect a save: the
+// file it points at stays intact, and the target becomes a regular
+// file holding the saved pool (not the planted link).
+TEST(PoolFileFormat, PlantedTempSymlinkIsNotFollowed)
+{
+    const std::string path = testing::TempDir() + "pool_file_planted.dnapool";
+    const std::string sentinel =
+        testing::TempDir() + "pool_file_planted.sentinel";
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
+    {
+        std::FILE *f = std::fopen(sentinel.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fputs("precious", f);
+        std::fclose(f);
+    }
+    std::filesystem::create_symlink(sentinel, path + ".tmp");
+
+    ASSERT_TRUE(writePoolFile(path, sampleContents()).ok());
+
+    std::string kept(16, '\0');
+    {
+        std::FILE *f = std::fopen(sentinel.c_str(), "rb");
+        ASSERT_NE(f, nullptr);
+        kept.resize(std::fread(&kept[0], 1, kept.size(), f));
+        std::fclose(f);
+    }
+    EXPECT_EQ(kept, "precious");
+    EXPECT_TRUE(std::filesystem::is_regular_file(
+        std::filesystem::symlink_status(path)));
+    Result<PoolFileContents> parsed = readPoolFile(path);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+    EXPECT_EQ(parsed->unitSeed, sampleContents().unitSeed);
+
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
+    std::remove(sentinel.c_str());
+}
+
+// A save killed mid-write leaves its `<path>.tmp.<pid>.<n>`; the next
+// save of that pool removes every such file whatever its pid (a
+// restarted daemon often reuses its pid), but not the temp file of a
+// save still in flight, which holds its flock, nor other names.
+TEST(PoolFileFormat, StaleTempsOfCrashedSavesAreReclaimed)
+{
+    const std::string dir = testing::TempDir() + "pool_file_stale/";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directory(dir);
+    const std::string path = dir + "p.dnapool";
+    auto plant = [](const std::string &name) {
+        std::FILE *f = std::fopen(name.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fputs("half a pool", f);
+        std::fclose(f);
+    };
+    const std::string own =
+        path + ".tmp." + std::to_string(::getpid()) + ".7";
+    plant(own);
+    plant(path + ".tmp.999999.0");
+    plant(path + ".tmp.12.345");
+    plant(path + ".tmp");
+    plant(path + ".tmp.1.2.3");
+    plant(dir + "q.dnapool.tmp.1.2");
+    const std::string live = path + ".tmp.1.1";
+    plant(live);
+    const int live_fd = ::open(live.c_str(), O_RDONLY);
+    ASSERT_GE(live_fd, 0);
+    ASSERT_EQ(::flock(live_fd, LOCK_EX), 0);
+
+    ASSERT_TRUE(writePoolFile(path, sampleContents()).ok());
+
+    std::vector<std::string> left = tempSiblings(path);
+    std::sort(left.begin(), left.end());
+    EXPECT_EQ(left, (std::vector<std::string>{ "p.dnapool.tmp",
+                                               "p.dnapool.tmp.1.1",
+                                               "p.dnapool.tmp.1.2.3" }));
+    EXPECT_TRUE(std::filesystem::exists(dir + "q.dnapool.tmp.1.2"));
+    Result<PoolFileContents> parsed = readPoolFile(path);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+
+    // Once its save is gone, the formerly live file is reclaimed too.
+    ::close(live_fd);
+    ASSERT_TRUE(writePoolFile(path, sampleContents()).ok());
+    EXPECT_FALSE(std::filesystem::exists(live));
+    std::filesystem::remove_all(dir);
+}
+
+// Concurrent saves of one pool each reclaim stale temps while the
+// others write theirs: none may take a temp file that is still live,
+// so every save succeeds and no temp file survives.
+TEST(PoolFileFormat, ConcurrentSavesOfOnePoolAllSucceed)
+{
+    const std::string path =
+        testing::TempDir() + "pool_file_concurrent.dnapool";
+    const PoolFileContents contents = sampleContents();
+    std::atomic<int> failed{0};
+    std::vector<std::thread> savers;
+    for (int t = 0; t < 4; ++t)
+        savers.emplace_back([&] {
+            for (int i = 0; i < 100; ++i)
+                failed += writePoolFile(path, contents).ok() ? 0 : 1;
+        });
+    for (std::thread &t : savers)
+        t.join();
+    EXPECT_EQ(failed.load(), 0);
+    EXPECT_TRUE(tempSiblings(path).empty());
+    Result<PoolFileContents> parsed = readPoolFile(path);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+    std::remove(path.c_str());
+}
+
+// A directory the saver may write but not read (mode 0300) cannot be
+// opened for its sync or scanned for stale temps; the save still
+// succeeds. Run as an unprivileged user, since root reads anything.
+TEST(PoolFileFormat, SaveIntoWriteOnlyDirectorySucceeds)
+{
+    const std::string dir = testing::TempDir() + "pool_file_wronly";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directory(dir);
+    const std::string path = dir + "/p.dnapool";
+    const bool root = ::geteuid() == 0;
+    const uid_t nobody = 65534;
+    if (root) {
+        ASSERT_EQ(::chown(dir.c_str(), nobody, nobody), 0);
+    }
+    ASSERT_EQ(::chmod(dir.c_str(), 0300), 0);
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        if (root && (::setgid(nobody) != 0 || ::setuid(nobody) != 0))
+            ::_exit(2);
+        if (::open(dir.c_str(), O_RDONLY | O_DIRECTORY) >= 0)
+            ::_exit(3); // still readable: the test would prove nothing
+        ::_exit(writePoolFile(path, sampleContents()).ok() ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_EQ(::chmod(dir.c_str(), 0700), 0);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    Result<PoolFileContents> parsed = readPoolFile(path);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+    EXPECT_EQ(parsed->unitSeed, sampleContents().unitSeed);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(PoolFileFormat, SectionNames)
