@@ -3,6 +3,7 @@
 #include <atomic>
 #include <vector>
 
+#include "channel/walk.hh"
 #include "util/parallel.hh"
 
 namespace dnastore {
@@ -22,6 +23,7 @@ agePoolEpoch(ReadPool &pool, const AgingProfile &aging,
     for (auto &s : seeds)
         s = base.next();
 
+    const uint64_t sub_threshold = drawThreshold(aging.substitutionRate);
     std::atomic<size_t> lost{ 0 };
     parallelFor(pool.clusters(), num_threads, [&](size_t c) {
         Rng rng(seeds[c]);
@@ -36,15 +38,9 @@ agePoolEpoch(ReadPool &pool, const AgingProfile &aging,
             // streams stay aligned whatever the loss pattern.
             if (rng.nextDouble() < aging.strandLossRate)
                 continue;
-            if (aging.substitutionRate > 0.0) {
-                for (auto &b : read) {
-                    if (rng.nextDouble() < aging.substitutionRate) {
-                        unsigned offset =
-                            1u + unsigned(rng.nextBelow(3));
-                        b = baseFromBits(bitsFromBase(b) + offset);
-                    }
-                }
-            }
+            if (aging.substitutionRate > 0.0)
+                substituteWalk(read.data(), read.size(), rng,
+                               sub_threshold);
             aged.push_back(std::move(read));
         }
         lost.fetch_add(before - aged.size(),

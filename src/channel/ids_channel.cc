@@ -2,46 +2,9 @@
 
 #include <stdexcept>
 
+#include "channel/walk.hh"
+
 namespace dnastore {
-
-namespace {
-
-/**
- * The shared per-base channel walk: at most one of {insert, delete,
- * substitute} per input position, emitted through @p push. All public
- * transmit variants route here so their RNG draw sequences — and
- * therefore their outputs — are identical.
- */
-template <typename Push>
-void
-transmitCore(StrandView input, Rng &rng, double p_ins, double p_del,
-             double p_sub, ChannelEvents *events, Push &&push)
-{
-    for (Base b : input) {
-        double u = rng.nextDouble();
-        if (u < p_ins) {
-            // Insert a uniform base before position i; the original
-            // base is kept, matching the paper's channel definition.
-            push(baseFromBits(unsigned(rng.nextBelow(4))));
-            push(b);
-            if (events)
-                ++events->insertions;
-        } else if (u < p_del) {
-            if (events)
-                ++events->deletions;
-        } else if (u < p_sub) {
-            // Replace with one of the three other bases.
-            unsigned offset = 1u + unsigned(rng.nextBelow(3));
-            push(baseFromBits(bitsFromBase(b) + offset));
-            if (events)
-                ++events->substitutions;
-        } else {
-            push(b);
-        }
-    }
-}
-
-} // namespace
 
 IdsChannel::IdsChannel(const ErrorModel &model)
     : model_(model)
@@ -54,34 +17,24 @@ Strand
 IdsChannel::transmit(const Strand &input, Rng &rng,
                      ChannelEvents *events) const
 {
-    Strand out;
-    out.reserve(input.size() + 8);
-    transmitInto(input, rng, out, events);
-    return out;
+    // Walk in a warm buffer; the copy returned is exactly sized.
+    static thread_local Strand scratch;
+    transmitInto(input, rng, scratch, events);
+    return scratch;
 }
 
 void
 IdsChannel::transmitInto(StrandView input, Rng &rng, Strand &out,
                          ChannelEvents *events) const
 {
-    out.clear();
-    const double p_ins = model_.insertion;
-    const double p_del = p_ins + model_.deletion;
-    const double p_sub = p_del + model_.substitution;
-    transmitCore(input, rng, p_ins, p_del, p_sub, events,
-                 [&out](Base b) { out.push_back(b); });
+    transmitWalk(input, rng, DrawThresholds::scaled(model_, 1.0), out, events);
 }
 
 void
 IdsChannel::transmitAppend(StrandView input, Rng &rng, StrandArena &out,
                            ChannelEvents *events) const
 {
-    const double p_ins = model_.insertion;
-    const double p_del = p_ins + model_.deletion;
-    const double p_sub = p_del + model_.substitution;
-    transmitCore(input, rng, p_ins, p_del, p_sub, events,
-                 [&out](Base b) { out.push(b); });
-    out.endStrand();
+    transmitWalk(input, rng, DrawThresholds::scaled(model_, 1.0), out, events);
 }
 
 std::vector<Strand>

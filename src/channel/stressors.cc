@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "channel/walk.hh"
+
 namespace dnastore {
 
 double
@@ -95,6 +97,50 @@ applyDropout(const DropoutProfile &dropout, Rng &rng,
     }
 }
 
+namespace {
+
+/**
+ * A profile's per-position thresholds for inputs of one length,
+ * tabulated once and shared by every read of that length. A flat
+ * ramp keeps one constant entry.
+ */
+class RampThresholds
+{
+  public:
+    RampThresholds(const ChannelProfile &profile, size_t len)
+        : flat_(DrawThresholds::scaled(profile.base, 1.0))
+    {
+        if (!profile.ramp.enabled())
+            return;
+        // multiplierAt is exactly 1.0 before the ramp starts and
+        // monotone in i (each of its steps rounds monotonically), so
+        // only the tail up to the first 1.0 differs from flat_.
+        table_.assign(len, flat_);
+        for (size_t i = len; i-- > 0;) {
+            const double mult = profile.ramp.multiplierAt(i, len);
+            if (mult == 1.0)
+                break;
+            table_[i] = DrawThresholds::scaled(profile.base, mult);
+        }
+    }
+
+    /** Append one read of @p input (of the tabulated length). */
+    void
+    transmit(StrandView input, Rng &rng, StrandArena &out) const
+    {
+        if (table_.empty())
+            transmitWalk(input, rng, flat_, out, nullptr);
+        else
+            transmitWalk(input, rng, table_.data(), out, nullptr);
+    }
+
+  private:
+    DrawThresholds flat_;
+    std::vector<DrawThresholds> table_;
+};
+
+} // namespace
+
 ProfileChannel::ProfileChannel(const ChannelProfile &profile)
     : profile_(profile)
 {
@@ -105,39 +151,7 @@ void
 ProfileChannel::transmitAppend(StrandView input, Rng &rng,
                                StrandArena &out) const
 {
-    // Mirrors IdsChannel's per-base walk (one uniform per position, at
-    // most one error event) so that a flat profile draws the identical
-    // RNG sequence; the ramp only rescales the event thresholds.
-    const ErrorModel &m = profile_.base;
-    const size_t len = input.size();
-    for (size_t i = 0; i < len; ++i) {
-        Base b = input[i];
-        double mult = profile_.ramp.multiplierAt(i, len);
-        double p_ins = m.insertion * mult;
-        double p_del = p_ins + m.deletion * mult;
-        double p_sub = p_del + m.substitution * mult;
-        if (p_sub > 1.0) {
-            // Clamp proportionally: an error is certain, but the
-            // ins/del/sub split keeps its shape.
-            double scale = 1.0 / p_sub;
-            p_ins *= scale;
-            p_del *= scale;
-            p_sub = 1.0;
-        }
-        double u = rng.nextDouble();
-        if (u < p_ins) {
-            out.push(baseFromBits(unsigned(rng.nextBelow(4))));
-            out.push(b);
-        } else if (u < p_del) {
-            // dropped
-        } else if (u < p_sub) {
-            unsigned offset = 1u + unsigned(rng.nextBelow(3));
-            out.push(baseFromBits(bitsFromBase(b) + offset));
-        } else {
-            out.push(b);
-        }
-    }
-    out.endStrand();
+    RampThresholds(profile_, input.size()).transmit(input, rng, out);
 }
 
 void
@@ -146,9 +160,12 @@ ProfileChannel::generateCluster(StrandView reference, size_t n, Rng &rng,
 {
     out.reserve(out.totalBases() + n * (reference.size() + 8),
                 out.strandCount() + n);
+    // PCR substitutes in place, so every template keeps the
+    // reference's length and shares its thresholds.
+    const RampThresholds thresholds(profile_, reference.size());
     if (!profile_.pcr.enabled()) {
         for (size_t i = 0; i < n; ++i)
-            transmitAppend(reference, rng, out);
+            thresholds.transmit(reference, rng, out);
         return;
     }
 
@@ -156,6 +173,7 @@ ProfileChannel::generateCluster(StrandView reference, size_t n, Rng &rng,
     // each duplication inherits its template's mutations plus fresh
     // polymerase substitutions.
     const PcrProfile &pcr = profile_.pcr;
+    const uint64_t error_threshold = drawThreshold(pcr.errorRate);
     std::vector<Strand> pool;
     pool.reserve(pcr.maxLineage);
     pool.push_back(reference.toStrand());
@@ -167,12 +185,8 @@ ProfileChannel::generateCluster(StrandView reference, size_t n, Rng &rng,
             if (rng.nextDouble() >= pcr.efficiency)
                 continue;
             Strand copy = pool[t];
-            for (auto &base : copy) {
-                if (rng.nextDouble() < pcr.errorRate) {
-                    unsigned offset = 1u + unsigned(rng.nextBelow(3));
-                    base = baseFromBits(bitsFromBase(base) + offset);
-                }
-            }
+            substituteWalk(copy.data(), copy.size(), rng,
+                           error_threshold);
             pool.push_back(std::move(copy));
         }
     }
@@ -181,7 +195,7 @@ ProfileChannel::generateCluster(StrandView reference, size_t n, Rng &rng,
     // lineages are sampled proportionally to their amplified share.
     for (size_t i = 0; i < n; ++i) {
         const Strand &tmpl = pool[rng.nextBelow(pool.size())];
-        transmitAppend(tmpl, rng, out);
+        thresholds.transmit(tmpl, rng, out);
     }
 }
 

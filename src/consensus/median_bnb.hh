@@ -63,9 +63,6 @@ MedianResult constrainedMedian(const std::vector<Seq> &traces,
  */
 Seq adversarialPick(const std::vector<Seq> &optima, const Seq &original);
 
-/** Sum of edit distances from @p s to every trace (reference impl). */
-size_t medianCost(const Seq &s, const std::vector<Seq> &traces);
-
 } // namespace dnastore
 
 #endif // DNASTORE_CONSENSUS_MEDIAN_BNB_HH

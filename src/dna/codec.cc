@@ -5,32 +5,6 @@
 namespace dnastore {
 
 Strand
-encodeBytes(const std::vector<uint8_t> &bytes)
-{
-    Strand out;
-    out.reserve(bytes.size() * 4);
-    for (uint8_t byte : bytes) {
-        for (int shift = 6; shift >= 0; shift -= 2)
-            out.push_back(baseFromBits(byte >> shift));
-    }
-    return out;
-}
-
-std::vector<uint8_t>
-decodeBytes(const Strand &s)
-{
-    std::vector<uint8_t> out;
-    out.reserve(s.size() / 4);
-    for (size_t i = 0; i + 4 <= s.size(); i += 4) {
-        uint8_t byte = 0;
-        for (size_t j = 0; j < 4; ++j)
-            byte = uint8_t((byte << 2) | bitsFromBase(s[i + j]));
-        out.push_back(byte);
-    }
-    return out;
-}
-
-Strand
 encodeUint(uint64_t value, int n_bits)
 {
     Strand out;

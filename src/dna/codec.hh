@@ -3,8 +3,8 @@
  * Binary <-> DNA base codecs.
  *
  * The paper assumes the maximum-density direct mapping of two bits per
- * base (00=A, 01=C, 10=G, 11=T); these helpers pack byte buffers, raw
- * bit fields, and fixed-width integers into base sequences and back.
+ * base (00=A, 01=C, 10=G, 11=T); these helpers pack fixed-width
+ * integers into base sequences and back.
  */
 
 #ifndef DNASTORE_DNA_CODEC_HH
@@ -12,22 +12,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "dna/strand.hh"
 
 namespace dnastore {
-
-/** Encode a byte buffer into bases, two bits per base, MSB-first. */
-Strand encodeBytes(const std::vector<uint8_t> &bytes);
-
-/**
- * Decode bases back into bytes (inverse of encodeBytes).
- *
- * If the strand does not hold a whole number of bytes, the trailing
- * bits are dropped.
- */
-std::vector<uint8_t> decodeBytes(const Strand &s);
 
 /** Encode the low @p n_bits bits of @p value (must be even) into bases. */
 Strand encodeUint(uint64_t value, int n_bits);

@@ -67,9 +67,9 @@ operator!=(StrandView a, StrandView b)
 /**
  * Append-only pool of strands in one contiguous base buffer.
  *
- * Build strands either whole (append) or incrementally (push +
- * endStrand). Views are stable only while no further bases are
- * appended: take them after the arena is fully built.
+ * Build strands whole (append), or in place (appendUninitialized).
+ * Views are stable only while no further bases are appended: take
+ * them after the arena is fully built.
  */
 class StrandArena
 {
@@ -85,12 +85,19 @@ class StrandArena
         offsets_.push_back(0);
     }
 
-    /** Pre-size the buffers so the build loop never reallocates. */
+    /**
+     * Pre-size the buffers so the build loop never reallocates. An
+     * empty arena gets exactly the request. One that already holds
+     * strands grows to at least twice its capacity, so a caller that
+     * reserves "what I have plus this cluster" before every append
+     * copies the arena O(log n) times, not once per call.
+     */
     void
     reserve(size_t total_bases, size_t n_strands)
     {
-        bases_.reserve(total_bases);
-        offsets_.reserve(n_strands + 1);
+        const bool holds = !bases_.empty() || offsets_.size() > 1;
+        growTo(bases_, total_bases, holds);
+        growTo(offsets_, n_strands + 1, holds);
     }
 
     /** Append a whole strand; @p s must not alias this arena. */
@@ -100,9 +107,6 @@ class StrandArena
         bases_.insert(bases_.end(), s.begin(), s.end());
         offsets_.push_back(bases_.size());
     }
-
-    /** Append one base to the strand currently being built. */
-    void push(Base b) { bases_.push_back(b); }
 
     /**
      * Append a new strand of @p n uninitialized bases and return its
@@ -117,8 +121,6 @@ class StrandArena
         return bases_.data() + off;
     }
 
-    /** Finish the strand currently being built (may be empty). */
-    void endStrand() { offsets_.push_back(bases_.size()); }
 
     size_t strandCount() const { return offsets_.size() - 1; }
     size_t totalBases() const { return bases_.size(); }
@@ -131,6 +133,16 @@ class StrandArena
     }
 
   private:
+    template <typename T>
+    static void
+    growTo(std::vector<T> &v, size_t n, bool geometric)
+    {
+        if (n <= v.capacity())
+            return;
+        v.reserve(geometric && 2 * v.capacity() > n ? 2 * v.capacity()
+                                                    : n);
+    }
+
     std::vector<Base> bases_;
     std::vector<size_t> offsets_;
 };

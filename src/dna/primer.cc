@@ -1,7 +1,5 @@
 #include "dna/primer.hh"
 
-#include <algorithm>
-
 #include "util/rng.hh"
 
 namespace dnastore {
@@ -24,16 +22,6 @@ generatePrimer(Rng &rng, size_t primer_len)
             continue;
         return p;
     }
-}
-
-/** Edit distance between a strand window and a primer. */
-size_t
-windowDistance(const Strand &read, size_t begin, size_t len,
-               const Strand &primer)
-{
-    size_t end = std::min(read.size(), begin + len);
-    Strand window(read.begin() + long(begin), read.begin() + long(end));
-    return editDistance(window, primer);
 }
 
 } // namespace
@@ -59,28 +47,6 @@ attachPrimers(const PrimerPair &pair, const Strand &payload)
     out.insert(out.end(), payload.begin(), payload.end());
     out.insert(out.end(), pair.backward.begin(), pair.backward.end());
     return out;
-}
-
-bool
-stripPrimers(const PrimerPair &pair, const Strand &read,
-             size_t max_edits, Strand *payload)
-{
-    const size_t flen = pair.forward.size();
-    const size_t blen = pair.backward.size();
-    if (read.size() < flen + blen)
-        return false;
-
-    if (windowDistance(read, 0, flen, pair.forward) > max_edits)
-        return false;
-    if (windowDistance(read, read.size() - blen, blen, pair.backward) >
-        max_edits) {
-        return false;
-    }
-    if (payload) {
-        payload->assign(read.begin() + long(flen),
-                        read.end() - long(blen));
-    }
-    return true;
 }
 
 } // namespace dnastore

@@ -41,17 +41,6 @@ PrimerPair makePrimerPair(uint64_t key_id, size_t primer_len);
 /** Frame a payload with a primer pair: forward + payload + backward. */
 Strand attachPrimers(const PrimerPair &pair, const Strand &payload);
 
-/**
- * Remove primer framing from a read.
- *
- * Matches the primer regions approximately: the read's leading and
- * trailing windows must be within @p max_edits edit distance of the
- * expected primers. Returns true and writes the payload (everything
- * between the matched windows) on success.
- */
-bool stripPrimers(const PrimerPair &pair, const Strand &read,
-                  size_t max_edits, Strand *payload);
-
 } // namespace dnastore
 
 #endif // DNASTORE_DNA_PRIMER_HH

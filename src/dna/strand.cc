@@ -42,16 +42,6 @@ reversed(const Strand &s)
     return out;
 }
 
-Strand
-reverseComplement(const Strand &s)
-{
-    const size_t n = s.size();
-    Strand out(n);
-    for (size_t i = 0; i < n; ++i)
-        out[i] = complement(s[n - 1 - i]);
-    return out;
-}
-
 double
 gcContent(const Strand &s)
 {

@@ -31,9 +31,6 @@ Strand strandFromString(const std::string &str);
 /** Reverse of a strand (no complementing). */
 Strand reversed(const Strand &s);
 
-/** Reverse complement, the form a strand takes on the opposite helix. */
-Strand reverseComplement(const Strand &s);
-
 /** Fraction of bases that are G or C, in [0, 1]; 0 for empty strands. */
 double gcContent(const Strand &s);
 

@@ -22,12 +22,6 @@ splitmix64(uint64_t &x)
     return splitmix64Mix(x);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -38,38 +32,6 @@ Rng::Rng(uint64_t seed)
     // Avoid the pathological all-zero state.
     if (!(s_[0] | s_[1] | s_[2] | s_[3]))
         s_[0] = 1;
-}
-
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-uint64_t
-Rng::nextBelow(uint64_t bound)
-{
-    // Lemire-style rejection to remove modulo bias.
-    uint64_t threshold = (-bound) % bound;
-    for (;;) {
-        uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-double
-Rng::nextDouble()
-{
-    return (next() >> 11) * 0x1.0p-53;
 }
 
 bool

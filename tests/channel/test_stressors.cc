@@ -272,5 +272,35 @@ TEST(ChannelProfile, ValidationRejectsBrokenComponents)
     EXPECT_THROW(ProfileChannel{ zero_burst }, std::invalid_argument);
 }
 
+TEST(ArenaGrowth, ClusterAppendsReallocateLogarithmically)
+{
+    // A trial appends every cluster into one arena, and each
+    // generateCluster / transmitClusterInto reserves "what the arena
+    // holds plus this cluster". The arena must grow geometrically
+    // under that pattern, not copy itself once per cluster.
+    Rng rng(9);
+    const Strand reference = randomStrand(72, rng);
+    const ErrorModel model = ErrorModel::uniform(0.05);
+    const ProfileChannel profile(ChannelProfile{ model, {}, {}, {}, {} });
+    const IdsChannel ids(model);
+    for (bool use_profile : { true, false }) {
+        StrandArena arena;
+        const Base *last = nullptr;
+        size_t moves = 0;
+        for (int c = 0; c < 1000; ++c) {
+            if (use_profile)
+                profile.generateCluster(reference, 12, rng, arena);
+            else
+                ids.transmitClusterInto(reference, 12, rng, arena);
+            const Base *now = arena.view(0).data();
+            if (last != nullptr && now != last)
+                ++moves;
+            last = now;
+        }
+        EXPECT_LE(moves, 64u) << (use_profile ? "ProfileChannel"
+                                              : "IdsChannel");
+    }
+}
+
 } // namespace
 } // namespace dnastore

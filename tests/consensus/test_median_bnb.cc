@@ -8,6 +8,32 @@
 namespace dnastore {
 namespace {
 
+/** Sum of edit distances from @p s to every trace (full DP rows). */
+size_t
+medianCost(const Seq &s, const std::vector<Seq> &traces)
+{
+    size_t sum = 0;
+    for (const Seq &t : traces) {
+        const size_t n = s.size(), m = t.size();
+        std::vector<size_t> row(m + 1);
+        for (size_t j = 0; j <= m; ++j)
+            row[j] = j;
+        for (size_t i = 1; i <= n; ++i) {
+            size_t diag = row[0];
+            row[0] = i;
+            for (size_t j = 1; j <= m; ++j) {
+                size_t cost = (s[i - 1] == t[j - 1]) ? 0 : 1;
+                size_t val = std::min({ row[j] + 1, row[j - 1] + 1,
+                                        diag + cost });
+                diag = row[j];
+                row[j] = val;
+            }
+        }
+        sum += row[m];
+    }
+    return sum;
+}
+
 /** Exhaustive reference search over all sigma^L strings. */
 MedianResult
 bruteForceMedian(const std::vector<Seq> &traces, size_t len,

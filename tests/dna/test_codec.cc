@@ -6,35 +6,6 @@
 namespace dnastore {
 namespace {
 
-TEST(DnaCodec, EncodeBytesUsesTwoBitsPerBase)
-{
-    // 0x1b = 00 01 10 11 -> A C G T.
-    auto s = encodeBytes({ 0x1b });
-    EXPECT_EQ(strandToString(s), "ACGT");
-}
-
-TEST(DnaCodec, ByteRoundTrip)
-{
-    Rng rng(1);
-    for (int iter = 0; iter < 20; ++iter) {
-        std::vector<uint8_t> bytes(1 + rng.nextBelow(200));
-        for (auto &b : bytes)
-            b = uint8_t(rng.next());
-        auto strand = encodeBytes(bytes);
-        EXPECT_EQ(strand.size(), bytes.size() * 4);
-        EXPECT_EQ(decodeBytes(strand), bytes);
-    }
-}
-
-TEST(DnaCodec, DecodeDropsTrailingPartialByte)
-{
-    auto s = encodeBytes({ 0xff, 0x00 });
-    s.pop_back(); // no longer a whole number of bytes
-    auto bytes = decodeBytes(s);
-    ASSERT_EQ(bytes.size(), 1u);
-    EXPECT_EQ(bytes[0], 0xff);
-}
-
 TEST(DnaCodec, UintRoundTrip)
 {
     Rng rng(2);

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "channel/ids_channel.hh"
 #include "dna/primer.hh"
-#include "util/rng.hh"
 
 namespace dnastore {
 namespace {
@@ -35,44 +33,15 @@ TEST(Primer, SatisfiesBiochemicalConstraints)
     }
 }
 
-TEST(Primer, AttachStripRoundTrip)
+TEST(Primer, AttachFramesPayload)
 {
     auto pair = makePrimerPair(3, 20);
     auto payload = strandFromString("ACGTACGTACGTACGTACGT");
-    auto framed = attachPrimers(pair, payload);
-    EXPECT_EQ(framed.size(), payload.size() + 40);
-
-    Strand recovered;
-    EXPECT_TRUE(stripPrimers(pair, framed, 0, &recovered));
-    EXPECT_EQ(recovered, payload);
-}
-
-TEST(Primer, StripRejectsWrongPrimer)
-{
-    auto pair = makePrimerPair(3, 20);
-    auto other = makePrimerPair(4, 20);
-    auto payload = strandFromString("ACGTACGTACGTACGTACGT");
-    auto framed = attachPrimers(pair, payload);
-    EXPECT_FALSE(stripPrimers(other, framed, 2, nullptr));
-}
-
-TEST(Primer, StripToleratesNoisyPrimerRegion)
-{
-    auto pair = makePrimerPair(9, 20);
-    auto payload = strandFromString("ACGTACGTACGTACGTACGTACGTACGT");
-    auto framed = attachPrimers(pair, payload);
-    // Corrupt two bases inside the forward primer.
-    framed[3] = complement(framed[3]);
-    framed[11] = complement(framed[11]);
-    Strand recovered;
-    EXPECT_TRUE(stripPrimers(pair, framed, 3, &recovered));
-}
-
-TEST(Primer, StripRejectsTooShortRead)
-{
-    auto pair = makePrimerPair(5, 20);
-    Strand tiny = strandFromString("ACGT");
-    EXPECT_FALSE(stripPrimers(pair, tiny, 2, nullptr));
+    Strand expected = pair.forward;
+    expected.insert(expected.end(), payload.begin(), payload.end());
+    expected.insert(expected.end(), pair.backward.begin(),
+                    pair.backward.end());
+    EXPECT_EQ(attachPrimers(pair, payload), expected);
 }
 
 } // namespace

@@ -55,12 +55,6 @@ TEST(Strand, Reversed)
     EXPECT_EQ(strandToString(reversed(strandFromString("ACGT"))), "TGCA");
 }
 
-TEST(Strand, ReverseComplement)
-{
-    EXPECT_EQ(strandToString(reverseComplement(strandFromString("AACGT"))),
-              "ACGTT");
-}
-
 TEST(Strand, GcContent)
 {
     EXPECT_DOUBLE_EQ(gcContent(strandFromString("GCGC")), 1.0);
@@ -157,10 +151,6 @@ TEST(Strand, ReversalsMatchNaiveOnRandomStrands)
         auto s = randomStrand(len, rng);
         Strand rev(s.rbegin(), s.rend());
         EXPECT_EQ(reversed(s), rev);
-        Strand rc;
-        for (auto it = s.rbegin(); it != s.rend(); ++it)
-            rc.push_back(complement(*it));
-        EXPECT_EQ(reverseComplement(s), rc);
     }
 }
 
