@@ -261,20 +261,20 @@ collect(std::vector<BenchResult> &results, const Options &opt)
     {
         Rng rng(8);
         Strand s = randomStrand(455, rng);
-        PackedStrand packed(s);
-        Strand out;
-        add("packed_pack_455", [&s, &packed]() {
-            packed.pack(s);
-            g_sink ^= packed.wordCount();
+        std::vector<uint64_t> words(packedWordCount(s.size()));
+        Strand out(s.size());
+        add("packed_pack_455", [&s, &words]() {
+            packBases(s.data(), s.size(), words.data());
+            g_sink ^= words.back();
         });
-        add("packed_unpack_455", [&packed, &out]() {
-            packed.unpack(out);
+        add("packed_unpack_455", [&words, &out]() {
+            unpackBases(words.data(), out.size(), out.data());
             g_sink ^= uint64_t(bitsFromBase(out[17]));
         });
     }
 
     // --- One-way BMA consensus at coverage 10 (the decode-side inner
-    // loop the SIMD unanimity/histogram kernels accelerate).
+    // loop the per-read base masks serve).
     {
         IdsChannel channel(ErrorModel::uniform(0.05));
         Rng rng(12);
@@ -347,17 +347,8 @@ collect(std::vector<BenchResult> &results, const Options &opt)
         });
     }
 
-    // --- SIMD kernel microbenches.
+    // --- SIMD kernel microbench: the dispatched Myers batch.
     {
-        Rng rng(14);
-        Strand s = randomStrand(455, rng);
-        Strand t = s;
-        t[100] = baseFromBits(bitsFromBase(t[100]) ^ 1);
-        PackedStrand pa(s), pb(t);
-        add("packed_mismatch_455", [&pa, &pb]() {
-            g_sink ^= pa.mismatchCount(pb);
-        });
-
         IdsChannel channel(ErrorModel::uniform(0.05));
         Rng rng2(15);
         Strand original = randomStrand(455, rng2);

@@ -391,13 +391,6 @@ ClusterOptions::qgram(size_t q)
 }
 
 ClusterOptions &
-ClusterOptions::signatureSize(size_t n)
-{
-    params_.signatureSize = n;
-    return *this;
-}
-
-ClusterOptions &
 ClusterOptions::maxDistanceFrac(double frac)
 {
     params_.maxDistanceFrac = frac;
@@ -446,9 +439,6 @@ ClusterOptions::validate() const
     if (params_.qgram < 1 || params_.qgram > 31)
         return Status::invalidArgument(
             "cluster-qgram must be in [1, 31]");
-    if (params_.signatureSize < 1)
-        return Status::invalidArgument(
-            "cluster signatureSize must be >= 1");
     if (!std::isfinite(params_.maxDistanceFrac))
         return Status::invalidArgument(formatMessage(
             "cluster-maxdist must be finite (got %g)",

@@ -103,13 +103,6 @@ class ClusterOptions
     /** q-gram length of the signature index, in [1, 31]. */
     ClusterOptions &qgram(size_t q);
 
-    /**
-     * Floor on the smallest q-gram hashes a read queries the index
-     * with (>= 1): max(n, 24) are kept, so every n up to 24 clusters
-     * identically. See ClusterParams::signatureSize.
-     */
-    ClusterOptions &signatureSize(size_t n);
-
     /** Max edit distance to join a cluster, fraction of read length. */
     ClusterOptions &maxDistanceFrac(double frac);
 

@@ -40,15 +40,6 @@ struct ClusterParams
     size_t qgram = 6;
 
     /**
-     * Floor on the query signature: a read looks up its
-     * max(signatureSize, 24) smallest distinct q-gram hashes in the
-     * index (representatives are indexed with all their grams). Every
-     * value up to 24, the default 4 included, therefore gives the same
-     * clustering; only larger values change it.
-     */
-    size_t signatureSize = 4;
-
-    /**
      * Maximum edit distance (as a fraction of read length) to join an
      * existing cluster. 0.25 tolerates ~12% per-strand error rates on
      * both the representative and the read. Candidates are verified

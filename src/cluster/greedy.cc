@@ -115,7 +115,6 @@ resolveShardCount(const ClusterParams &params, size_t n_reads)
 
 GreedyState::GreedyState(const ClusterParams &params)
     : params_(params),
-      queryCap_(std::max<size_t>(params.signatureSize, 24)),
       autoSketch_(params.sketchBits == 0)
 {
     sketch_.reset(autoSketch_ ? 12 : params.sketchBits);
@@ -143,7 +142,7 @@ GreedyState::consumeGroup(size_t rep_id, StrandView rep,
 size_t
 GreedyState::joinOrOpen(size_t rep_id, StrandView read)
 {
-    signatureInto(read, params_.qgram, queryCap_, sig_);
+    signatureInto(read, params_.qgram, kQuerySignatureSize, sig_);
     gatherCandidates();
     size_t limit =
         size_t(params_.maxDistanceFrac * double(read.size()));

@@ -57,6 +57,13 @@ mixHash(uint64_t x)
 }
 
 /**
+ * Query signature size: a read looks up its kQuerySignatureSize
+ * smallest distinct q-gram hashes in the index (representatives are
+ * indexed with all their grams).
+ */
+constexpr size_t kQuerySignatureSize = 24;
+
+/**
  * Sorted unique q-gram hashes of @p read into @p out, truncated to
  * the @p cap smallest (minhash); pass SIZE_MAX for all of them. A
  * cap below the gram count selects instead of sorting every gram.
@@ -170,7 +177,6 @@ class GreedyState
     size_t openCluster(size_t rep_id, StrandView read);
 
     ClusterParams params_;
-    size_t queryCap_;
     bool autoSketch_;
 
     GramIndex index_;

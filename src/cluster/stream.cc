@@ -6,25 +6,15 @@
 #include <cstdlib>
 #include <cstring>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include "cluster/greedy.hh"
 #include "util/crc32.hh"
 #include "util/errno_text.hh"
 #include "util/parallel.hh"
-#include "util/simd.hh"
 
 namespace dnastore {
-
-double
-StreamStats::gcFraction() const
-{
-    uint64_t total =
-        baseCounts[0] + baseCounts[1] + baseCounts[2] + baseCounts[3];
-    if (total == 0)
-        return 0.0;
-    return double(baseCounts[1] + baseCounts[2]) / double(total);
-}
 
 namespace cluster_detail {
 
@@ -110,6 +100,9 @@ namespace {
 /** Seal buffered records into a CRC-framed chunk past this size. */
 constexpr size_t kChunkTargetBytes = size_t(1) << 20;
 
+/** Names tried before a spill segment creation gives up on EEXIST. */
+constexpr int kSpillNameAttempts = 16;
+
 std::string
 defaultSpillDir()
 {
@@ -119,8 +112,9 @@ defaultSpillDir()
     return "/tmp";
 }
 
+/** Process-wide serial that makes spill file names unique. */
 uint64_t
-nextInstanceTag()
+nextSpillSerial()
 {
     static std::atomic<uint64_t> counter{ 0 };
     return counter.fetch_add(1, std::memory_order_relaxed);
@@ -136,7 +130,7 @@ nextInstanceTag()
  */
 struct StreamingClusterer::Segment
 {
-    std::string path;            //!< Empty until first spill.
+    std::string path;            //!< Spill file name, for messages.
     std::FILE *file = nullptr;   //!< Open read/write once spilled.
     size_t fileBytes = 0;        //!< Chunk bytes flushed to disk.
     std::vector<uint8_t> chunks; //!< Sealed, CRC-framed chunks.
@@ -149,7 +143,10 @@ struct StreamingClusterer::Segment
     /** The spill file goes with the segment, error paths included. */
     ~Segment() { discard(); }
 
-    /** Close and remove the spill file and free every buffer. */
+    /**
+     * Close the spill file and free every buffer. The file was
+     * unlinked when it was created, so closing it frees its blocks.
+     */
     void
     discard()
     {
@@ -157,10 +154,7 @@ struct StreamingClusterer::Segment
             std::fclose(file);
             file = nullptr;
         }
-        if (!path.empty()) {
-            std::remove(path.c_str());
-            path.clear();
-        }
+        path.clear();
         fileBytes = 0;
         chunks.clear();
         chunks.shrink_to_fit();
@@ -180,7 +174,6 @@ StreamingClusterer::StreamingClusterer(const ClusterParams &params)
     : params_(params),
       spillDir_(params.spillDir.empty() ? defaultSpillDir()
                                         : params.spillDir),
-      instanceTag_(nextInstanceTag()),
       log_(std::make_unique<Segment>())
 {
     if (params.qgram < 1 || params.qgram > 31)
@@ -230,15 +223,31 @@ StreamingClusterer::spillToDisk(Segment &seg)
     if (seg.chunks.empty())
         return;
     if (seg.file == nullptr) {
-        seg.path = spillDir_ + "/dnastream-" +
-            std::to_string(getpid()) + "-" +
-            std::to_string(instanceTag_) + "-" +
-            std::to_string(reinterpret_cast<uintptr_t>(&seg)) +
-            ".spill";
-        seg.file = std::fopen(seg.path.c_str(), "w+b");
-        if (seg.file == nullptr)
-            throw SpillError("cannot create spill segment " +
-                             seg.path + ": " + errnoText(errno));
+        // A fresh name under O_EXCL | O_NOFOLLOW, so a file or symlink
+        // planted at it is never written through, and mode 0600, so
+        // other users cannot read the reads. Unlinking it at once
+        // leaves nothing behind, even when the process crashes.
+        int fd = -1;
+        for (int attempt = 0; fd < 0; ++attempt) {
+            seg.path = spillDir_ + "/dnastream-" +
+                std::to_string(getpid()) + "-" +
+                std::to_string(nextSpillSerial()) + ".spill";
+            fd = ::open(seg.path.c_str(),
+                        O_RDWR | O_CREAT | O_EXCL | O_NOFOLLOW | O_CLOEXEC,
+                        0600);
+            if (fd < 0 &&
+                (errno != EEXIST || attempt + 1 == kSpillNameAttempts))
+                throw SpillError("cannot create spill segment " +
+                                 seg.path + ": " + errnoText(errno));
+        }
+        ::unlink(seg.path.c_str());
+        seg.file = ::fdopen(fd, "w+b");
+        if (seg.file == nullptr) {
+            const int err = errno;
+            ::close(fd);
+            throw SpillError("cannot open spill segment " + seg.path +
+                             ": " + errnoText(err));
+        }
     }
     if (std::fwrite(seg.chunks.data(), 1, seg.chunks.size(),
                     seg.file) != seg.chunks.size())
@@ -322,14 +331,6 @@ StreamingClusterer::add(StrandView read)
     uint64_t id = stats_.reads++;
     uint64_t minimizer =
         cluster_detail::minimizerOf(read, params_.qgram);
-    // Soup composition through the SIMD histogram kernel; per-read
-    // 32-bit lanes, accumulated into 64-bit totals so 100M+ read
-    // soups cannot overflow.
-    uint32_t counts[4] = { 0, 0, 0, 0 };
-    simd::histogram4(reinterpret_cast<const uint8_t *>(read.data()),
-                     read.size(), counts);
-    for (int b = 0; b < 4; ++b)
-        stats_.baseCounts[b] += counts[b];
     appendRecord(*log_, id, minimizer, read);
     if (params_.memoryBudgetBytes != 0 &&
         bufferedBytes_ > params_.memoryBudgetBytes)

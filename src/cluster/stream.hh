@@ -69,16 +69,6 @@ struct StreamStats
     size_t peakBufferBytes = 0; //!< High-water mark of buffered segment bytes.
     size_t spilledBytes = 0;  //!< Segment bytes written to disk.
     size_t spillChunks = 0;   //!< CRC-framed chunks written to disk.
-
-    /**
-     * Base composition of the ingested soup, accumulated with the
-     * SIMD histogram4 kernel during ingest (indexes follow the 2-bit
-     * base codes A=0, C=1, G=2, T=3).
-     */
-    uint64_t baseCounts[4] = { 0, 0, 0, 0 };
-
-    /** Fraction of ingested bases that are G or C (0 when empty). */
-    double gcFraction() const;
 };
 
 namespace cluster_detail {
@@ -115,8 +105,10 @@ void parseSpillChunks(
  * shard clustering over ClusterParams::numThreads.
  *
  * Spill segments live under ClusterParams::spillDir (system temp
- * directory when empty), are named uniquely per engine instance, and
- * are removed when the engine is destroyed — also on error paths.
+ * directory when empty). Each is created private (mode 0600) under a
+ * fresh name and unlinked at once, so the directory never shows it
+ * and its blocks are freed when the engine closes it — on error
+ * paths and crashes too.
  */
 class StreamingClusterer
 {
@@ -153,7 +145,6 @@ class StreamingClusterer
 
     ClusterParams params_;
     std::string spillDir_;
-    uint64_t instanceTag_;
     size_t bufferedBytes_ = 0;
     bool finished_ = false;
 

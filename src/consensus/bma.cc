@@ -92,7 +92,7 @@ agreeRun(const uint8_t *a, const uint8_t *b, size_t cap)
  *  - Unanimous run: the lanes that agree with lane 0 at each window
  *    position (equality is transitive), ANDed over lanes; the run is
  *    that byte's count of trailing ones. A run that fills the window
- *    continues with vectorized compares straight from the reads.
+ *    continues with 8-byte word compares straight from the reads.
  *  - Votes: a count sums one selected bit of every lane byte with a
  *    multiply; the largest (count << 2 | 3 - b) is the majority with
  *    ties broken to the lowest base. The lookahead votes count only
@@ -234,7 +234,7 @@ scanCore(const StrandView *reads, size_t n, size_t target_len,
             size_t run = std::min(agreed, target_len - pos);
             if (run == 8 && target_len - pos > 8) {
                 // Every read holds 8 more matching bases: extend the
-                // run past the window with vectorized compares.
+                // run past the window with word compares.
                 size_t cap = target_len - pos;
                 for (size_t a = 0; a < na; ++a)
                     cap = std::min(cap, size_t(rem[a]));

@@ -16,13 +16,12 @@
  * unanimity run, the column and lookahead votes, and every read's
  * error-type classification are then byte-lane arithmetic on a few
  * 64-bit words. A unanimous run that fills the 8-base window
- * continues with vectorized compares straight from the reads, and
+ * continues with 8-byte word compares straight from the reads, and
  * masks are shifted rather than re-gathered while every read moves in
  * step. Clusters of up to 16 reads use a compile-time mask width;
- * larger ones size the same core at runtime, up to 65,534 reads. The
- * masks are built the same way on every SIMD tier; only the run
- * extension's compares are dispatched, and every width, tier and lens
- * gives bit-identical output.
+ * larger ones size the same core at runtime, up to 65,534 reads. No
+ * step dispatches on a SIMD tier, and every width and lens gives
+ * bit-identical output.
  */
 
 #ifndef DNASTORE_CONSENSUS_BMA_HH

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "util/simd.hh"
-
 namespace dnastore {
 
 bool
@@ -54,40 +52,6 @@ unpackBases(const uint64_t *words, size_t n, Base *bases)
         for (size_t j = 0; j < rest; ++j)
             p[j] = static_cast<Base>((word >> (2 * j)) & 3);
     }
-}
-
-void
-PackedStrand::pack(StrandView s)
-{
-    size_ = s.size();
-    words_.assign(packedWordCount(size_), 0);
-    if (size_)
-        packBases(s.data(), size_, words_.data());
-}
-
-void
-PackedStrand::unpack(Strand &out) const
-{
-    out.resize(size_);
-    if (size_)
-        unpackBases(words_.data(), size_, out.data());
-}
-
-size_t
-PackedStrand::mismatchCount(const PackedStrand &other) const
-{
-    // Pad fields beyond size() are zero on both sides, so whole-word
-    // compares never produce phantom mismatches.
-    return simd::diffCountPacked(words_.data(), other.words_.data(),
-                                 words_.size());
-}
-
-bool
-operator==(const PackedStrand &a, const PackedStrand &b)
-{
-    if (a.size() != b.size())
-        return false;
-    return a.mismatchCount(b) == 0;
 }
 
 void

@@ -13,8 +13,8 @@
  *  - StrandArena: an append-only pool that keeps many strands in one
  *    contiguous base buffer, so a cluster's reads share cache lines and
  *    the per-read allocation disappears.
- *  - PackedStrand / PackedArena: 2-bit base packing (32 bases per
- *    64-bit word) with bulk pack/unpack, for read pools that must hold
+ *  - packBases / unpackBases and PackedArena: 2-bit base packing (32
+ *    bases per 64-bit word), for read pools that must hold
  *    production-scale read sets in memory.
  */
 
@@ -159,56 +159,6 @@ packedWordCount(size_t n)
 {
     return (n + 31) / 32;
 }
-
-/** One strand stored 2 bits per base (32 bases per word). */
-class PackedStrand
-{
-  public:
-    PackedStrand() = default;
-
-    explicit PackedStrand(StrandView s) { pack(s); }
-
-    /** Replace the contents with a packed copy of @p s. */
-    void pack(StrandView s);
-
-    /** Unpack into @p out (resized to fit). */
-    void unpack(Strand &out) const;
-
-    /** Unpack into a fresh Strand. */
-    Strand
-    unpack() const
-    {
-        Strand out;
-        unpack(out);
-        return out;
-    }
-
-    size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    /** Random access without unpacking. */
-    Base
-    at(size_t i) const
-    {
-        return static_cast<Base>((words_[i >> 5] >> ((i & 31) * 2)) & 3);
-    }
-
-    /**
-     * Number of positions where this strand and @p other differ,
-     * computed on the packed words directly (2-bit XOR compare +
-     * popcount, SIMD-dispatched): the Hamming distance without an
-     * unpack. Both strands must have the same length.
-     */
-    size_t mismatchCount(const PackedStrand &other) const;
-
-    size_t wordCount() const { return words_.size(); }
-
-  private:
-    std::vector<uint64_t> words_;
-    size_t size_ = 0;
-};
-
-bool operator==(const PackedStrand &a, const PackedStrand &b);
 
 /**
  * Append-only pool of 2-bit-packed strands, each starting on a word

@@ -81,12 +81,4 @@ GaloisField::pow(uint32_t a, uint64_t e) const
     return exp_[le];
 }
 
-uint32_t
-GaloisField::logOf(uint32_t a) const
-{
-    if (a == 0)
-        throw std::domain_error("GaloisField: log of zero");
-    return log_[a];
-}
-
 } // namespace dnastore

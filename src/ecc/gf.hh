@@ -66,9 +66,6 @@ class GaloisField
         return exp_[e % n_];
     }
 
-    /** Discrete log base alpha of a nonzero element. */
-    uint32_t logOf(uint32_t a) const;
-
     /**
      * Raw log table (size 2^m; entry 0 is unused). Logs fit uint16_t
      * for every supported degree, which halves the table footprint and

@@ -22,26 +22,4 @@ SymbolMatrix::column(size_t col) const
     return out;
 }
 
-void
-SymbolMatrix::setColumn(size_t col, const std::vector<uint32_t> &values)
-{
-    if (col >= cols_)
-        throw std::out_of_range("SymbolMatrix: column out of range");
-    if (values.size() != rows_)
-        throw std::invalid_argument("SymbolMatrix: bad column height");
-    for (size_t r = 0; r < rows_; ++r)
-        at(r, col) = values[r];
-}
-
-size_t
-SymbolMatrix::diffCount(const SymbolMatrix &other) const
-{
-    if (rows_ != other.rows_ || cols_ != other.cols_)
-        throw std::invalid_argument("SymbolMatrix: shape mismatch");
-    size_t diff = 0;
-    for (size_t i = 0; i < data_.size(); ++i)
-        diff += (data_[i] != other.data_[i]);
-    return diff;
-}
-
 } // namespace dnastore

@@ -47,12 +47,6 @@ class SymbolMatrix
     /** Copy out one column (the symbols of one molecule). */
     std::vector<uint32_t> column(size_t col) const;
 
-    /** Overwrite one column. */
-    void setColumn(size_t col, const std::vector<uint32_t> &values);
-
-    /** Number of cells that differ from @p other (same shape only). */
-    size_t diffCount(const SymbolMatrix &other) const;
-
   private:
     size_t rows_;
     size_t cols_;

@@ -40,13 +40,6 @@ Rng::nextBool(double p)
     return nextDouble() < p;
 }
 
-int64_t
-Rng::nextInRange(int64_t lo, int64_t hi)
-{
-    return lo + static_cast<int64_t>(nextBelow(
-        static_cast<uint64_t>(hi - lo + 1)));
-}
-
 double
 Rng::nextGaussian()
 {

@@ -79,9 +79,6 @@ class Rng
     /** Bernoulli trial with success probability p. */
     bool nextBool(double p);
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    int64_t nextInRange(int64_t lo, int64_t hi);
-
     /** Standard normal via Marsaglia polar method. */
     double nextGaussian();
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -24,71 +23,6 @@ popcount64(uint64_t x)
     x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
     x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
     return uint32_t((x * 0x0101010101010101ULL) >> 56);
-}
-
-// ------------------------------------------------------------- scalar tier
-
-void
-histogram4Scalar(const uint8_t *vals, size_t n, uint32_t counts[4])
-{
-    uint32_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-    for (size_t i = 0; i < n; ++i) {
-        uint8_t v = vals[i];
-        c0 += (v == 0);
-        c1 += (v == 1);
-        c2 += (v == 2);
-        c3 += (v == 3);
-    }
-    counts[0] += c0;
-    counts[1] += c1;
-    counts[2] += c2;
-    counts[3] += c3;
-}
-
-size_t
-matchRunForwardScalar(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        uint64_t x, y;
-        std::memcpy(&x, a + i, 8);
-        std::memcpy(&y, b + i, 8);
-        if (x != y)
-            return i + size_t(__builtin_ctzll(x ^ y)) / 8;
-    }
-    while (i < n && a[i] == b[i])
-        ++i;
-    return i;
-}
-
-size_t
-matchRunBackwardScalar(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    size_t r = n;
-    for (; r >= 8; r -= 8) {
-        uint64_t x, y;
-        std::memcpy(&x, a + r - 8, 8);
-        std::memcpy(&y, b + r - 8, 8);
-        if (x != y) {
-            // Little-endian: the highest byte holds a[r-1].
-            return (n - r) + size_t(__builtin_clzll(x ^ y)) / 8;
-        }
-    }
-    while (r > 0 && a[r - 1] == b[r - 1])
-        --r;
-    return n - r;
-}
-
-size_t
-diffCountPackedScalar(const uint64_t *a, const uint64_t *b, size_t words)
-{
-    size_t total = 0;
-    for (size_t w = 0; w < words; ++w) {
-        uint64_t x = a[w] ^ b[w];
-        // Fold each 2-bit field to its low bit, then count fields.
-        total += popcount64((x | (x >> 1)) & 0x5555555555555555ULL);
-    }
-    return total;
 }
 
 /*
@@ -270,183 +204,7 @@ myersBatchScalar(const uint64_t *peq, size_t m, size_t blocks,
 
 #ifdef DNASTORE_SIMD_X86
 
-// ------------------------------------------------------------ SSE4.2 tier
-
-__attribute__((target("sse4.2,popcnt"))) void
-histogram4Sse(const uint8_t *vals, size_t n, uint32_t counts[4])
-{
-    uint32_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-    size_t i = 0;
-    const __m128i k0 = _mm_setzero_si128();
-    const __m128i k1 = _mm_set1_epi8(1);
-    const __m128i k2 = _mm_set1_epi8(2);
-    const __m128i k3 = _mm_set1_epi8(3);
-    for (; i + 16 <= n; i += 16) {
-        __m128i v =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(vals + i));
-        c0 += uint32_t(
-            _mm_popcnt_u32(uint32_t(_mm_movemask_epi8(_mm_cmpeq_epi8(v, k0)))));
-        c1 += uint32_t(
-            _mm_popcnt_u32(uint32_t(_mm_movemask_epi8(_mm_cmpeq_epi8(v, k1)))));
-        c2 += uint32_t(
-            _mm_popcnt_u32(uint32_t(_mm_movemask_epi8(_mm_cmpeq_epi8(v, k2)))));
-        c3 += uint32_t(
-            _mm_popcnt_u32(uint32_t(_mm_movemask_epi8(_mm_cmpeq_epi8(v, k3)))));
-    }
-    counts[0] += c0;
-    counts[1] += c1;
-    counts[2] += c2;
-    counts[3] += c3;
-    if (i < n)
-        histogram4Scalar(vals + i, n - i, counts);
-}
-
-__attribute__((target("sse4.2,popcnt"))) size_t
-matchRunForwardSse(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        __m128i va =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(a + i));
-        __m128i vb =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(b + i));
-        uint32_t ne =
-            ~uint32_t(_mm_movemask_epi8(_mm_cmpeq_epi8(va, vb))) & 0xffffu;
-        if (ne != 0)
-            return i + size_t(__builtin_ctz(ne));
-    }
-    return i + matchRunForwardScalar(a + i, b + i, n - i);
-}
-
-__attribute__((target("sse4.2,popcnt"))) size_t
-matchRunBackwardSse(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    size_t r = n;
-    for (; r >= 16; r -= 16) {
-        __m128i va =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(a + r - 16));
-        __m128i vb =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(b + r - 16));
-        uint32_t ne =
-            ~uint32_t(_mm_movemask_epi8(_mm_cmpeq_epi8(va, vb))) & 0xffffu;
-        if (ne != 0) {
-            unsigned hi = 31u - unsigned(__builtin_clz(ne));
-            return (n - r) + (15u - hi);
-        }
-    }
-    return (n - r) + matchRunBackwardScalar(a, b, r);
-}
-
-__attribute__((target("sse4.2,popcnt"))) size_t
-diffCountPackedSse(const uint64_t *a, const uint64_t *b, size_t words)
-{
-    uint64_t total = 0;
-    for (size_t w = 0; w < words; ++w) {
-        uint64_t x = a[w] ^ b[w];
-        total += uint64_t(
-            _mm_popcnt_u64((x | (x >> 1)) & 0x5555555555555555ULL));
-    }
-    return size_t(total);
-}
-
 // -------------------------------------------------------------- AVX2 tier
-
-__attribute__((target("avx2,popcnt"))) void
-histogram4Avx2(const uint8_t *vals, size_t n, uint32_t counts[4])
-{
-    uint32_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-    size_t i = 0;
-    const __m256i k0 = _mm256_setzero_si256();
-    const __m256i k1 = _mm256_set1_epi8(1);
-    const __m256i k2 = _mm256_set1_epi8(2);
-    const __m256i k3 = _mm256_set1_epi8(3);
-    for (; i + 32 <= n; i += 32) {
-        __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(vals + i));
-        c0 += uint32_t(_mm_popcnt_u32(
-            uint32_t(_mm256_movemask_epi8(_mm256_cmpeq_epi8(v, k0)))));
-        c1 += uint32_t(_mm_popcnt_u32(
-            uint32_t(_mm256_movemask_epi8(_mm256_cmpeq_epi8(v, k1)))));
-        c2 += uint32_t(_mm_popcnt_u32(
-            uint32_t(_mm256_movemask_epi8(_mm256_cmpeq_epi8(v, k2)))));
-        c3 += uint32_t(_mm_popcnt_u32(
-            uint32_t(_mm256_movemask_epi8(_mm256_cmpeq_epi8(v, k3)))));
-    }
-    counts[0] += c0;
-    counts[1] += c1;
-    counts[2] += c2;
-    counts[3] += c3;
-    if (i < n)
-        histogram4Scalar(vals + i, n - i, counts);
-}
-
-__attribute__((target("avx2,popcnt"))) size_t
-matchRunForwardAvx2(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        __m256i va =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + i));
-        __m256i vb =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b + i));
-        uint32_t ne =
-            ~uint32_t(_mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
-        if (ne != 0)
-            return i + size_t(__builtin_ctz(ne));
-    }
-    return i + matchRunForwardScalar(a + i, b + i, n - i);
-}
-
-__attribute__((target("avx2,popcnt"))) size_t
-matchRunBackwardAvx2(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    size_t r = n;
-    for (; r >= 32; r -= 32) {
-        __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + r - 32));
-        __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + r - 32));
-        uint32_t ne =
-            ~uint32_t(_mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
-        if (ne != 0)
-            return (n - r) + size_t(__builtin_clz(ne));
-    }
-    return (n - r) + matchRunBackwardScalar(a, b, r);
-}
-
-__attribute__((target("avx2,popcnt"))) size_t
-diffCountPackedAvx2(const uint64_t *a, const uint64_t *b, size_t words)
-{
-    // Mula's nibble-LUT popcount, accumulated through psadbw.
-    const __m256i lut = _mm256_setr_epi8(
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-    const __m256i nib = _mm256_set1_epi8(0x0f);
-    const __m256i pair = _mm256_set1_epi64x(0x5555555555555555LL);
-    __m256i acc = _mm256_setzero_si256();
-    size_t w = 0;
-    for (; w + 4 <= words; w += 4) {
-        __m256i xa =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + w));
-        __m256i xb =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b + w));
-        __m256i x = _mm256_xor_si256(xa, xb);
-        x = _mm256_and_si256(
-            _mm256_or_si256(x, _mm256_srli_epi64(x, 1)), pair);
-        __m256i lo = _mm256_and_si256(x, nib);
-        __m256i hi = _mm256_and_si256(_mm256_srli_epi64(x, 4), nib);
-        __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                      _mm256_shuffle_epi8(lut, hi));
-        acc = _mm256_add_epi64(
-            acc, _mm256_sad_epu8(cnt, _mm256_setzero_si256()));
-    }
-    uint64_t lanes[4];
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    size_t total = size_t(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-    if (w < words)
-        total += diffCountPackedSse(a + w, b + w, words - w);
-    return total;
-}
 
 __attribute__((target("avx2,popcnt"))) void
 myersBatch4Avx2(const uint64_t *peq, size_t m, size_t blocks,
@@ -563,90 +321,32 @@ myersBatch4Avx2(const uint64_t *peq, size_t m, size_t blocks,
 
 // --------------------------------------------------------------- dispatch
 
-struct Dispatch
-{
-    Level level = Level::Scalar;
-    void (*histogram4)(const uint8_t *, size_t, uint32_t[4]) =
-        histogram4Scalar;
-    size_t (*matchF)(const uint8_t *, const uint8_t *, size_t) =
-        matchRunForwardScalar;
-    size_t (*matchB)(const uint8_t *, const uint8_t *, size_t) =
-        matchRunBackwardScalar;
-    size_t (*diffPacked)(const uint64_t *, const uint64_t *, size_t) =
-        diffCountPackedScalar;
-};
-
+/** The best tier the CPU supports. */
 Level
-detectBestLevel()
+hardwareLevel()
 {
 #ifdef DNASTORE_SIMD_X86
-    const char *force = std::getenv("DNASTORE_FORCE_SCALAR");
-    if (force != nullptr && force[0] != '\0')
-        return Level::Scalar;
     if (__builtin_cpu_supports("avx2"))
         return Level::Avx2;
-    if (__builtin_cpu_supports("sse4.2") &&
-        __builtin_cpu_supports("popcnt"))
-        return Level::Sse42;
 #endif
     return Level::Scalar;
 }
 
-Dispatch
-makeDispatch(Level level)
-{
-    Dispatch d;
-    d.level = Level::Scalar;
-#ifdef DNASTORE_SIMD_X86
-    if (level >= Level::Sse42) {
-        d.level = Level::Sse42;
-        d.histogram4 = histogram4Sse;
-        d.matchF = matchRunForwardSse;
-        d.matchB = matchRunBackwardSse;
-        d.diffPacked = diffCountPackedSse;
-    }
-    if (level >= Level::Avx2) {
-        d.level = Level::Avx2;
-        d.histogram4 = histogram4Avx2;
-        d.matchF = matchRunForwardAvx2;
-        d.matchB = matchRunBackwardAvx2;
-        d.diffPacked = diffCountPackedAvx2;
-    }
-#else
-    (void)level;
-#endif
-    return d;
-}
-
 /**
- * Immutable table for each tier, built once. setLevel swaps an atomic
- * pointer between them, so kernels racing with the test hook read one
- * coherent table instead of a half-rewritten one (either tier is
- * correct — all tiers are bit-identical).
+ * The tier myersBatch runs: the hardware's at startup, or Scalar when
+ * DNASTORE_FORCE_SCALAR is set. setLevel may store to it while
+ * kernels are in flight on pool workers; each call reads it once and
+ * finishes on that tier, which is output-identical either way.
  */
-const Dispatch &
-tierTable(Level level)
+std::atomic<Level> &
+tier()
 {
-    static const Dispatch tables[3] = {
-        makeDispatch(Level::Scalar),
-        makeDispatch(Level::Sse42),
-        makeDispatch(Level::Avx2),
-    };
-    return tables[static_cast<size_t>(level)];
-}
-
-std::atomic<const Dispatch *> &
-dispatchPtr()
-{
-    static std::atomic<const Dispatch *> p{
-        &tierTable(detectBestLevel())};
-    return p;
-}
-
-const Dispatch &
-dispatch()
-{
-    return *dispatchPtr().load(std::memory_order_acquire);
+    static std::atomic<Level> level{ [] {
+        const char *force = std::getenv("DNASTORE_FORCE_SCALAR");
+        return force != nullptr && force[0] != '\0' ? Level::Scalar
+                                                    : hardwareLevel();
+    }() };
+    return level;
 }
 
 } // namespace
@@ -654,73 +354,23 @@ dispatch()
 Level
 activeLevel()
 {
-    return dispatch().level;
+    return tier().load(std::memory_order_relaxed);
 }
 
 const char *
 levelName(Level level)
 {
-    switch (level) {
-      case Level::Sse42:
-        return "sse4.2";
-      case Level::Avx2:
-        return "avx2";
-      default:
-        return "scalar";
-    }
+    return level == Level::Avx2 ? "avx2" : "scalar";
 }
 
 Level
 setLevel(Level level)
 {
-    Level best = detectBestLevel();
     // A forced-scalar environment still allows explicit test overrides
     // up to the hardware's capability.
-#ifdef DNASTORE_SIMD_X86
-    if (level > best) {
-        Level hw = Level::Scalar;
-        if (__builtin_cpu_supports("avx2"))
-            hw = Level::Avx2;
-        else if (__builtin_cpu_supports("sse4.2") &&
-                 __builtin_cpu_supports("popcnt"))
-            hw = Level::Sse42;
-        if (level > hw)
-            level = hw;
-    }
-#else
-    level = best;
-#endif
-    const Dispatch &table = tierTable(level);
-    dispatchPtr().store(&table, std::memory_order_release);
-    return table.level;
-}
-
-void
-histogram4(const uint8_t *vals, size_t n, uint32_t counts[4])
-{
-    dispatch().histogram4(vals, n, counts);
-}
-
-namespace detail {
-
-size_t
-matchRunForwardWide(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    return dispatch().matchF(a, b, n);
-}
-
-size_t
-matchRunBackwardWide(const uint8_t *a, const uint8_t *b, size_t n)
-{
-    return dispatch().matchB(a, b, n);
-}
-
-} // namespace detail
-
-size_t
-diffCountPacked(const uint64_t *a, const uint64_t *b, size_t words)
-{
-    return dispatch().diffPacked(a, b, words);
+    level = std::min(level, hardwareLevel());
+    tier().store(level, std::memory_order_relaxed);
+    return level;
 }
 
 void
@@ -729,7 +379,7 @@ myersBatch(const uint64_t *peq, size_t m, size_t blocks,
            size_t limit, uint32_t *dists)
 {
 #ifdef DNASTORE_SIMD_X86
-    if (dispatch().level == Level::Avx2 && k > 1) {
+    if (activeLevel() == Level::Avx2 && k > 1) {
         // The AVX2 kernel drives at most 4 lanes; chunk larger
         // batches so every tier fills all of dists[0..k).
         for (size_t base = 0; base < k; base += 4) {

@@ -1,20 +1,22 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernels for the decode-path inner loops.
+ * The one runtime-dispatched vector kernel, and the decode path's
+ * byte-run compares.
  *
- * The kernels serve the retrieve side of the pipeline: base
- * histograms for the clusterer's read soup, unanimity-run detection
- * for consensus, packed-strand mismatch counting, and Myers
- * bit-parallel edit distance for cluster candidate verification.
- * Each kernel here has an AVX2 path, an SSE4.2 path, and a portable
- * scalar fallback; the implementation is chosen once at startup from
- * CPUID, and every path returns bit-identical results so the choice
- * never changes an output (the determinism suites run with DNASTORE_FORCE_SCALAR=1 to
- * prove it).
+ * myersBatch — bounded Myers bit-parallel edit distance for cluster
+ * candidate verification — is the only kernel whose width pays on
+ * this pipeline's operands. It has two tiers: an AVX2 path that runs
+ * four texts in the lanes of one register, and a portable scalar
+ * path. The tier is chosen once at startup from CPUID, and both
+ * return bit-identical results, so the choice never changes an output
+ * (the determinism suites run with DNASTORE_FORCE_SCALAR=1 to prove
+ * it). The AVX2 path is compiled with a per-function target
+ * attribute, so the library stays runnable on any x86-64 (and non-x86
+ * builds use the scalar path throughout) without -march flags.
  *
- * The vector paths are compiled with per-function target attributes,
- * so the library stays runnable on any x86-64 (and non-x86 builds use
- * the scalar path throughout) without -march flags.
+ * matchRunForward/Backward serve consensus's unanimity runs. Those
+ * runs average a few bases, so they are a portable 8-byte-word loop,
+ * inline here, with no vector tier.
  */
 
 #ifndef DNASTORE_UTIL_SIMD_HH
@@ -26,12 +28,11 @@
 namespace dnastore {
 namespace simd {
 
-/** Instruction-set tiers the kernels dispatch over. */
+/** Instruction-set tiers myersBatch dispatches over. */
 enum class Level
 {
     Scalar = 0, //!< Portable C++ (also the DNASTORE_FORCE_SCALAR path).
-    Sse42 = 1,  //!< 16-byte compares + hardware popcount.
-    Avx2 = 2,   //!< 32-byte compares, gathered Myers lanes.
+    Avx2 = 1,   //!< Four Myers automata in the lanes of one register.
 };
 
 /**
@@ -41,7 +42,7 @@ enum class Level
  */
 Level activeLevel();
 
-/** Human-readable tier name ("scalar", "sse4.2", "avx2"). */
+/** Human-readable tier name ("scalar", "avx2"). */
 const char *levelName(Level level);
 
 /**
@@ -49,47 +50,25 @@ const char *levelName(Level level);
  * Testing hook: lets one process compare tiers against each other.
  * Returns the tier actually selected.
  *
- * Thread-safe: the swap is an atomic pointer flip between immutable
- * per-tier tables, so kernels already in flight (e.g. on persistent
- * pool workers) simply finish on the tier they started with — which
- * is output-identical by the bit-identity contract above.
+ * Thread-safe: the tier is one atomic, so kernels already in flight
+ * (e.g. on persistent pool workers) simply finish on the tier they
+ * started with — which is output-identical by the bit-identity
+ * contract above.
  */
 Level setLevel(Level level);
-
-namespace detail {
-// Dispatched wide-input implementations; the inline entry points
-// below peel the short cases so hot loops with tiny operands skip the
-// indirect call entirely. Results are bit-identical on every tier.
-size_t matchRunForwardWide(const uint8_t *a, const uint8_t *b,
-                           size_t n);
-size_t matchRunBackwardWide(const uint8_t *a, const uint8_t *b,
-                            size_t n);
-} // namespace detail
-
-/**
- * Accumulate a histogram of the values in vals[0..n) into counts[4].
- * Values must be in {0, 1, 2, 3} (2-bit base codes); counts are
- * added to, not reset.
- */
-void histogram4(const uint8_t *vals, size_t n, uint32_t counts[4]);
 
 /** Length of the longest common prefix of a[0..n) and b[0..n). */
 inline size_t
 matchRunForward(const uint8_t *a, const uint8_t *b, size_t n)
 {
-    // Most consensus runs end within a word; peel the first 8 bytes
-    // inline before dispatching to the vector sweep.
-    if (n >= 8) {
-        uint64_t x, y;
-        __builtin_memcpy(&x, a, 8);
-        __builtin_memcpy(&y, b, 8);
-        if (x != y)
-            return size_t(__builtin_ctzll(x ^ y)) / 8;
-        if (n == 8)
-            return 8;
-        return 8 + detail::matchRunForwardWide(a + 8, b + 8, n - 8);
-    }
     size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        uint64_t x, y;
+        __builtin_memcpy(&x, a + i, 8);
+        __builtin_memcpy(&y, b + i, 8);
+        if (x != y)
+            return i + size_t(__builtin_ctzll(x ^ y)) / 8;
+    }
     while (i < n && a[i] == b[i])
         ++i;
     return i;
@@ -102,29 +81,19 @@ matchRunForward(const uint8_t *a, const uint8_t *b, size_t n)
 inline size_t
 matchRunBackward(const uint8_t *a, const uint8_t *b, size_t n)
 {
-    if (n >= 8) {
-        uint64_t x, y;
-        __builtin_memcpy(&x, a + n - 8, 8);
-        __builtin_memcpy(&y, b + n - 8, 8);
-        if (x != y)
-            return size_t(__builtin_clzll(x ^ y)) / 8;
-        if (n == 8)
-            return 8;
-        return 8 + detail::matchRunBackwardWide(a, b, n - 8);
-    }
     size_t r = n;
+    for (; r >= 8; r -= 8) {
+        uint64_t x, y;
+        __builtin_memcpy(&x, a + r - 8, 8);
+        __builtin_memcpy(&y, b + r - 8, 8);
+        // Little-endian: the highest byte holds a[r-1].
+        if (x != y)
+            return (n - r) + size_t(__builtin_clzll(x ^ y)) / 8;
+    }
     while (r > 0 && a[r - 1] == b[r - 1])
         --r;
     return n - r;
 }
-
-/**
- * Number of differing 2-bit fields between the packed words a[0..words)
- * and b[0..words) (32 fields per word). Trailing pad fields count only
- * if they differ, so zero-padded strands compare cleanly.
- */
-size_t diffCountPacked(const uint64_t *a, const uint64_t *b,
-                       size_t words);
 
 /**
  * Advance k independent bounded Myers global-edit-distance automata
@@ -150,7 +119,7 @@ size_t diffCountPacked(const uint64_t *a, const uint64_t *b,
  * exceeds the limit retires. The AVX2 path runs four automata at a
  * time in the four 64-bit lanes of a vector register,
  * column-lockstep, and returns once every lane has retired or ended.
- * Scalar/SSE tiers run the same recurrence one text at a time;
+ * The scalar tier runs the same recurrence one text at a time;
  * results are bit-identical.
  */
 void myersBatch(const uint64_t *peq, size_t m, size_t blocks,

@@ -207,12 +207,6 @@ TEST(ClusterOptions, RejectsQgramBounds)
     EXPECT_TRUE(ClusterOptions().qgram(31).validate().ok());
 }
 
-TEST(ClusterOptions, RejectsSignatureSize)
-{
-    expectInvalid(ClusterOptions().signatureSize(0).validate(),
-                  "signatureSize");
-}
-
 TEST(ClusterOptions, RejectsMaxDistanceFrac)
 {
     expectInvalid(ClusterOptions().maxDistanceFrac(0.0).validate(),
@@ -225,7 +219,6 @@ TEST(ClusterOptions, ParamsRoundTrip)
 {
     ClusterParams params;
     params.qgram = 8;
-    params.signatureSize = 6;
     params.maxDistanceFrac = 0.2;
     params.numThreads = 4;
     params.numShards = 2;
@@ -235,7 +228,6 @@ TEST(ClusterOptions, ParamsRoundTrip)
     ClusterOptions opt = ClusterOptions::fromParams(params);
     EXPECT_TRUE(opt.validate().ok());
     EXPECT_EQ(opt.params().qgram, 8u);
-    EXPECT_EQ(opt.params().signatureSize, 6u);
     EXPECT_DOUBLE_EQ(opt.params().maxDistanceFrac, 0.2);
     EXPECT_EQ(opt.params().numThreads, 4u);
     EXPECT_EQ(opt.params().numShards, 2u);

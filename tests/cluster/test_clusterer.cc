@@ -71,31 +71,6 @@ TEST(Clusterer, ShardedModeKeepsQuality)
     EXPECT_GT(quality.recall, 0.93);
 }
 
-TEST(Clusterer, SignatureSizeUpTo24ClustersIdentically)
-{
-    // A read queries the index with its max(signatureSize, 24)
-    // smallest gram hashes, so 1, the default 4, and 24 are one
-    // clustering.
-    Rng rng(107);
-    IdsChannel channel(ErrorModel::uniform(0.08));
-    std::vector<Strand> reads;
-    for (size_t s = 0; s < 30; ++s) {
-        Strand original = randomStrand(100, rng);
-        for (size_t c = 0; c < 5; ++c)
-            reads.push_back(channel.transmit(original, rng));
-    }
-    ClusterParams base;
-    base.signatureSize = 4;
-    const Clustering expected = clusterReads(reads, base);
-    for (size_t size : { size_t(1), size_t(24) }) {
-        ClusterParams params = base;
-        params.signatureSize = size;
-        const Clustering got = clusterReads(reads, params);
-        EXPECT_EQ(got.clusterOf, expected.clusterOf) << "size " << size;
-        EXPECT_EQ(got.members, expected.members) << "size " << size;
-    }
-}
-
 TEST(Clusterer, EquidistantReadJoinsEarliestCluster)
 {
     // R is a palindrome; A0 is R with substitutions in its left half

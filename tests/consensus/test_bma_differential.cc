@@ -9,7 +9,6 @@
 #include "consensus/two_sided.hh"
 #include "fuzz_iters.hh"
 #include "util/rng.hh"
-#include "util/simd.hh"
 
 namespace dnastore {
 namespace {
@@ -17,9 +16,10 @@ namespace {
 /**
  * Differential suite: the library's bit-parallel BMA core against the
  * frozen per-read reference (bma_reference.hh), byte for byte, for
- * both lenses and the two-sided combiner, on every SIMD tier the host
- * reaches. Cluster sizes cross the 8-read mask words, the 16-read
- * limit of the fixed width and the runtime-width path beyond it.
+ * both lenses and the two-sided combiner. Consensus calls no
+ * dispatched kernel, so one pass covers every SIMD tier. Cluster
+ * sizes cross the 8-read mask words, the 16-read limit of the fixed
+ * width and the runtime-width path beyond it.
  */
 
 Strand
@@ -31,26 +31,10 @@ randomStrand(size_t len, Rng &rng)
     return s;
 }
 
-/** Pins a tier for the test body; restores the entry tier after. */
 class BmaDifferential : public ::testing::Test
 {
   protected:
-    void SetUp() override { entry_ = simd::activeLevel(); }
-    void TearDown() override { simd::setLevel(entry_); }
-
-    /** Every tier the host supports, each reached through setLevel. */
-    static std::vector<simd::Level>
-    tiers()
-    {
-        std::vector<simd::Level> out;
-        for (simd::Level l : {simd::Level::Scalar, simd::Level::Sse42,
-                              simd::Level::Avx2})
-            if (simd::setLevel(l) == l)
-                out.push_back(l);
-        return out;
-    }
-
-    /** Check one cluster at one target length on every tier. */
+    /** Check one cluster at one target length. */
     void
     check(const std::vector<Strand> &reads, size_t target_len)
     {
@@ -62,25 +46,19 @@ class BmaDifferential : public ::testing::Test
             bma_reference::oneWay(views.data(), n, target_len, true);
         const Strand both =
             bma_reference::twoSided(views.data(), n, target_len);
-        for (simd::Level l : tiers_) {
-            ASSERT_EQ(simd::setLevel(l), l);
-            SCOPED_TRACE(::testing::Message()
-                         << "tier " << simd::levelName(l) << ", " << n
-                         << " reads, target " << target_len);
-            reconstructOneWayInto(views.data(), n, target_len,
+        SCOPED_TRACE(::testing::Message()
+                     << n << " reads, target " << target_len);
+        reconstructOneWayInto(views.data(), n, target_len, scratch_.bma,
+                              out_);
+        ASSERT_EQ(out_, fwd);
+        reconstructOneWayReversed(views.data(), n, target_len,
                                   scratch_.bma, out_);
-            ASSERT_EQ(out_, fwd);
-            reconstructOneWayReversed(views.data(), n, target_len,
-                                      scratch_.bma, out_);
-            ASSERT_EQ(out_, bwd);
-            reconstructTwoSidedInto(views.data(), n, target_len,
-                                    scratch_, out_);
-            ASSERT_EQ(out_, both);
-        }
+        ASSERT_EQ(out_, bwd);
+        reconstructTwoSidedInto(views.data(), n, target_len, scratch_,
+                                out_);
+        ASSERT_EQ(out_, both);
     }
 
-    std::vector<simd::Level> tiers_ = tiers();
-    simd::Level entry_ = simd::Level::Scalar;
     TwoSidedScratch scratch_;
     Strand out_;
 };

@@ -38,53 +38,74 @@ TEST(StrandView, Equality)
     EXPECT_EQ(StrandView(), StrandView());
 }
 
-TEST(PackedStrand, RoundTripsAllLengthsIncludingOdd)
+/** @p s packed into packedWordCount(size) words, then unpacked. */
+Strand
+packRoundTrip(const Strand &s, std::vector<uint64_t> &words)
+{
+    words.assign(packedWordCount(s.size()), 0);
+    packBases(s.data(), s.size(), words.data());
+    Strand out(s.size());
+    unpackBases(words.data(), s.size(), out.data());
+    return out;
+}
+
+TEST(PackBases, RoundTripsAllLengthsIncludingOdd)
 {
     // Word boundaries are at 32 bases; cover lengths around them and
     // every small odd length.
     Rng rng(1);
+    std::vector<uint64_t> words;
     for (size_t len : { 0u,  1u,  2u,  3u,  5u,  7u,  31u, 32u,
                         33u, 63u, 64u, 65u, 100u, 455u, 1024u }) {
         Strand s = randomStrand(len, rng);
-        PackedStrand packed(s);
-        EXPECT_EQ(packed.size(), len);
-        EXPECT_EQ(packed.unpack(), s) << "len " << len;
+        EXPECT_EQ(packRoundTrip(s, words), s) << "len " << len;
+        // Fields past the last base stay zero.
+        if (len % 32 != 0) {
+            EXPECT_EQ(words.back() >> (2 * (len % 32)), 0u)
+                << "len " << len;
+        }
     }
 }
 
-TEST(PackedStrand, RoundTripsHomopolymerRuns)
+TEST(PackBases, RoundTripsHomopolymerRuns)
 {
+    std::vector<uint64_t> words;
     for (Base b : { Base::A, Base::C, Base::G, Base::T }) {
         Strand s(97, b); // odd length, single-base run
-        PackedStrand packed(s);
-        EXPECT_EQ(packed.unpack(), s);
+        EXPECT_EQ(packRoundTrip(s, words), s);
     }
 }
 
-TEST(PackedStrand, RandomAccessMatchesUnpack)
+TEST(PackBases, RandomAccessMatchesUnpack)
 {
+    // Base i is the 2-bit field i % 32 of word i / 32, low bits first.
     Rng rng(2);
     Strand s = randomStrand(77, rng);
-    PackedStrand packed(s);
+    std::vector<uint64_t> words;
+    packRoundTrip(s, words);
     for (size_t i = 0; i < s.size(); ++i)
-        EXPECT_EQ(packed.at(i), s[i]);
+        EXPECT_EQ(baseFromBits(unsigned(
+                      (words[i >> 5] >> ((i & 31) * 2)) & 3)),
+                  s[i]);
 }
 
-TEST(PackedStrand, UsesTwoBitsPerBase)
+TEST(PackBases, UsesTwoBitsPerBase)
 {
-    PackedStrand packed{ StrandView(Strand(320, Base::T)) };
-    EXPECT_EQ(packed.wordCount(), 10u); // 320 bases / 32 per word
+    EXPECT_EQ(packedWordCount(320), 10u); // 320 bases / 32 per word
+    EXPECT_EQ(packedWordCount(321), 11u);
+    EXPECT_EQ(packedWordCount(0), 0u);
 }
 
-TEST(PackedStrand, RepackReplacesContents)
+TEST(PackBases, OverwritesEveryWord)
 {
+    // packBases assigns whole words, so stale contents never leak.
     Rng rng(3);
-    Strand a = randomStrand(50, rng);
-    Strand b = randomStrand(13, rng);
-    PackedStrand packed(a);
-    packed.pack(b);
-    EXPECT_EQ(packed.size(), 13u);
-    EXPECT_EQ(packed.unpack(), b);
+    Strand s = randomStrand(50, rng);
+    std::vector<uint64_t> words(packedWordCount(s.size()), ~uint64_t(0));
+    packBases(s.data(), s.size(), words.data());
+    Strand out(s.size());
+    unpackBases(words.data(), s.size(), out.data());
+    EXPECT_EQ(out, s);
 }
 
 TEST(StrandArena, AppendAndViewRoundTrip)

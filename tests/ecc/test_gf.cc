@@ -12,7 +12,7 @@ TEST_P(GfParam, ExpLogAreInverse)
 {
     GaloisField gf(GetParam());
     for (uint32_t a = 1; a <= gf.order(); ++a)
-        EXPECT_EQ(gf.alphaPow(gf.logOf(a)), a);
+        EXPECT_EQ(gf.alphaPow(gf.logData()[a]), a);
 }
 
 TEST_P(GfParam, MultiplicationIsCommutativeAndAssociative)
@@ -108,7 +108,6 @@ TEST(GaloisField, ZeroOperandEdgeCases)
     EXPECT_EQ(gf.div(0, 7), 0u);
     EXPECT_THROW(gf.div(3, 0), std::domain_error);
     EXPECT_THROW(gf.inverse(0), std::domain_error);
-    EXPECT_THROW(gf.logOf(0), std::domain_error);
     EXPECT_EQ(gf.pow(0, 0), 1u);
     EXPECT_EQ(gf.pow(0, 5), 0u);
 }

@@ -30,12 +30,12 @@ TEST(SymbolMatrix, ElementAccessIsRowMajorConsistent)
     EXPECT_EQ(m.at(3, 2), 7u);
 }
 
-TEST(SymbolMatrix, ColumnRoundTrip)
+TEST(SymbolMatrix, ColumnReadsOneMolecule)
 {
     SymbolMatrix m(3, 4);
-    std::vector<uint32_t> col{ 10, 20, 30 };
-    m.setColumn(2, col);
-    EXPECT_EQ(m.column(2), col);
+    for (size_t r = 0; r < 3; ++r)
+        m.at(r, 2) = uint32_t(10 * (r + 1));
+    EXPECT_EQ(m.column(2), std::vector<uint32_t>({ 10, 20, 30 }));
     // Other columns untouched.
     EXPECT_EQ(m.column(1), std::vector<uint32_t>({ 0, 0, 0 }));
 }
@@ -44,19 +44,6 @@ TEST(SymbolMatrix, ColumnValidation)
 {
     SymbolMatrix m(3, 4);
     EXPECT_THROW(m.column(4), std::out_of_range);
-    EXPECT_THROW(m.setColumn(4, { 1, 2, 3 }), std::out_of_range);
-    EXPECT_THROW(m.setColumn(0, { 1, 2 }), std::invalid_argument);
-}
-
-TEST(SymbolMatrix, DiffCount)
-{
-    SymbolMatrix a(2, 3), b(2, 3);
-    EXPECT_EQ(a.diffCount(b), 0u);
-    b.at(0, 0) = 1;
-    b.at(1, 2) = 9;
-    EXPECT_EQ(a.diffCount(b), 2u);
-    SymbolMatrix c(3, 2);
-    EXPECT_THROW(a.diffCount(c), std::invalid_argument);
 }
 
 } // namespace

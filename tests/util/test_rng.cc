@@ -63,21 +63,6 @@ TEST(Rng, NextBoolMatchesProbability)
     EXPECT_NEAR(double(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, NextInRangeInclusive)
-{
-    Rng rng(5);
-    bool saw_lo = false, saw_hi = false;
-    for (int i = 0; i < 1000; ++i) {
-        int64_t v = rng.nextInRange(-3, 3);
-        EXPECT_GE(v, -3);
-        EXPECT_LE(v, 3);
-        saw_lo |= (v == -3);
-        saw_hi |= (v == 3);
-    }
-    EXPECT_TRUE(saw_lo);
-    EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, GaussianMoments)
 {
     Rng rng(13);
