@@ -312,8 +312,9 @@ collect(std::vector<BenchResult> &results, const Options &opt)
     // soup never exists as a std::vector<Strand>, which is the
     // engine's whole point. qgram 12 keeps the gram space (4^12)
     // comfortably wider than the strand count, as a real pipeline
-    // would configure at this scale. n10m spills: the 256 MiB budget
-    // is far below the ~500 MiB of packed records 10M reads produce.
+    // would configure at this scale. Both rows spill: n1m's 32 MiB
+    // budget is below the ~99 MiB of packed records 1M reads produce,
+    // n10m's 256 MiB budget far below the ~500 MiB of 10M reads.
     {
         auto streamSoup = [](const char *label, size_t n_strands,
                              size_t coverage, size_t budget_bytes) {
@@ -339,7 +340,7 @@ collect(std::vector<BenchResult> &results, const Options &opt)
         };
         addHeavy("cluster_stream_n1m", [&streamSoup]() {
             streamSoup("cluster_stream_n1m", 100000, 10,
-                       size_t(512) << 20);
+                       size_t(32) << 20);
         });
         addHeavy("cluster_stream_n10m_spill", [&streamSoup]() {
             streamSoup("cluster_stream_n10m_spill", 1000000, 10,

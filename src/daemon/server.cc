@@ -184,6 +184,23 @@ Server::acceptLoop()
                 pollIn(wakePipe_[0], kAcceptBackoffMs);
             continue;
         }
+        size_t live;
+        {
+            std::lock_guard<std::mutex> lock(connectionsMu_);
+            live = connections_.size();
+        }
+        if (live >= options_.maxConnections) {
+            // One frame saying why, so the client does not wait on a
+            // connection nobody will serve.
+            sendResponse(fd, errorResponse(
+                                 kOpProtocolError,
+                                 api::Status::unavailable(api::formatMessage(
+                                     "connection limit reached: %zu "
+                                     "connections open",
+                                     live))));
+            ::close(fd);
+            continue;
+        }
         auto conn = std::make_unique<Connection>();
         Connection *raw = conn.get();
         try {
@@ -432,6 +449,9 @@ Server::drain()
             wakePipe_[i] = -1;
         }
     }
+    // No request can queue a rebuild any more; stop the worker so the
+    // saves below do not wait behind rebuilds nobody will read.
+    tenants_.stopRebuilds();
     // The durable half of the drain contract: every tenant that took
     // mutations is saved through writePoolFile's atomic tmp+rename,
     // so the root directory reopens consistent even if this process

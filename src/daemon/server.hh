@@ -2,16 +2,23 @@
  * @file
  * `dnastored` — the concurrent multi-tenant storage daemon.
  *
- * A Server binds a localhost TCP socket, accepts any number of
- * client connections (one reader thread per connection), and serves
- * the protocol.hh request set against a TenantRegistry:
+ * A Server binds a localhost TCP socket, accepts up to
+ * ServerOptions::maxConnections concurrent client connections (one
+ * reader thread per connection), and serves the protocol.hh request
+ * set against a TenantRegistry:
  *
- *   Ping            liveness
- *   Put             tenant quota check + Store::put (coalesced:
- *                   synthesis deferred to the next read)
- *   Get/List/Health lock-free against the tenant's shared snapshot
- *   Scrub/Save      serialized through the tenant writer lock
- *   Trial           Monte-Carlo batch on the store's dispatcher
+ *   Ping         liveness
+ *   Put          tenant quota check + Store::put (coalesced:
+ *                synthesis deferred to the next snapshot build)
+ *   Get          lock-free from the tenant's published read snapshot,
+ *                stale when it already holds the name (the rebuild
+ *                runs on the registry's background worker); a name
+ *                newer than the snapshot, or a snapshot from before a
+ *                repair, rebuilds synchronously first
+ *   List         under the tenant writer lock
+ *   Health       lock-free against the tenant's health snapshot
+ *   Scrub/Save   serialized through the tenant writer lock
+ *   Trial        Monte-Carlo batch on the store's dispatcher
  *
  * Every response carries an api/wire.hh status code, so the façade's
  * Status taxonomy — CAPACITY_EXCEEDED quota rejections included —
@@ -27,20 +34,24 @@
  * Resource bounds: a connection closes its own descriptor when it
  * ends, and the acceptor joins finished connection threads, so
  * descriptors and threads track the live connections, not every
- * connection ever accepted. When accept() runs out of descriptors
- * (EMFILE/ENFILE) the acceptor backs off instead of spinning.
+ * connection ever accepted. A connection accepted while
+ * maxConnections are live gets one UNAVAILABLE frame and is closed.
+ * When accept() runs out of descriptors (EMFILE/ENFILE) the acceptor
+ * backs off instead of spinning.
  *
  * Shutdown: drain() (the CLI calls it on SIGTERM) stops accepting,
  * lets every in-flight request finish and flush its response, joins
- * the connection threads, and atomically saves every dirty tenant
- * pool (writePoolFile's tmp+rename discipline), so a drained root
- * directory always reopens consistent.
+ * the connection threads, stops the rebuild worker (the in-flight
+ * rebuild finishes, queued ones are dropped), and atomically saves
+ * every dirty tenant pool (writePoolFile's tmp+rename discipline), so
+ * a drained root directory always reopens consistent.
  */
 
 #ifndef DNASTORE_DAEMON_SERVER_HH
 #define DNASTORE_DAEMON_SERVER_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -61,6 +72,12 @@ struct ServerOptions
 
     /** TCP port on 127.0.0.1; 0 picks an ephemeral port. */
     uint16_t port = 0;
+
+    /**
+     * Live connections served at once; one accepted beyond the cap
+     * gets an UNAVAILABLE frame and is closed.
+     */
+    size_t maxConnections = 64;
 };
 
 class Server
@@ -82,7 +99,8 @@ class Server
 
     /**
      * Graceful shutdown: stop accepting, finish in-flight requests,
-     * join every connection thread, persist dirty tenant pools.
+     * join every connection thread, stop the rebuild worker, persist
+     * dirty tenant pools.
      * Idempotent; returns the first save error (the drain itself
      * cannot fail).
      */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <system_error>
 #include <utility>
 
 #include "daemon/protocol.hh"
@@ -26,35 +27,31 @@ channelFor(const TenantConfig &config)
         .coverage(config.coverage);
 }
 
+bool
+holds(const ReadSnapshot &snap, const std::string &objectName)
+{
+    return std::find(snap.names.begin(), snap.names.end(), objectName) !=
+        snap.names.end();
+}
+
+/** Store::get's status for a name it does not hold, word for word. */
+api::Status
+notFound(const std::string &objectName)
+{
+    return api::Status::notFound(
+        api::formatMessage("no object named '%s'", objectName.c_str()));
+}
+
 } // namespace
 
 // ------------------------------------------------------------------ Tenant
 
-template <typename Snapshot, typename Build>
-std::shared_ptr<const Snapshot>
-Tenant::currentSnapshot(std::shared_ptr<const Snapshot> &slot,
-                        Build build)
-{
-    // Fast path: no lock, one atomic shared_ptr load. A snapshot is
-    // valid while its generation matches the tenant's.
-    std::shared_ptr<const Snapshot> snap = std::atomic_load(&slot);
-    uint64_t generation = generation_.load(std::memory_order_acquire);
-    if (snap && snap->generation == generation)
-        return snap;
-    std::lock_guard<std::mutex> lock(mu_);
-    snap = std::atomic_load(&slot);
-    generation = generation_.load(std::memory_order_acquire);
-    if (snap && snap->generation == generation)
-        return snap;
-    snap = std::make_shared<const Snapshot>(build(generation));
-    std::atomic_store(&slot, snap);
-    return snap;
-}
-
-Tenant::Tenant(std::string name, const TenantConfig &config)
+Tenant::Tenant(std::string name, const TenantConfig &config,
+               TenantRegistry &registry)
     : name_(std::move(name)),
       poolPath_(config.root + "/" + name_ + ".dnapool"),
-      config_(config)
+      config_(config),
+      registry_(registry)
 {}
 
 api::Status
@@ -101,21 +98,75 @@ Tenant::put(const std::string &objectName, std::vector<uint8_t> data)
     return status;
 }
 
+std::shared_ptr<const ReadSnapshot>
+Tenant::publishReadSnapshot()
+{
+    std::vector<std::string> names;
+    for (api::ObjectInfo &info : store_->list())
+        names.push_back(std::move(info.name));
+    auto snap = std::make_shared<const ReadSnapshot>(ReadSnapshot{
+        generation_.load(std::memory_order_relaxed),
+        hardGeneration_.load(std::memory_order_relaxed), std::move(names),
+        store_->retrieveShared() });
+    std::atomic_store(&readSnap_, snap);
+    return snap;
+}
+
+bool
+Tenant::queueRebuild()
+{
+    if (queued_.exchange(true, std::memory_order_acq_rel))
+        return true;
+    if (registry_.enqueueRebuild(this))
+        return true;
+    queued_.store(false, std::memory_order_release);
+    return false;
+}
+
+void
+Tenant::rebuildQueued()
+{
+    // Cleared before the build, so a put landing after it re-queues
+    // on the next stale get instead of being lost.
+    queued_.store(false, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mu_);
+    std::shared_ptr<const ReadSnapshot> snap = std::atomic_load(&readSnap_);
+    if (snap && snap->generation ==
+            generation_.load(std::memory_order_relaxed))
+        return;
+    publishReadSnapshot();
+    backgroundBuilds_.fetch_add(1, std::memory_order_relaxed);
+}
+
 api::Result<std::vector<uint8_t>>
 Tenant::get(const std::string &objectName)
 {
-    std::shared_ptr<const ReadSnapshot> snap =
-        currentSnapshot(readSnap_, [this](uint64_t generation) {
-            std::vector<std::string> names;
-            for (api::ObjectInfo &info : store_->list())
-                names.push_back(std::move(info.name));
-            return ReadSnapshot{ generation, std::move(names),
-                                 store_->retrieveShared() };
-        });
-    if (std::find(snap->names.begin(), snap->names.end(), objectName) ==
-        snap->names.end())
-        return api::Status::notFound(api::formatMessage(
-            "no object named '%s'", objectName.c_str()));
+    // Fast path: no lock. A current snapshot serves every name; a
+    // stale one serves the names it holds unless a repair landed
+    // since it was built, and queues the rebuild that refreshes it.
+    std::shared_ptr<const ReadSnapshot> snap = std::atomic_load(&readSnap_);
+    bool servable = false;
+    if (snap) {
+        servable =
+            snap->generation == generation_.load(std::memory_order_acquire) ||
+            (snap->hardGeneration ==
+                 hardGeneration_.load(std::memory_order_acquire) &&
+             holds(*snap, objectName) && queueRebuild());
+    }
+    if (!servable) {
+        std::lock_guard<std::mutex> lock(mu_);
+        snap = std::atomic_load(&readSnap_);
+        if (!snap || snap->generation !=
+                generation_.load(std::memory_order_relaxed)) {
+            // A name the store never held needs no decode to refuse.
+            if (!store_->contains(objectName))
+                return notFound(objectName);
+            snap = publishReadSnapshot();
+            syncBuilds_.fetch_add(1, std::memory_order_relaxed);
+        }
+    }
+    if (!holds(*snap, objectName))
+        return notFound(objectName);
     if (!snap->retrieval.ok())
         return snap->retrieval.status();
     return api::objectFrom(**snap->retrieval, objectName);
@@ -131,14 +182,25 @@ Tenant::list()
 api::Result<std::string>
 Tenant::healthJson(bool *exact)
 {
+    // Health is never served stale: a snapshot of an older
+    // generation is rebuilt under the writer lock before it answers.
     std::shared_ptr<const HealthSnapshot> snap =
-        currentSnapshot(healthSnap_, [this](uint64_t generation) {
+        std::atomic_load(&healthSnap_);
+    if (!snap ||
+        snap->generation != generation_.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> lock(mu_);
+        snap = std::atomic_load(&healthSnap_);
+        const uint64_t generation =
+            generation_.load(std::memory_order_relaxed);
+        if (!snap || snap->generation != generation) {
             api::Result<api::HealthReport> health = store_->health();
-            if (!health.ok())
-                return HealthSnapshot{ generation, health.status() };
-            return HealthSnapshot{ generation, health->toJson(),
-                                   health->exact };
-        });
+            snap = std::make_shared<const HealthSnapshot>(
+                health.ok() ? HealthSnapshot{ generation, health->toJson(),
+                                              health->exact }
+                            : HealthSnapshot{ generation, health.status() });
+            std::atomic_store(&healthSnap_, snap);
+        }
+    }
     if (snap->json.ok() && exact != nullptr)
         *exact = snap->exact;
     return snap->json;
@@ -150,7 +212,10 @@ Tenant::scrub(const api::ScrubOptions &options)
     std::lock_guard<std::mutex> lock(mu_);
     api::Result<api::ScrubReport> report = store_->scrub(options);
     if (report.ok() && report->repaired > 0) {
+        // Repaired pools re-decode existing objects: no snapshot from
+        // before the repair may serve, stale or not.
         dirty_ = true;
+        hardGeneration_.fetch_add(1, std::memory_order_release);
         generation_.fetch_add(1, std::memory_order_release);
     }
     return report;
@@ -201,6 +266,11 @@ TenantRegistry::TenantRegistry(const TenantConfig &config)
     : config_(config)
 {}
 
+TenantRegistry::~TenantRegistry()
+{
+    stopRebuilds();
+}
+
 api::Result<Tenant *>
 TenantRegistry::getOrCreate(const std::string &name)
 {
@@ -208,7 +278,7 @@ TenantRegistry::getOrCreate(const std::string &name)
     auto it = tenants_.find(name);
     if (it != tenants_.end())
         return it->second.get();
-    auto tenant = std::make_unique<Tenant>(name, config_);
+    auto tenant = std::make_unique<Tenant>(name, config_, *this);
     api::Status status = tenant->open();
     if (!status.ok())
         return status;
@@ -244,6 +314,61 @@ TenantRegistry::saveDirty()
             first = status;
     }
     return first;
+}
+
+bool
+TenantRegistry::enqueueRebuild(Tenant *tenant)
+{
+    std::lock_guard<std::mutex> lock(rebuildMu_);
+    if (rebuildStop_)
+        return false;
+    if (!rebuildWorker_.joinable()) {
+        try {
+            rebuildWorker_ = std::thread([this] { rebuildLoop(); });
+        } catch (const std::system_error &) {
+            return false; // out of threads: the get rebuilds itself
+        }
+    }
+    rebuildQueue_.push_back(tenant);
+    rebuildCv_.notify_one();
+    return true;
+}
+
+void
+TenantRegistry::rebuildLoop()
+{
+    std::unique_lock<std::mutex> lock(rebuildMu_);
+    while (true) {
+        rebuildCv_.wait(lock, [this] {
+            return rebuildStop_ || !rebuildQueue_.empty();
+        });
+        if (rebuildStop_)
+            return;
+        Tenant *tenant = rebuildQueue_.front();
+        rebuildQueue_.pop_front();
+        lock.unlock();
+        tenant->rebuildQueued();
+        lock.lock();
+    }
+}
+
+void
+TenantRegistry::stopRebuilds()
+{
+    std::thread worker;
+    {
+        std::lock_guard<std::mutex> lock(rebuildMu_);
+        rebuildStop_ = true;
+        worker.swap(rebuildWorker_);
+    }
+    rebuildCv_.notify_all();
+    if (worker.joinable())
+        worker.join();
+    // Dropped rebuilds: their tenants are no longer queued anywhere.
+    std::lock_guard<std::mutex> lock(rebuildMu_);
+    for (Tenant *tenant : rebuildQueue_)
+        tenant->queued_.store(false, std::memory_order_release);
+    rebuildQueue_.clear();
 }
 
 } // namespace daemon

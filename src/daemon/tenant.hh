@@ -6,25 +6,42 @@
  * `<root>/<tenant>.dnapool` file, a byte quota, and the snapshot
  * discipline that makes the store safe under concurrent clients:
  *
- *  - READS are lock-free against a shared immutable snapshot: the
- *    first get() after a mutation takes the writer lock once and
- *    publishes a ReadSnapshot via atomic shared_ptr — the manifest's
- *    names plus the Store's own memoized Retrieval
- *    (Store::retrieveShared), not a copy of it. Every later get()
- *    serves from that snapshot without touching the Store (whose own
- *    methods are not internally synchronized), through the same
- *    api::objectFrom ladder Store::get uses. Health reports snapshot
- *    through the same generation-checked publish helper.
+ *  - READS are lock-free against a shared immutable snapshot
+ *    published via atomic shared_ptr: the manifest's names plus the
+ *    Store's own memoized Retrieval (Store::retrieveShared), not a
+ *    copy of it. A get() serves from that snapshot without touching
+ *    the Store (whose own methods are not internally synchronized),
+ *    through the same api::objectFrom ladder Store::get uses. Health
+ *    reports snapshot through a generation-checked publish that
+ *    rebuilds on the request path.
+ *
+ *  - STALE READS (stale-while-revalidate, RFC 5861): objects are
+ *    immutable — a put never overwrites and there is no delete — so
+ *    a get whose name the published read snapshot already holds is
+ *    answered from it at once, even when puts have landed since, and
+ *    the tenant is queued on the registry's one rebuild worker, which
+ *    rebuilds once for the whole coalesced put batch and publishes.
+ *    A get rebuilds synchronously (under the writer lock, as the
+ *    first get of a fresh tenant does) only when the name is newer
+ *    than the serving snapshot — read-your-writes — or when a
+ *    repairing scrub has bumped the hard generation the snapshot was
+ *    built at, since a repair changes existing objects' pools. A
+ *    name the store never held is NOT_FOUND from Store::contains,
+ *    with no rebuild. The contract this changes: whether a get
+ *    decodes exactly can depend on which generation served it. An
+ *    object present at generation g - 1 was decoded from a pool that
+ *    held it, so serving that decode stays within the contract.
  *
  *  - MUTATIONS (put/scrub/save) serialize through the tenant's writer
- *    lock and bump the generation counter, so stale snapshots are
- *    invalidated by generation mismatch, never by mutation-time
- *    bookkeeping — the PR 7 memo-invalidation pattern, one level up.
+ *    lock; a put and a repairing scrub bump the generation counter,
+ *    so stale snapshots are recognized by generation mismatch, never
+ *    by mutation-time bookkeeping — the Store memo's invalidation
+ *    pattern, one level up.
  *
  *  - PUT COALESCING: a put only appends to the store's FileBundle
- *    (cheap) — synthesis is deferred to the next snapshot build, so N
- *    small puts between reads share one FileBundle encode + one
- *    synthesis instead of N.
+ *    (cheap) and never queues a rebuild — synthesis is deferred to
+ *    the next snapshot build, so N small puts between reads share one
+ *    FileBundle encode + one synthesis instead of N.
  *
  * Quotas ride the existing CAPACITY_EXCEEDED admission path: the
  * tenant's byte quota is checked before Store::put, whose own unit
@@ -35,12 +52,15 @@
 #define DNASTORE_DAEMON_TENANT_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/api.hh"
@@ -65,6 +85,9 @@ struct ReadSnapshot
 {
     uint64_t generation = 0;
 
+    /** The tenant's hard generation at build (repairs bump it). */
+    uint64_t hardGeneration = 0;
+
     /** The manifest's object names (name lookup for NotFound). */
     std::vector<std::string> names;
 
@@ -80,11 +103,15 @@ struct HealthSnapshot
     bool exact = false;
 };
 
+class TenantRegistry;
+
 /** One tenant: a Store, its pool path, quota, and snapshots. */
 class Tenant
 {
   public:
-    Tenant(std::string name, const TenantConfig &config);
+    /** @p registry runs this tenant's background rebuilds. */
+    Tenant(std::string name, const TenantConfig &config,
+           TenantRegistry &registry);
 
     /**
      * Open the backing store: from the tenant's `.dnapool` file when
@@ -100,11 +127,13 @@ class Tenant
                     std::vector<uint8_t> data);
 
     /**
-     * Serve one object from the current read snapshot (building it
-     * first if stale). The snapshot holds the store's memoized
-     * Retrieval and answers through api::objectFrom, so results and
-     * error statuses are Store::get's on the same store state by
-     * construction.
+     * Serve one object from the published read snapshot: at once when
+     * it is current or already holds @p objectName (the stale-read
+     * rule above; a stale hit queues a background rebuild), after a
+     * synchronous rebuild otherwise. The snapshot holds the store's
+     * memoized Retrieval and answers through api::objectFrom, so
+     * results and error statuses are Store::get's on the serving
+     * generation's store state by construction.
      */
     api::Result<std::vector<uint8_t>> get(const std::string &objectName);
 
@@ -131,19 +160,37 @@ class Tenant
     /** Save if mutations landed since the last save (drain path). */
     api::Status saveIfDirty();
 
+    /** Read snapshots a get built on the request path. */
+    uint64_t syncBuilds() const
+    {
+        return syncBuilds_.load(std::memory_order_relaxed);
+    }
+
+    /** Read snapshots the rebuild worker built. */
+    uint64_t backgroundBuilds() const
+    {
+        return backgroundBuilds_.load(std::memory_order_relaxed);
+    }
+
   private:
+    friend class TenantRegistry;
+
     /**
-     * The snapshot in @p slot, rebuilt by @p build under the writer
-     * lock when its generation is stale: the one publish rule of the
-     * read and health snapshots.
+     * Queue this tenant on the rebuild worker unless it is queued
+     * already; false when the worker is stopped or cannot start.
      */
-    template <typename Snapshot, typename Build>
-    std::shared_ptr<const Snapshot> currentSnapshot(
-        std::shared_ptr<const Snapshot> &slot, Build build);
+    bool queueRebuild();
+
+    /** The rebuild worker's job: rebuild the read snapshot if stale. */
+    void rebuildQueued();
+
+    /** Build and publish the current read snapshot; mu_ held. */
+    std::shared_ptr<const ReadSnapshot> publishReadSnapshot();
 
     const std::string name_;
     const std::string poolPath_;
     const TenantConfig config_;
+    TenantRegistry &registry_;
 
     /** Serializes mutations and snapshot rebuilds. */
     std::mutex mu_;
@@ -153,16 +200,40 @@ class Tenant
     /** Bumped (under mu_) by every successful mutation. */
     std::atomic<uint64_t> generation_{ 1 };
 
+    /**
+     * Bumped (under mu_) by mutations that change existing objects'
+     * pools (a repairing scrub): a snapshot built at an older hard
+     * generation is never served stale.
+     */
+    std::atomic<uint64_t> hardGeneration_{ 0 };
+
+    /** On the rebuild worker's queue (de-duplicates queueing). */
+    std::atomic<bool> queued_{ false };
+
+    std::atomic<uint64_t> syncBuilds_{ 0 };
+    std::atomic<uint64_t> backgroundBuilds_{ 0 };
+
     /** Published snapshots (std::atomic_load/store access). */
     std::shared_ptr<const ReadSnapshot> readSnap_;
     std::shared_ptr<const HealthSnapshot> healthSnap_;
 };
 
-/** Name → Tenant map; tenants are created once and never removed. */
+/**
+ * Name → Tenant map; tenants are created once and never removed.
+ * Owns the one rebuild worker: a thread, started on the first queued
+ * rebuild, that takes tenants off a FIFO and rebuilds each one's read
+ * snapshot under its writer lock.
+ */
 class TenantRegistry
 {
   public:
     explicit TenantRegistry(const TenantConfig &config);
+
+    /** Stops the rebuild worker before any tenant is destroyed. */
+    ~TenantRegistry();
+
+    TenantRegistry(const TenantRegistry &) = delete;
+    TenantRegistry &operator=(const TenantRegistry &) = delete;
 
     /**
      * The named tenant, creating (and opening) it on first use.
@@ -180,10 +251,30 @@ class TenantRegistry
     /** Drain path: persist every dirty tenant; first error wins. */
     api::Status saveDirty();
 
+    /**
+     * Stop the rebuild worker: finish the in-flight rebuild, drop the
+     * queued ones, join. Later stale gets rebuild synchronously.
+     * Idempotent.
+     */
+    void stopRebuilds();
+
   private:
+    friend class Tenant;
+
+    /** Append @p tenant to the worker's FIFO; false once stopped. */
+    bool enqueueRebuild(Tenant *tenant);
+
+    void rebuildLoop();
+
     const TenantConfig config_;
     std::mutex mu_;
     std::map<std::string, std::unique_ptr<Tenant>> tenants_;
+
+    std::mutex rebuildMu_;
+    std::condition_variable rebuildCv_;
+    std::deque<Tenant *> rebuildQueue_; //!< Guarded by rebuildMu_.
+    bool rebuildStop_ = false;          //!< Guarded by rebuildMu_.
+    std::thread rebuildWorker_;         //!< Started under rebuildMu_.
 };
 
 } // namespace daemon

@@ -4,7 +4,12 @@
  *
  *  - byte identity: a tenant's get/health/trial responses equal a
  *    direct api::Store configured exactly as the daemon configures
- *    tenant stores (same options, seed, and put order);
+ *    tenant stores (same options, seed, and put order) — gets after
+ *    a drain, since a get may be served from an older generation;
+ *  - stale reads: a get of a name the published snapshot holds never
+ *    waits for a rebuild after a put, a new name or a repairing scrub
+ *    rebuilds synchronously, and NOT_FOUND never rebuilds;
+ *  - bounded connections: one beyond the cap gets UNAVAILABLE;
  *  - the Status taxonomy crosses the wire unchanged, quota
  *    CAPACITY_EXCEEDED included, and a tenant's NotFound/DataLoss
  *    statuses equal the direct Store's, message for message;
@@ -161,21 +166,36 @@ TEST(DaemonE2E, ConcurrentClientsMatchDirectStore)
         t.join();
     EXPECT_EQ(failures.load(), 0);
 
-    // Every tenant's responses must be byte-identical to a direct
-    // Store fed the same objects in the same order.
+    // Health is never served stale: each tenant's report must be
+    // byte-identical to a direct Store fed the same objects in the
+    // same order.
+    std::vector<api::Store> direct;
     for (int c = 0; c < kClients; ++c) {
-        api::Store direct = directStoreFor(options.tenants);
+        direct.push_back(directStoreFor(options.tenants));
         for (int o = 0; o < kObjects; ++o) {
             const std::string name =
                 "obj" + std::to_string(o) + ".bin";
             ASSERT_TRUE(
-                direct
+                direct.back()
                     .put(name, patternBytes(200 + size_t(o) * 37,
                                             uint8_t(c * 16 + o)))
                     .ok());
         }
-        Client client;
-        ASSERT_TRUE(client.connect(port).ok());
+        api::Result<api::HealthReport> health = direct.back().health();
+        ASSERT_TRUE(health.ok());
+        EXPECT_EQ(healthJson[size_t(c)], health->toJson())
+            << "health JSON diverged for tenant" << c;
+    }
+    ASSERT_TRUE(server.drain().ok());
+
+    // A get may be served from an older generation while the server
+    // runs; after the drain every get must be byte-identical to the
+    // direct Store's.
+    Server revived(options);
+    ASSERT_TRUE(revived.start().ok());
+    Client client;
+    ASSERT_TRUE(client.connect(revived.port()).ok());
+    for (int c = 0; c < kClients; ++c) {
         const std::string tenant = "tenant" + std::to_string(c);
         for (int o = 0; o < kObjects; ++o) {
             const std::string name =
@@ -183,17 +203,13 @@ TEST(DaemonE2E, ConcurrentClientsMatchDirectStore)
             api::Result<std::vector<uint8_t>> remote =
                 client.get(tenant, name);
             api::Result<std::vector<uint8_t>> local =
-                direct.get(name);
+                direct[size_t(c)].get(name);
             ASSERT_TRUE(remote.ok()) << remote.status().toString();
             ASSERT_TRUE(local.ok()) << local.status().toString();
             EXPECT_EQ(*remote, *local) << tenant << "/" << name;
         }
-        api::Result<api::HealthReport> health = direct.health();
-        ASSERT_TRUE(health.ok());
-        EXPECT_EQ(healthJson[size_t(c)], health->toJson())
-            << "health JSON diverged for " << tenant;
     }
-    EXPECT_TRUE(server.drain().ok());
+    EXPECT_TRUE(revived.drain().ok());
 }
 
 TEST(DaemonE2E, TrialSeriesMatchesDirectSubmit)
@@ -319,6 +335,210 @@ TEST(DaemonE2E, DataLossStatusesMatchTheFacade)
     EXPECT_EQ(remote.status().message(), local.status().message());
 }
 
+// ------------------------------------------------ stale reads + rebuilds
+
+namespace {
+
+/** Wait (bounded) for @p tenant's first background rebuild. */
+bool
+awaitBackgroundBuild(const Tenant &tenant)
+{
+    for (int i = 0; i < 1000 && tenant.backgroundBuilds() == 0; ++i)
+        ::usleep(10 * 1000);
+    return tenant.backgroundBuilds() > 0;
+}
+
+} // namespace
+
+TEST(TenantSnapshots, GetsOfOlderNamesNeverWaitForARebuild)
+{
+    TenantRegistry registry(tenantConfig(freshRoot("stale")));
+    api::Result<Tenant *> found = registry.getOrCreate("alice");
+    ASSERT_TRUE(found.ok()) << found.status().toString();
+    Tenant &tenant = **found;
+    const std::vector<uint8_t> a = patternBytes(300, 1);
+    const std::vector<uint8_t> b = patternBytes(200, 2);
+    ASSERT_TRUE(tenant.put("a.bin", a).ok());
+    ASSERT_TRUE(tenant.get("a.bin").ok()); // first snapshot
+    ASSERT_EQ(tenant.syncBuilds(), 1u);
+
+    ASSERT_TRUE(tenant.put("b.bin", b).ok());
+    for (int i = 0; i < 100; ++i) {
+        api::Result<std::vector<uint8_t>> got = tenant.get("a.bin");
+        ASSERT_TRUE(got.ok()) << got.status().toString();
+        ASSERT_EQ(*got, a) << "get " << i;
+    }
+    EXPECT_EQ(tenant.syncBuilds(), 1u);
+
+    // The 100 stale hits queued one rebuild of the put batch; once it
+    // is published the new name is served without a build either.
+    ASSERT_TRUE(awaitBackgroundBuild(tenant));
+    EXPECT_EQ(tenant.backgroundBuilds(), 1u);
+    api::Result<std::vector<uint8_t>> got = tenant.get("b.bin");
+    ASSERT_TRUE(got.ok()) << got.status().toString();
+    EXPECT_EQ(*got, b);
+    EXPECT_EQ(tenant.syncBuilds(), 1u);
+}
+
+TEST(TenantSnapshots, NewNameRightAfterItsPutReadsItsWrite)
+{
+    TenantRegistry registry(tenantConfig(freshRoot("ryw")));
+    api::Result<Tenant *> found = registry.getOrCreate("alice");
+    ASSERT_TRUE(found.ok()) << found.status().toString();
+    Tenant &tenant = **found;
+    ASSERT_TRUE(tenant.put("a.bin", patternBytes(300, 1)).ok());
+    ASSERT_TRUE(tenant.get("a.bin").ok());
+    for (int o = 0; o < 3; ++o) {
+        const std::string name = "new" + std::to_string(o) + ".bin";
+        const std::vector<uint8_t> data = patternBytes(150, uint8_t(o));
+        ASSERT_TRUE(tenant.put(name, data).ok());
+        api::Result<std::vector<uint8_t>> got = tenant.get(name);
+        ASSERT_TRUE(got.ok()) << name << ": " << got.status().toString();
+        EXPECT_EQ(*got, data) << name;
+    }
+}
+
+TEST(TenantSnapshots, UnknownNameIsNotFoundWithoutABuild)
+{
+    TenantRegistry registry(tenantConfig(freshRoot("nobuild")));
+    api::Result<Tenant *> found = registry.getOrCreate("alice");
+    ASSERT_TRUE(found.ok()) << found.status().toString();
+    Tenant &tenant = **found;
+    ASSERT_TRUE(tenant.put("a.bin", patternBytes(300, 1)).ok());
+    // Dirty tenant, no snapshot yet: NOT_FOUND comes from the
+    // manifest, in Store::get's words, and builds nothing.
+    api::Result<std::vector<uint8_t>> missing = tenant.get("nope.bin");
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.status().code(), api::StatusCode::NotFound);
+    EXPECT_EQ(missing.status().message(), "no object named 'nope.bin'");
+    EXPECT_EQ(tenant.syncBuilds(), 0u);
+    EXPECT_EQ(tenant.backgroundBuilds(), 0u);
+}
+
+TEST(TenantSnapshots, RepairingScrubForcesASynchronousBuild)
+{
+    TenantRegistry registry(tenantConfig(freshRoot("scrubsync")));
+    api::Result<Tenant *> found = registry.getOrCreate("alice");
+    ASSERT_TRUE(found.ok()) << found.status().toString();
+    Tenant &tenant = **found;
+    const std::vector<uint8_t> a = patternBytes(300, 1);
+    ASSERT_TRUE(tenant.put("a.bin", a).ok());
+    ASSERT_TRUE(tenant.get("a.bin").ok());
+    ASSERT_EQ(tenant.syncBuilds(), 1u);
+
+    api::ScrubOptions policy;
+    policy.repairAll = true;
+    api::Result<api::ScrubReport> report = tenant.scrub(policy);
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    ASSERT_GT(report->repaired, 0u);
+    // The snapshot holds a.bin but predates the repair: never stale.
+    api::Result<std::vector<uint8_t>> got = tenant.get("a.bin");
+    ASSERT_TRUE(got.ok()) << got.status().toString();
+    EXPECT_EQ(*got, a);
+    EXPECT_EQ(tenant.syncBuilds(), 2u);
+    EXPECT_EQ(tenant.backgroundBuilds(), 0u);
+}
+
+TEST(TenantSnapshots, StoppedWorkerLeavesGetsExact)
+{
+    TenantRegistry registry(tenantConfig(freshRoot("stopped")));
+    api::Result<Tenant *> found = registry.getOrCreate("alice");
+    ASSERT_TRUE(found.ok()) << found.status().toString();
+    Tenant &tenant = **found;
+    ASSERT_TRUE(tenant.put("a.bin", patternBytes(300, 1)).ok());
+    ASSERT_TRUE(tenant.get("a.bin").ok());
+    registry.stopRebuilds();
+    ASSERT_TRUE(tenant.put("b.bin", patternBytes(200, 2)).ok());
+    // With no worker to refresh it, a stale hit would stay stale
+    // forever; the get rebuilds instead.
+    ASSERT_TRUE(tenant.get("a.bin").ok());
+    EXPECT_EQ(tenant.syncBuilds(), 2u);
+    EXPECT_EQ(tenant.backgroundBuilds(), 0u);
+}
+
+TEST(DaemonE2E, GetsDuringBackgroundRebuilds)
+{
+    // Three readers fetch old names while a writer puts: stale hits,
+    // queued rebuilds and publishes race on one tenant (TSan runs
+    // this suite), then the drain stops the worker mid-stream.
+    const std::string root = freshRoot("bgrebuild");
+    ServerOptions options;
+    options.tenants = tenantConfig(root);
+    Server server(options);
+    ASSERT_TRUE(server.start().ok());
+    const uint16_t port = server.port();
+
+    constexpr int kOld = 3;
+    constexpr int kNew = 12;
+    {
+        Client seeder;
+        ASSERT_TRUE(seeder.connect(port).ok());
+        for (int o = 0; o < kOld; ++o)
+            ASSERT_TRUE(seeder
+                            .put("alice", "old" + std::to_string(o),
+                                 patternBytes(120, uint8_t(o)))
+                            .ok());
+        ASSERT_TRUE(seeder.get("alice", "old0").ok());
+    }
+
+    std::atomic<bool> writing{ true };
+    std::atomic<int> failures{ 0 };
+    std::vector<std::thread> threads;
+    for (int r = 0; r < 3; ++r) {
+        threads.emplace_back([&, r] {
+            Client client;
+            if (!client.connect(port).ok()) {
+                ++failures;
+                return;
+            }
+            for (int i = r; writing.load() || i < r + 2 * kOld; ++i) {
+                const int o = i % kOld;
+                api::Result<std::vector<uint8_t>> got =
+                    client.get("alice", "old" + std::to_string(o));
+                if (!got.ok() || *got != patternBytes(120, uint8_t(o)))
+                    ++failures;
+            }
+        });
+    }
+    threads.emplace_back([&] {
+        Client client;
+        if (!client.connect(port).ok()) {
+            ++failures;
+        } else {
+            for (int o = 0; o < kNew; ++o) {
+                const std::string name = "new" + std::to_string(o);
+                const std::vector<uint8_t> data =
+                    patternBytes(64, uint8_t(100 + o));
+                if (!client.put("alice", name, data).ok())
+                    ++failures;
+                if (o % 4 == 3) {
+                    api::Result<std::vector<uint8_t>> got =
+                        client.get("alice", name);
+                    if (!got.ok() || *got != data)
+                        ++failures;
+                }
+            }
+        }
+        writing.store(false);
+    });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(failures.load(), 0);
+    ASSERT_TRUE(server.drain().ok());
+
+    // Every acknowledged put survived the drain.
+    Server revived(options);
+    ASSERT_TRUE(revived.start().ok());
+    Client client;
+    ASSERT_TRUE(client.connect(revived.port()).ok());
+    for (int o = 0; o < kNew; ++o) {
+        api::Result<std::vector<uint8_t>> got =
+            client.get("alice", "new" + std::to_string(o));
+        ASSERT_TRUE(got.ok()) << got.status().toString();
+        EXPECT_EQ(*got, patternBytes(64, uint8_t(100 + o)));
+    }
+}
+
 // ----------------------------------------------------- corruption handling
 
 TEST(DaemonE2E, MalformedRequestFailsOnlyThatRequest)
@@ -430,16 +650,15 @@ openFdCount()
 }
 
 /**
- * Ping over a fresh connection that is closed afterwards. Every step
- * is bounded by @p timeoutMs, so a server that stopped accepting
- * fails the call instead of hanging it.
+ * A nonblocking loopback connection to @p port, or -1 when it is not
+ * established within @p timeoutMs.
  */
-bool
-pingOnFreshConnection(uint16_t port, int timeoutMs)
+int
+connectWithin(uint16_t port, int timeoutMs)
 {
     int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (fd < 0)
-        return false;
+        return -1;
     struct sockaddr_in addr = {};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -447,40 +666,63 @@ pingOnFreshConnection(uint16_t port, int timeoutMs)
     struct pollfd pfd = { fd, POLLOUT, 0 };
     int err = 0;
     socklen_t len = sizeof err;
-    bool ok = false;
     if ((::connect(fd, reinterpret_cast<struct sockaddr *>(&addr),
                    sizeof addr) == 0 ||
          errno == EINPROGRESS) &&
         ::poll(&pfd, 1, timeoutMs) == 1 &&
         ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) == 0 &&
-        err == 0) {
-        Request ping;
-        ping.op = Op::Ping;
-        const std::vector<uint8_t> wire = frame(encodeRequest(ping));
-        std::vector<uint8_t> buf;
-        bool sent = ::write(fd, wire.data(), wire.size()) ==
-            ssize_t(wire.size());
-        pfd.events = POLLIN;
-        while (sent && ::poll(&pfd, 1, timeoutMs) == 1) {
-            uint8_t chunk[256];
-            ssize_t n = ::read(fd, chunk, sizeof chunk);
-            if (n <= 0)
-                break;
-            buf.insert(buf.end(), chunk, chunk + n);
-            std::vector<uint8_t> payload;
-            size_t consumed = 0;
-            std::string error;
-            FrameStatus fs =
-                extractFrame(buf, &payload, &consumed, &error);
-            if (fs == FrameStatus::NeedMore)
-                continue;
-            Response response;
-            ok = fs == FrameStatus::Ok &&
-                decodeResponse(payload, &response, &error) &&
-                response.status().ok();
-            break;
-        }
+        err == 0)
+        return fd;
+    ::close(fd);
+    return -1;
+}
+
+/**
+ * The next response frame on @p fd, each wait bounded by
+ * @p timeoutMs; false on timeout, EOF or a bad frame.
+ */
+bool
+readResponseWithin(int fd, int timeoutMs, Response *response)
+{
+    std::vector<uint8_t> buf;
+    struct pollfd pfd = { fd, POLLIN, 0 };
+    while (::poll(&pfd, 1, timeoutMs) == 1) {
+        uint8_t chunk[256];
+        ssize_t n = ::read(fd, chunk, sizeof chunk);
+        if (n <= 0)
+            return false;
+        buf.insert(buf.end(), chunk, chunk + n);
+        std::vector<uint8_t> payload;
+        size_t consumed = 0;
+        std::string error;
+        FrameStatus fs = extractFrame(buf, &payload, &consumed, &error);
+        if (fs == FrameStatus::NeedMore)
+            continue;
+        return fs == FrameStatus::Ok &&
+            decodeResponse(payload, response, &error);
     }
+    return false;
+}
+
+/**
+ * Ping over a fresh connection that is closed afterwards. Every step
+ * is bounded by @p timeoutMs, so a server that stopped accepting
+ * fails the call instead of hanging it.
+ */
+bool
+pingOnFreshConnection(uint16_t port, int timeoutMs)
+{
+    int fd = connectWithin(port, timeoutMs);
+    if (fd < 0)
+        return false;
+    Request ping;
+    ping.op = Op::Ping;
+    const std::vector<uint8_t> wire = frame(encodeRequest(ping));
+    Response response;
+    bool ok = ::write(fd, wire.data(), wire.size()) ==
+            ssize_t(wire.size()) &&
+        readResponseWithin(fd, timeoutMs, &response) &&
+        response.status().ok();
     ::close(fd);
     return ok;
 }
@@ -527,6 +769,55 @@ TEST(DaemonE2E, ShortConnectionsNeverExhaustTheFdLimit)
         open = openFdCount();
     }
     EXPECT_EQ(open, baseline);
+    EXPECT_TRUE(server.drain().ok());
+}
+
+TEST(DaemonE2E, ConnectionBeyondTheCapGetsUnavailable)
+{
+    // Regression: connections were unbounded, one thread each. At cap
+    // 2 a third connection gets one UNAVAILABLE frame, unprompted,
+    // and is closed; the two it was refused for keep working.
+    const std::string root = freshRoot("conncap");
+    ServerOptions options;
+    options.tenants = tenantConfig(root);
+    options.maxConnections = 2;
+    Server server(options);
+    ASSERT_TRUE(server.start().ok());
+
+    Client first, second;
+    ASSERT_TRUE(first.connect(server.port()).ok());
+    ASSERT_TRUE(first.ping().ok()); // accepted and counted
+    ASSERT_TRUE(second.connect(server.port()).ok());
+    ASSERT_TRUE(second.ping().ok());
+
+    const int fd = connectWithin(server.port(), 2000);
+    ASSERT_GE(fd, 0);
+    Response refusal;
+    const bool answered = readResponseWithin(fd, 2000, &refusal);
+    ::close(fd);
+    ASSERT_TRUE(answered) << "no frame on the connection beyond the cap";
+    EXPECT_EQ(refusal.op, kOpProtocolError);
+    EXPECT_EQ(refusal.status().code(), api::StatusCode::Unavailable);
+    EXPECT_NE(refusal.message.find("connection limit"), std::string::npos)
+        << refusal.message;
+
+    Client third;
+    ASSERT_TRUE(third.connect(server.port()).ok());
+    EXPECT_EQ(third.ping().code(), api::StatusCode::Unavailable);
+
+    EXPECT_TRUE(first.ping().ok());
+    EXPECT_TRUE(second.ping().ok());
+
+    // The cap counts live connections: closing one frees its slot.
+    first.close();
+    bool served = false;
+    for (int i = 0; i < 100 && !served; ++i) {
+        served = pingOnFreshConnection(server.port(), 2000);
+        if (!served)
+            ::usleep(20 * 1000);
+    }
+    EXPECT_TRUE(served);
+    EXPECT_TRUE(second.ping().ok());
     EXPECT_TRUE(server.drain().ok());
 }
 
