@@ -9,7 +9,11 @@
  * module provides a real clusterer so the pipeline's perfect-
  * clustering assumption can itself be tested:
  *
- *  - a q-gram (k-mer) signature index buckets reads cheaply;
+ *  - a q-gram (k-mer) signature index buckets reads cheaply; a gram
+ *    that many representatives share (the primers every strand
+ *    carries) votes for a candidate but never nominates one
+ *    (cluster/greedy.hh), so it cannot make every cluster a
+ *    candidate of every read;
  *  - candidates are verified against their cluster representatives
  *    with bounded batched edit distance (editDistanceBatch), which
  *    computes only what the join decision reads: the distance when it
@@ -114,7 +118,8 @@ struct Clustering
  * given input: results are bit-identical for every
  * ClusterParams::numThreads value, every memory budget, and every SIMD
  * dispatch tier (candidate verification is bounded but exact within
- * the join limit, and bit-identical across tiers).
+ * the join limit, and bit-identical across tiers; which grams are
+ * frequent depends only on the consume sequence).
  *
  * With more than one shard, reads are partitioned by the minimizer
  * (smallest q-gram hash) of their content, each shard is clustered

@@ -55,16 +55,6 @@ GramIndex::GramIndex()
 }
 
 void
-GramIndex::clear()
-{
-    fps_.assign(kInitialSlots, 0);
-    heads_.assign(kInitialSlots, 0);
-    entries_.clear();
-    keys_ = 0;
-    mask_ = kInitialSlots - 1;
-}
-
-void
 GramIndex::insertAll(const uint64_t *keys, size_t n, size_t cluster)
 {
     if (cluster > 0xffffffffULL)

@@ -128,20 +128,12 @@ class GramIndex
   public:
     GramIndex();
 
-    void clear();
-
-    /** Add @p cluster to @p key's postings (duplicates allowed). */
-    void
-    insert(uint64_t key, size_t cluster)
-    {
-        insertAll(&key, 1, cluster);
-    }
-
     /**
-     * Add @p cluster to the postings of each of @p keys, in order,
-     * prefetching the slots of the key eight positions ahead so the
-     * cache misses overlap. The 1/2-load grow check runs per key; a
-     * grow mid-batch only makes the pending prefetches stale.
+     * Add @p cluster to the postings of each of @p keys, in order
+     * (duplicates allowed), prefetching the slots of the key eight
+     * positions ahead so the cache misses overlap. The 1/2-load grow
+     * check runs per key; a grow mid-batch only makes the pending
+     * prefetches stale.
      */
     void insertAll(const uint64_t *keys, size_t n, size_t cluster);
 
@@ -159,9 +151,6 @@ class GramIndex
 
     /** Distinct keys indexed (fingerprint-merged keys count once). */
     size_t keyCount() const { return keys_; }
-
-    /** Total postings stored. */
-    size_t entryCount() const { return entries_.size(); }
 
     /**
      * Rebuild @p sketch from every indexed fingerprint, sized for the

@@ -142,7 +142,7 @@ GreedyState::consumeGroup(size_t rep_id, StrandView rep,
 size_t
 GreedyState::joinOrOpen(size_t rep_id, StrandView read)
 {
-    signatureInto(read, params_.qgram, kQuerySignatureSize, sig_);
+    signatureInto(read, params_.qgram, kQuerySignatureSlots, sig_);
     gatherCandidates();
     size_t limit =
         size_t(params_.maxDistanceFrac * double(read.size()));
@@ -157,27 +157,45 @@ GreedyState::gatherCandidates()
 {
     hits_.clear();
     ranked_.clear();
-    for (uint64_t h : sig_) {
+    // sig_ holds the kQuerySignatureSlots smallest grams; walk them in
+    // hash order until kQuerySignatureSize rare ones are used. A
+    // frequent gram's hits are tagged and its slot refilled by the
+    // next gram, so primers never crowd out the payload.
+    const size_t frequent = std::max(
+        kFrequentMinPostings, clusterCount() / kFrequentClusterDivisor);
+    size_t used = 0;
+    for (size_t g = 0; g < sig_.size() && used < kQuerySignatureSize;
+         ++g) {
+        const uint64_t h = sig_[g];
         // The sketch rejects grams no representative ever had —
         // the common case for a noisy read's corrupted grams —
-        // before the index is probed at all.
-        if (!sketch_.mayContain(GramIndex::fingerprint(h)))
-            continue;
-        index_.lookup(h, hits_);
+        // before the index is probed at all. A rejected gram has no
+        // postings, so it is used like any rare one and sketch sizing
+        // cannot move the walk.
+        const size_t first = hits_.size();
+        if (sketch_.mayContain(GramIndex::fingerprint(h)))
+            index_.lookup(h, hits_);
+        const size_t tag = hits_.size() - first >= frequent;
+        used += 1 - tag;
+        for (size_t i = first; i < hits_.size(); ++i)
+            hits_[i] = hits_[i] << 1 | tag;
     }
     std::sort(hits_.begin(), hits_.end());
     // One shared gram happens by chance; two is a strong hint (tiny
     // signatures keep the single-hit rule so short reads still join).
-    // Each survivor is ranked by (hits descending, id ascending) in
-    // one key; ids fit 32 bits (GramIndex enforces it) and a run is
-    // at most a few postings per signature gram.
+    // A frequent gram votes but cannot nominate: a cluster's run must
+    // start with a rare hit (tag 0 sorts first). Each survivor is
+    // ranked by (hits descending, id ascending) in one key; ids fit
+    // 32 bits (GramIndex enforces it) and a run is at most a few
+    // postings per signature gram.
     for (size_t i = 0; i < hits_.size();) {
-        size_t j = i;
-        while (j < hits_.size() && hits_[j] == hits_[i])
+        const size_t cluster = hits_[i] >> 1;
+        size_t j = i + 1;
+        while (j < hits_.size() && hits_[j] >> 1 == cluster)
             ++j;
-        if (j - i >= 2 || sig_.size() < 4)
+        if ((hits_[i] & 1) == 0 && (j - i >= 2 || sig_.size() < 4))
             ranked_.push_back(uint64_t(0xffffffffu - (j - i)) << 32 |
-                              hits_[i]);
+                              cluster);
         i = j;
     }
     std::sort(ranked_.begin(), ranked_.end());

@@ -13,6 +13,18 @@
  * identical clusterings — that equivalence is the engine's
  * bit-identity contract across memory budgets.
  *
+ * Candidate generation looks a read's minhash signature up in the
+ * index. Every strand carries the same primers, so a primer gram is
+ * posted by nearly every representative; counted like any other gram
+ * it would make every cluster a candidate of every read. A frequent
+ * gram (see kFrequentMinPostings) therefore only votes: a cluster becomes
+ * a candidate when at least one rare gram hits it and it has two hits
+ * in total, primer votes included. A frequent gram's signature slot
+ * is refilled by the next-smallest gram. A clustering differs from
+ * the count-every-gram rule only once some chain reaches the
+ * threshold: at q = 12 in practice only primer grams do; at q = 6 on
+ * long reads common payload grams do too.
+ *
  * The per-read loop has two hot spots, both kept exact:
  *
  *  - Opening a cluster indexes every distinct gram of its
@@ -57,11 +69,29 @@ mixHash(uint64_t x)
 }
 
 /**
- * Query signature size: a read looks up its kQuerySignatureSize
+ * Query signature size: a read looks up kQuerySignatureSize of its
  * smallest distinct q-gram hashes in the index (representatives are
- * indexed with all their grams).
+ * indexed with all their grams). Frequent grams do not count toward
+ * it: their slots are refilled from a slack of kSignatureSlack more
+ * grams, so the query takes its kQuerySignatureSlots smallest.
  */
 constexpr size_t kQuerySignatureSize = 24;
+constexpr size_t kSignatureSlack = 8;
+constexpr size_t kQuerySignatureSlots =
+    kQuerySignatureSize + kSignatureSlack;
+
+/**
+ * A gram is frequent when its posting chain holds at least
+ * max(kFrequentMinPostings, clusterCount / kFrequentClusterDivisor)
+ * postings — in practice the primer grams every strand carries. A
+ * frequent gram votes for the clusters it posts but cannot make one
+ * a candidate (minimap2's high-occurrence minimizer filter, softened
+ * to keep the vote). Chain length depends only on the consume
+ * sequence (fingerprint-merged chains count as one), so the rule is
+ * as deterministic as the index.
+ */
+constexpr size_t kFrequentMinPostings = 8;
+constexpr size_t kFrequentClusterDivisor = 8;
 
 /**
  * Sorted unique q-gram hashes of @p read into @p out, truncated to
@@ -164,6 +194,9 @@ class GreedyState
     /**
      * Candidates for sig_ via sketch + flat index, likeliest first:
      * by signature-hit count descending, ascending id on equal counts.
+     * Walks sig_ until kQuerySignatureSize rare grams are used; a
+     * cluster qualifies only through a rare hit (see the file
+     * comment).
      */
     void gatherCandidates();
 
@@ -189,7 +222,8 @@ class GreedyState
     // per state instead of a fresh vector per read.
     DistinctGrams distinct_;
     std::vector<uint64_t> sig_, repGrams_, ranked_;
-    std::vector<size_t> hits_, candidates_;
+    std::vector<size_t> hits_; //!< cluster << 1 | frequent-gram tag.
+    std::vector<size_t> candidates_;
     std::vector<StrandView> reps_;
 };
 

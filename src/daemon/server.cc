@@ -243,6 +243,11 @@ Server::handleConnection(int fd)
 {
     std::vector<uint8_t> buf;
     std::vector<uint8_t> payload;
+    // Poll time since the last byte arrived: only waiting for a
+    // request counts toward the idle deadline, never serving one. A
+    // poll cut short by a signal counts in full; the daemon's only
+    // signals start a drain.
+    int idle_ms = 0;
     bool open = true;
     while (open) {
         // Serve every complete frame already buffered before reading
@@ -291,12 +296,16 @@ Server::handleConnection(int fd)
         // closes, so drain() can never wedge on a silent peer.
         if (stopping_.load() && buf.empty())
             break;
-        int r = pollIn(fd, 200);
+        if (idle_ms >= options_.idleTimeoutMs)
+            break; // silent too long: free the slot
+        const int wait_ms = std::min(200, options_.idleTimeoutMs - idle_ms);
+        int r = pollIn(fd, wait_ms);
         if (r < 0)
             break;
         if (r == 0) {
             if (stopping_.load())
                 break;
+            idle_ms += wait_ms;
             continue;
         }
         uint8_t chunk[4096];
@@ -307,6 +316,7 @@ Server::handleConnection(int fd)
             break; // EOF or hard error.
         }
         buf.insert(buf.end(), chunk, chunk + n);
+        idle_ms = 0;
         // A frame is at most header + max payload; a buffer beyond
         // that holds at least one complete frame or is junk, and
         // extractFrame decides which next iteration.

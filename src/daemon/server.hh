@@ -35,7 +35,9 @@
  * ends, and the acceptor joins finished connection threads, so
  * descriptors and threads track the live connections, not every
  * connection ever accepted. A connection accepted while
- * maxConnections are live gets one UNAVAILABLE frame and is closed.
+ * maxConnections are live gets one UNAVAILABLE frame and is closed,
+ * and one that sends nothing for ServerOptions::idleTimeoutMs is
+ * closed, so idle peers cannot keep the cap filled.
  * When accept() runs out of descriptors (EMFILE/ENFILE) the acceptor
  * backs off instead of spinning.
  *
@@ -78,6 +80,14 @@ struct ServerOptions
      * gets an UNAVAILABLE frame and is closed.
      */
     size_t maxConnections = 64;
+
+    /**
+     * A connection that receives no byte for this long while it
+     * waits for a request is closed, so silent peers cannot hold
+     * every maxConnections slot. Time spent serving a request does
+     * not count.
+     */
+    int idleTimeoutMs = 60000;
 };
 
 class Server

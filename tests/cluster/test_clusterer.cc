@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "channel/ids_channel.hh"
 #include "cluster/clusterer.hh"
 #include "cluster/greedy.hh"
+#include "dna/primer.hh"
 #include "fuzz_iters.hh"
 #include "util/rng.hh"
 
@@ -118,12 +120,16 @@ substituted(Strand r, const std::vector<size_t> &at)
     return r;
 }
 
-/** The query signature: a read's 24 smallest gram hashes. */
+/**
+ * A read's 24 smallest gram hashes: the grams its lookup always uses
+ * (frequent ones among them are refilled from the next 8).
+ */
 std::vector<uint64_t>
 querySignature(const Strand &read, size_t qgram)
 {
     std::vector<uint64_t> sig;
-    cluster_detail::signatureInto(read, qgram, 24, sig);
+    cluster_detail::signatureInto(read, qgram,
+                                  cluster_detail::kQuerySignatureSize, sig);
     return sig;
 }
 
@@ -256,6 +262,139 @@ TEST(Clusterer, CloserCandidateBeatsEarlierFartherOne)
               signatureHits(r, reads[0], params));
     const Clustering got = clusterReads(reads, params);
     EXPECT_EQ(got.clusterOf, (std::vector<size_t>{ 0, 1, 1 }));
+}
+
+/**
+ * Eight representatives framed by one primer pair: random 110-base
+ * payloads between 20-base primers (150 bases, join limit 37 at the
+ * default fraction). The primers' 12-grams are posted by all eight,
+ * which makes them frequent (chain length >= kFrequentMinPostings).
+ */
+struct PrimerFramed
+{
+    ClusterParams params;
+    PrimerPair primers;
+    std::vector<Strand> payloads, reps;
+    std::vector<uint64_t> primerGrams; //!< Sorted.
+    size_t limit = 0;
+};
+
+PrimerFramed
+primerFramed()
+{
+    PrimerFramed set;
+    set.params.qgram = 12;
+    set.primers = makePrimerPair(7, 20);
+    Rng rng(121);
+    for (size_t i = 0; i < cluster_detail::kFrequentMinPostings; ++i) {
+        set.payloads.push_back(randomStrand(110, rng));
+        set.reps.push_back(attachPrimers(set.primers, set.payloads[i]));
+    }
+    std::vector<uint64_t> grams;
+    for (const Strand *primer :
+         { &set.primers.forward, &set.primers.backward }) {
+        cluster_detail::signatureInto(*primer, 12, size_t(-1), grams);
+        set.primerGrams.insert(set.primerGrams.end(), grams.begin(),
+                               grams.end());
+    }
+    std::sort(set.primerGrams.begin(), set.primerGrams.end());
+    set.limit = size_t(set.params.maxDistanceFrac * 150.0);
+    return set;
+}
+
+/** Entries of sorted @p a that sorted @p b also holds. */
+std::vector<uint64_t>
+common(const std::vector<uint64_t> &a, const std::vector<uint64_t> &b)
+{
+    std::vector<uint64_t> out;
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(out));
+    return out;
+}
+
+/** Grams @p query shares with @p rep that are not primer grams. */
+std::vector<uint64_t>
+sharedPayloadGrams(const Strand &query, const Strand &rep,
+                   const PrimerFramed &set)
+{
+    std::vector<uint64_t> q, r, out;
+    cluster_detail::signatureInto(query, 12, size_t(-1), q);
+    cluster_detail::signatureInto(rep, 12, size_t(-1), r);
+    const std::vector<uint64_t> both = common(q, r);
+    std::set_difference(both.begin(), both.end(),
+                        set.primerGrams.begin(), set.primerGrams.end(),
+                        std::back_inserter(out));
+    return out;
+}
+
+TEST(Clusterer, PrimerVotesAloneNominateNoCandidate)
+{
+    // The query is R3 with a substitution every 11 payload bases, the
+    // first and last payload base included: every 12-gram that
+    // touches the payload holds one, so R3 shares only primer grams
+    // with it. At least two of those sit in the query's signature.
+    // Counted like rare grams they would make all eight
+    // representatives candidates, and R3 is within the join limit;
+    // as frequent grams they only vote, so the query opens its own
+    // cluster.
+    const PrimerFramed set = primerFramed();
+    std::vector<size_t> at;
+    for (size_t p = 0; p < 110; p += 11)
+        at.push_back(20 + p);
+    at.push_back(20 + 109);
+    const Strand query = substituted(set.reps[3], at);
+
+    ASSERT_GE(common(querySignature(query, 12), set.primerGrams).size(),
+              2u);
+    ASSERT_TRUE(sharedPayloadGrams(query, set.reps[3], set).empty());
+    ASSERT_LE(editDistance(query, set.reps[3]), set.limit);
+    for (size_t i = 0; i < set.reps.size(); ++i)
+        for (size_t j = i + 1; j < set.reps.size(); ++j)
+            ASSERT_GT(editDistance(set.reps[i], set.reps[j]), set.limit);
+
+    std::vector<Strand> reads = set.reps;
+    reads.push_back(query);
+    const Clustering got = clusterReads(reads, set.params);
+    EXPECT_EQ(got.clusterOf,
+              (std::vector<size_t>{ 0, 1, 2, 3, 4, 5, 6, 7, 8 }));
+}
+
+TEST(Clusterer, OneRareHitPlusPrimerVotesJoins)
+{
+    // The query is R5 with a substitution at most every 11 payload
+    // bases except around one clean 12-base window, whose gram is in
+    // the query's signature: one rare hit on R5. Alone it could not
+    // nominate R5 (two hits are needed), but the primer grams' votes
+    // count toward the two, so the query joins R5.
+    const PrimerFramed set = primerFramed();
+    Strand query;
+    bool found = false;
+    for (size_t k = 1; k + 12 < 110 && !found; ++k) {
+        // Clean payload window [k, k + 12): substitutions at k - 1
+        // and k + 12, then every 11 bases outward to both ends.
+        std::vector<size_t> at{ 0, 109 };
+        for (long p = long(k) - 1; p > 0; p -= 11)
+            at.push_back(size_t(p));
+        for (size_t p = k + 12; p < 109; p += 11)
+            at.push_back(p);
+        for (size_t &p : at)
+            p += 20;
+        query = substituted(set.reps[5], at);
+        const std::vector<uint64_t> shared =
+            sharedPayloadGrams(query, set.reps[5], set);
+        found = shared.size() == 1 &&
+            common(querySignature(query, 12), shared).size() == 1;
+    }
+    ASSERT_TRUE(found);
+    ASSERT_GE(common(querySignature(query, 12), set.primerGrams).size(),
+              2u);
+    ASSERT_LE(editDistance(query, set.reps[5]), set.limit);
+
+    std::vector<Strand> reads = set.reps;
+    reads.push_back(query);
+    const Clustering got = clusterReads(reads, set.params);
+    EXPECT_EQ(got.clusterOf,
+              (std::vector<size_t>{ 0, 1, 2, 3, 4, 5, 6, 7, 5 }));
 }
 
 TEST(Clusterer, RejectsOutOfRangeQgram)

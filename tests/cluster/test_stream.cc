@@ -38,15 +38,23 @@ randomStrand(size_t len, Rng &rng)
     return s;
 }
 
-/** A noisy interleaved soup with enough reads to shard. */
+/**
+ * A noisy interleaved soup with enough reads to shard. With
+ * @p primers, every strand is framed by that pair, so the primer
+ * grams are posted by every representative and become frequent.
+ */
 std::vector<Strand>
-makeSoup(size_t n_strands, size_t copies, double error, uint64_t seed)
+makeSoup(size_t n_strands, size_t copies, double error, uint64_t seed,
+         const PrimerPair *primers = nullptr)
 {
     Rng rng(seed);
     IdsChannel channel(ErrorModel::uniform(error));
     std::vector<Strand> originals;
-    for (size_t s = 0; s < n_strands; ++s)
+    for (size_t s = 0; s < n_strands; ++s) {
         originals.push_back(randomStrand(100 + rng.nextBelow(30), rng));
+        if (primers != nullptr)
+            originals.back() = attachPrimers(*primers, originals.back());
+    }
     std::vector<Strand> reads;
     for (size_t c = 0; c < copies; ++c)
         for (size_t s = 0; s < n_strands; ++s)
@@ -271,30 +279,71 @@ TEST(StreamingCluster, MatchesPinnedBenchScaleClustering)
     EXPECT_EQ(got.clusterOf, expected);
 }
 
+/** The 20-base primer pair the primer-framed soups share. */
+const PrimerPair &
+soupPrimers()
+{
+    static const PrimerPair primers = makePrimerPair(3, 20);
+    return primers;
+}
+
+/**
+ * Whether some read's query signature (as the clusterer takes it)
+ * holds a gram of the soup primers: the precondition for the
+ * frequent-gram rule to fire at all.
+ */
+bool
+someSignatureHoldsAPrimerGram(const std::vector<Strand> &reads,
+                              size_t qgram)
+{
+    std::vector<uint64_t> primer, grams, sig;
+    for (const Strand *p :
+         { &soupPrimers().forward, &soupPrimers().backward }) {
+        cluster_detail::signatureInto(*p, qgram, size_t(-1), grams);
+        primer.insert(primer.end(), grams.begin(), grams.end());
+    }
+    for (const Strand &read : reads) {
+        cluster_detail::signatureInto(
+            read, qgram, cluster_detail::kQuerySignatureSlots, sig);
+        for (uint64_t h : sig)
+            if (std::find(primer.begin(), primer.end(), h) !=
+                primer.end())
+                return true;
+    }
+    return false;
+}
+
 TEST(StreamingCluster, BitIdenticalAcrossBudgetsAndThreads)
 {
     // The engine's whole contract: for every memory budget (spilling
     // or not), thread count, and shard schedule, the clustering is
-    // byte-identical to the serial run with no budget.
-    auto reads = makeSoup(60, 8, 0.07, 301);
+    // byte-identical to the serial run with no budget — also on a
+    // primer-framed soup, where the frequent-gram rule fires.
+    for (bool framed : { false, true }) {
+        auto reads = makeSoup(60, 8, 0.07, 301,
+                              framed ? &soupPrimers() : nullptr);
+        if (framed) {
+            ASSERT_TRUE(someSignatureHoldsAPrimerGram(reads, 6));
+        }
+        for (size_t shards : { size_t(0), size_t(5), size_t(13) }) {
+            ClusterParams unbudgeted;
+            unbudgeted.numShards = shards;
+            Clustering base = clusterReads(reads, unbudgeted);
 
-    for (size_t shards : { size_t(0), size_t(5), size_t(13) }) {
-        SCOPED_TRACE("shards " + std::to_string(shards));
-        ClusterParams unbudgeted;
-        unbudgeted.numShards = shards;
-        Clustering base = clusterReads(reads, unbudgeted);
-
-        for (size_t budget : { size_t(1) << 30, size_t(4096) }) {
-            for (size_t threads : { size_t(1), size_t(4),
-                                    size_t(8) }) {
-                SCOPED_TRACE("budget " + std::to_string(budget) +
-                             " threads " + std::to_string(threads));
-                ClusterParams streaming = unbudgeted;
-                streaming.memoryBudgetBytes = budget;
-                streaming.numThreads = threads;
-                Clustering got = clusterReads(reads, streaming);
-                EXPECT_EQ(got.clusterOf, base.clusterOf);
-                EXPECT_EQ(got.members, base.members);
+            for (size_t budget : { size_t(1) << 30, size_t(4096) }) {
+                for (size_t threads : { size_t(1), size_t(4),
+                                        size_t(8) }) {
+                    SCOPED_TRACE(std::string(framed ? "framed" : "bare") +
+                                 " shards " + std::to_string(shards) +
+                                 " budget " + std::to_string(budget) +
+                                 " threads " + std::to_string(threads));
+                    ClusterParams streaming = unbudgeted;
+                    streaming.memoryBudgetBytes = budget;
+                    streaming.numThreads = threads;
+                    Clustering got = clusterReads(reads, streaming);
+                    EXPECT_EQ(got.clusterOf, base.clusterOf);
+                    EXPECT_EQ(got.members, base.members);
+                }
             }
         }
     }
@@ -303,24 +352,36 @@ TEST(StreamingCluster, BitIdenticalAcrossBudgetsAndThreads)
 TEST(StreamingCluster, FuzzBudgetsAgainstUnbudgeted)
 {
     // Randomized soups and parameters; every budgeted, threaded run
-    // must reproduce the serial unbudgeted clustering exactly.
+    // must reproduce the serial unbudgeted clustering exactly. Each
+    // draw runs primer-less and primer-framed (the frequent-gram
+    // rule fires on the latter).
     Rng rng(302);
+    bool rule_reachable = false;
     for (int iter = 0; iter < fuzzIters(12); ++iter) {
-        auto reads = makeSoup(10 + rng.nextBelow(30),
-                              2 + rng.nextBelow(6),
-                              0.02 + 0.01 * double(rng.nextBelow(8)),
-                              400 + uint64_t(iter));
+        const size_t n_strands = 10 + rng.nextBelow(30);
+        const size_t copies = 2 + rng.nextBelow(6);
+        const double error = 0.02 + 0.01 * double(rng.nextBelow(8));
         ClusterParams params;
         params.numShards = rng.nextBelow(9);
-        Clustering base = clusterReads(reads, params);
-
         ClusterParams streaming = params;
         streaming.memoryBudgetBytes = 1 + rng.nextBelow(32768);
         streaming.numThreads = 1 + rng.nextBelow(8);
-        Clustering got = clusterReads(reads, streaming);
-        EXPECT_EQ(got.clusterOf, base.clusterOf) << "iter " << iter;
-        EXPECT_EQ(got.members, base.members) << "iter " << iter;
+        for (bool framed : { false, true }) {
+            auto reads = makeSoup(n_strands, copies, error,
+                                  400 + uint64_t(iter),
+                                  framed ? &soupPrimers() : nullptr);
+            if (framed)
+                rule_reachable = rule_reachable ||
+                    someSignatureHoldsAPrimerGram(reads, params.qgram);
+            Clustering base = clusterReads(reads, params);
+            Clustering got = clusterReads(reads, streaming);
+            EXPECT_EQ(got.clusterOf, base.clusterOf)
+                << "iter " << iter << (framed ? " framed" : "");
+            EXPECT_EQ(got.members, base.members)
+                << "iter " << iter << (framed ? " framed" : "");
+        }
     }
+    EXPECT_TRUE(rule_reachable);
 }
 
 TEST(StreamingCluster, ParallelShardFinishHasNoSharedSealing)
@@ -635,7 +696,7 @@ TEST(GramSketch, AutoSizingTargetsEightBitsPerKey)
 
 // ---------------------------------------------------------------------
 // Index equivalence: the prefetched batch insert must store exactly the
-// postings a loop of single inserts stores, grows and fingerprint
+// postings a loop of one-key insertAll calls stores, grows and fingerprint
 // collisions included.
 
 TEST(GramIndex, InsertAllMatchesInsertLoopAndReference)
@@ -671,7 +732,7 @@ TEST(GramIndex, InsertAllMatchesInsertLoopAndReference)
         }
         batched.insertAll(keys.data(), keys.size(), cluster);
         for (uint64_t k : keys) {
-            looped.insert(k, cluster);
+            looped.insertAll(&k, 1, cluster);
             reference[GramIndex::fingerprint(k)].push_back(cluster);
         }
         probes.insert(probes.end(), keys.begin(), keys.end());
@@ -681,7 +742,6 @@ TEST(GramIndex, InsertAllMatchesInsertLoopAndReference)
 
     EXPECT_EQ(batched.keyCount(), reference.size());
     EXPECT_EQ(looped.keyCount(), reference.size());
-    EXPECT_EQ(batched.entryCount(), looped.entryCount());
     std::vector<size_t> got, want, expected;
     for (uint64_t k : probes) {
         got.clear();

@@ -821,6 +821,45 @@ TEST(DaemonE2E, ConnectionBeyondTheCapGetsUnavailable)
     EXPECT_TRUE(server.drain().ok());
 }
 
+TEST(DaemonE2E, IdleConnectionsAreClosedAndFreeTheCap)
+{
+    // Regression: a connection waited for its next request forever,
+    // so maxConnections silent peers locked every later client out
+    // with UNAVAILABLE. At cap 2 with a 300 ms idle deadline, two
+    // connections that never send a byte are closed by the server,
+    // and a third client is then served.
+    const std::string root = freshRoot("idle");
+    ServerOptions options;
+    options.tenants = tenantConfig(root);
+    options.maxConnections = 2;
+    options.idleTimeoutMs = 300;
+    Server server(options);
+    ASSERT_TRUE(server.start().ok());
+
+    int silent[2];
+    for (int &fd : silent) {
+        fd = connectWithin(server.port(), 2000);
+        ASSERT_GE(fd, 0);
+    }
+    // The server closes each silent connection: EOF, no frame.
+    for (int fd : silent) {
+        struct pollfd pfd = { fd, POLLIN, 0 };
+        ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "silent peer never closed";
+        uint8_t byte;
+        EXPECT_EQ(::read(fd, &byte, 1), 0);
+        ::close(fd);
+    }
+    // The acceptor reaps the closed connections on its next pass.
+    bool served = false;
+    for (int i = 0; i < 100 && !served; ++i) {
+        served = pingOnFreshConnection(server.port(), 2000);
+        if (!served)
+            ::usleep(20 * 1000);
+    }
+    EXPECT_TRUE(served);
+    EXPECT_TRUE(server.drain().ok());
+}
+
 // -------------------------------------------------------------- durability
 
 TEST(DaemonE2E, DrainSavesDirtyPoolsAsLoadableFiles)
