@@ -435,24 +435,10 @@ ClusterOptions::spillDir(const std::string &dir)
 Status
 ClusterOptions::validate() const
 {
-    // 2 bits per base must fit the 64-bit signature hash.
-    if (params_.qgram < 1 || params_.qgram > 31)
-        return Status::invalidArgument(
-            "cluster-qgram must be in [1, 31]");
-    if (!std::isfinite(params_.maxDistanceFrac))
-        return Status::invalidArgument(formatMessage(
-            "cluster-maxdist must be finite (got %g)",
-            params_.maxDistanceFrac));
-    if (!(params_.maxDistanceFrac > 0.0) || params_.maxDistanceFrac > 1.0)
-        return Status::invalidArgument(formatMessage(
-            "cluster-maxdist must be in (0, 1] (got %g)",
-            params_.maxDistanceFrac));
-    if (params_.sketchBits != 0 &&
-        (params_.sketchBits < 10 || params_.sketchBits > 36))
-        return Status::invalidArgument(formatMessage(
-            "cluster-sketch-bits must be 0 (auto) or in [10, 36] "
-            "(got %zu)",
-            params_.sketchBits));
+    // One rule with the engine: StreamingClusterer's constructor runs
+    // the same check.
+    if (const char *err = params_.check())
+        return Status::invalidArgument(err);
     return Status();
 }
 

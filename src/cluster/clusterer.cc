@@ -1,11 +1,28 @@
 #include "cluster/clusterer.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "cluster/stream.hh"
 
 namespace dnastore {
+
+const char *
+ClusterParams::check() const
+{
+    // 2 bits per base must fit the 64-bit gram hash; finiteness is
+    // tested first because NaN fails every ordered comparison.
+    if (qgram < 1 || qgram > 31)
+        return "cluster-qgram must be in [1, 31]";
+    if (!std::isfinite(maxDistanceFrac))
+        return "cluster-maxdist must be finite";
+    if (!(maxDistanceFrac > 0.0) || maxDistanceFrac > 1.0)
+        return "cluster-maxdist must be in (0, 1]";
+    if (sketchBits != 0 && (sketchBits < 10 || sketchBits > 36))
+        return "cluster-sketch-bits must be 0 (auto) or in [10, 36]";
+    return nullptr;
+}
 
 Clustering
 clusterReads(const std::vector<Strand> &reads,

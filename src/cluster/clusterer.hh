@@ -97,6 +97,12 @@ struct ClusterParams
      * memoryBudgetBytes forces an out-of-core run.
      */
     std::string spillDir;
+
+    /**
+     * First broken constraint, or nullptr when valid: the one rule
+     * StreamingClusterer and api::ClusterOptions::validate both run.
+     */
+    const char *check() const;
 };
 
 /** Result of clustering a read set. */

@@ -55,6 +55,14 @@ GramIndex::GramIndex()
 }
 
 void
+GramIndex::clear()
+{
+    std::fill(heads_.begin(), heads_.end(), 0);
+    entries_.clear();
+    keyFps_.clear();
+}
+
+void
 GramIndex::insertAll(const uint64_t *keys, size_t n, size_t cluster)
 {
     if (cluster > 0xffffffffULL)
@@ -75,13 +83,13 @@ GramIndex::insertAll(const uint64_t *keys, size_t n, size_t cluster)
         }
         // Keep probes short: grow at 1/2 load so the average
         // successful probe stays near two slots.
-        if ((keys_ + 1) * 2 > mask_ + 1)
+        if ((keyFps_.size() + 1) * 2 > mask_ + 1)
             grow();
         uint32_t fp = fingerprint(keys[i]);
         size_t slot = probe(fp);
         if (heads_[slot] == 0) {
             fps_[slot] = fp;
-            ++keys_;
+            keyFps_.push_back(fp);
         }
         entries_.push_back({ uint32_t(cluster), heads_[slot] });
         heads_[slot] = uint32_t(entries_.size());
@@ -113,10 +121,8 @@ void
 GramIndex::rebuildSketch(GramSketch &sketch, size_t log2bits) const
 {
     sketch.reset(log2bits);
-    for (size_t s = 0; s <= mask_; ++s) {
-        if (heads_[s] != 0)
-            sketch.insert(fps_[s]);
-    }
+    for (uint32_t fp : keyFps_)
+        sketch.insert(fp);
 }
 
 } // namespace dnastore

@@ -2,16 +2,10 @@
  * @file
  * Flat sketch-and-index structures for q-gram candidate generation.
  *
- * Candidate generation is the clusterer's asymptotic wall: for every
- * read, each signature gram is looked up in an index of the grams of
- * all cluster representatives. The original node-based
- * `unordered_map<uint64_t, vector<size_t>>` costs a pointer chase and
- * an allocation per distinct gram; at millions of representatives the
- * index no longer fits in cache and every probe is a miss.
- *
- * Two flat replacements, borrowed in spirit from layout-into-bins
- * sketching (chopper-style k-mer count sketches with false-positive
- * correction):
+ * For every read, each signature gram is looked up in an index of the
+ * grams of all cluster representatives. Two flat structures, borrowed
+ * in spirit from layout-into-bins sketching (chopper-style k-mer count
+ * sketches with false-positive correction), keep that cheap:
  *
  *  - GramSketch: a tiny Bloom filter over the indexed gram hashes.
  *    Most query grams of a noisy read are corrupted and were never
@@ -34,7 +28,9 @@
  * Both structures are content-deterministic: the stored multiset of
  * (gram, cluster) pairs — and therefore every candidate list derived
  * from them — depends only on the insertion sequence, never on
- * capacity, probe order, or sketch sizing.
+ * capacity, probe order, or sketch sizing. So GramIndex::clear() keeps
+ * its grown arrays for the next shard, and a key list keeps sketch
+ * rebuilds proportional to keys, not to those slots.
  */
 
 #ifndef DNASTORE_CLUSTER_GRAM_INDEX_HH
@@ -128,6 +124,9 @@ class GramIndex
   public:
     GramIndex();
 
+    /** Drop every key and posting; the arrays keep their capacity. */
+    void clear();
+
     /**
      * Add @p cluster to the postings of each of @p keys, in order
      * (duplicates allowed), prefetching the slots of the key eight
@@ -150,11 +149,12 @@ class GramIndex
     }
 
     /** Distinct keys indexed (fingerprint-merged keys count once). */
-    size_t keyCount() const { return keys_; }
+    size_t keyCount() const { return keyFps_.size(); }
 
     /**
      * Rebuild @p sketch from every indexed fingerprint, sized for the
      * current key count (used when the sketch outgrows its bits).
+     * Walks the keys, not the slots, which stay large after clear().
      */
     void rebuildSketch(GramSketch &sketch, size_t log2bits) const;
 
@@ -194,7 +194,7 @@ class GramIndex
     std::vector<uint32_t> fps_;   //!< Slot fingerprints.
     std::vector<uint32_t> heads_; //!< 1-based chain heads; 0 = empty.
     std::vector<Entry> entries_;  //!< Posting pool, insertion order.
-    size_t keys_ = 0;             //!< Occupied slots.
+    std::vector<uint32_t> keyFps_; //!< Indexed fingerprints, one per key.
     size_t mask_ = 0;             //!< Slot count - 1 (power of two).
 };
 

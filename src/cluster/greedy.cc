@@ -15,37 +15,53 @@ signatureInto(StrandView read, size_t qgram, size_t cap,
     out.clear();
     if (read.size() < qgram || cap == 0)
         return;
-    uint64_t gram = 0;
+    // Hashes are near-uniform, so about 2 cap + 16 of the n grams fall
+    // under the bound; when at least cap distinct ones do, they are
+    // exactly the cap smallest. Unique keeps duplicate postings from
+    // the >= 2-hits candidate gate.
+    const size_t n = read.size() - qgram + 1;
+    const uint64_t bound = cap < n && 2 * cap + 16 < n
+        ? (~uint64_t(0) / n) * (2 * cap + 16)
+        : ~uint64_t(0);
     const uint64_t mask = (uint64_t(1) << (2 * qgram)) - 1;
-    if (cap > read.size() - qgram) {
-        // Every gram: sort + unique, so no duplicate posting ever
-        // reaches the index's >= 2-hits candidate gate.
-        for (size_t i = 0; i < read.size(); ++i) {
-            gram = ((gram << 2) | bitsFromBase(read[i])) & mask;
-            if (i + 1 >= qgram)
-                out.push_back(mixHash(gram));
-        }
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
-        return;
-    }
-    // Selection: out holds the cap smallest distinct hashes so far,
-    // sorted. Once full, one comparison rejects most grams.
-    for (size_t i = 0; i < read.size(); ++i) {
+    uint64_t gram = 0;
+    size_t kept = 0;
+    out.resize(n);
+    for (size_t i = 0; i + 1 < qgram; ++i)
+        gram = (gram << 2) | bitsFromBase(read[i]);
+    for (size_t i = qgram - 1; i < read.size(); ++i) {
         gram = ((gram << 2) | bitsFromBase(read[i])) & mask;
-        if (i + 1 < qgram)
-            continue;
         const uint64_t h = mixHash(gram);
-        if (out.size() == cap && h >= out.back())
-            continue;
-        const size_t at = size_t(
-            std::lower_bound(out.begin(), out.end(), h) - out.begin());
-        if (at < out.size() && out[at] == h)
-            continue;
-        if (out.size() == cap)
-            out.pop_back();
-        out.insert(out.begin() + long(at), h);
+        out[kept] = h; // branch-free: kept only when under the bound
+        kept += h <= bound;
     }
+    // A counting sort on the top 7 bits below the bound leaves about
+    // one hash per bucket, so the insertion sort that finishes rarely
+    // mispredicts (std::sort on random keys does half the time). Large
+    // sets, where insertion sort could go quadratic, take std::sort.
+    if (kept <= 256) {
+        const int shift = 57 - __builtin_clzll(bound);
+        uint32_t next[129] = {}; // each bucket's next free slot
+        for (size_t i = 0; i < kept; ++i)
+            ++next[(out[i] >> shift) + 1];
+        for (size_t b = 1; b <= 128; ++b)
+            next[b] += next[b - 1];
+        out.resize(n + kept);
+        for (size_t i = 0; i < kept; ++i)
+            out[n + next[out[i] >> shift]++] = out[i];
+        for (size_t i = n + 1; i < n + kept; ++i)
+            for (size_t j = i; j > n && out[j - 1] > out[j]; --j)
+                std::swap(out[j - 1], out[j]);
+        out.erase(out.begin(), out.begin() + long(n));
+    } else {
+        out.resize(kept);
+        std::sort(out.begin(), out.end());
+    }
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    if (out.size() < cap && bound != ~uint64_t(0))
+        signatureInto(read, qgram, n, out); // degenerate: every gram
+    if (out.size() > cap)
+        out.resize(cap);
 }
 
 void
@@ -117,7 +133,17 @@ GreedyState::GreedyState(const ClusterParams &params)
     : params_(params),
       autoSketch_(params.sketchBits == 0)
 {
-    sketch_.reset(autoSketch_ ? 12 : params.sketchBits);
+    reset();
+}
+
+void
+GreedyState::reset()
+{
+    index_.clear();
+    sketch_.reset(autoSketch_ ? 12 : params_.sketchBits);
+    repArena_.clear();
+    representative_.clear();
+    members_.clear();
 }
 
 void

@@ -25,13 +25,16 @@
  * threshold: at q = 12 in practice only primer grams do; at q = 6 on
  * long reads common payload grams do too.
  *
- * The per-read loop has two hot spots, both kept exact:
+ * The per-read loop's hot spots, all kept exact:
  *
+ *  - A signature hashes each gram once and sorts only the hashes
+ *    under a bound that about 2 cap + 16 of them pass (signatureInto).
  *  - Opening a cluster indexes every distinct gram of its
- *    representative. DistinctGrams collects them in read order
- *    without sorting, and GramIndex::insertAll inserts them with
- *    prefetch. The index is a multiset and gatherCandidates sorts its
- *    hits, so insert order never reaches a result.
+ *    representative, collected in read order by DistinctGrams and
+ *    inserted by GramIndex::insertAll with prefetch. The index is a
+ *    multiset and gatherCandidates sorts its hits, so insert order
+ *    never reaches a result. The engine reuses one state per running
+ *    shard (reset()), so the index grows from empty only once.
  *  - Verification runs candidates likeliest first (most signature
  *    hits), each batch bounded by the best distance so far, keeping
  *    the (distance, cluster id) minimum: the smallest distance,
@@ -96,7 +99,7 @@ constexpr size_t kFrequentClusterDivisor = 8;
 /**
  * Sorted unique q-gram hashes of @p read into @p out, truncated to
  * the @p cap smallest (minhash); pass SIZE_MAX for all of them. A
- * cap below the gram count selects instead of sorting every gram.
+ * cap well below the gram count sorts only the hashes under a bound.
  * Reuses @p out's capacity — the reason it is an out-parameter.
  */
 void signatureInto(StrandView read, size_t qgram, size_t cap,
@@ -158,6 +161,12 @@ class GreedyState
 {
   public:
     explicit GreedyState(const ClusterParams &params);
+
+    /**
+     * Back to the constructed state, keeping every buffer's capacity;
+     * capacity never reaches a result (cluster/gram_index.hh).
+     */
+    void reset();
 
     /**
      * Assign @p read (global id @p global_id) to the best verified

@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -176,9 +177,8 @@ StreamingClusterer::StreamingClusterer(const ClusterParams &params)
                                         : params.spillDir),
       log_(std::make_unique<Segment>())
 {
-    if (params.qgram < 1 || params.qgram > 31)
-        throw std::invalid_argument(
-            "ClusterParams::qgram must be in [1, 31]");
+    if (const char *err = params.check())
+        throw std::invalid_argument(std::string("ClusterParams: ") + err);
 }
 
 StreamingClusterer::~StreamingClusterer() = default;
@@ -400,9 +400,18 @@ StreamingClusterer::finish()
     // strands and member lists. Shard segments are discarded the
     // moment their greedy pass ends; they deliberately skip
     // releaseSegment, which would also write shared accounting.
+    // States come from a free list, reset after use, so an index
+    // never regrows from empty; one per shard running at once.
     std::vector<ShardResult> results(shards);
+    std::mutex free_mutex;
+    std::vector<GreedyState> free_states;
     parallelFor(shards, params_.numThreads, [&](size_t s) {
-        GreedyState state(params_);
+        std::unique_lock<std::mutex> lock(free_mutex);
+        if (free_states.empty())
+            free_states.emplace_back(params_);
+        GreedyState state = std::move(free_states.back());
+        free_states.pop_back();
+        lock.unlock();
         Strand local;
         forEachRecord(shard_segs[s],
                       [&](uint64_t id, uint64_t, size_t len,
@@ -421,13 +430,18 @@ StreamingClusterer::finish()
             out.members.push_back(std::move(state.membersOf(c)));
         }
         shard_segs[s].discard();
+        state.reset();
+        lock.lock();
+        free_states.push_back(std::move(state));
     });
     shard_segs.clear();
 
     // ---- Serial deterministic merge, shard-major, so spill
     // schedules, thread counts, and SIMD tiers can never reach the
-    // result.
-    GreedyState merged(params_);
+    // result. It reuses one shard state; the rest are freed before
+    // it grows.
+    GreedyState merged = std::move(free_states.front());
+    free_states.clear();
     for (size_t s = 0; s < shards; ++s) {
         ShardResult &local = results[s];
         for (size_t c = 0; c < local.repIds.size(); ++c)

@@ -21,9 +21,10 @@
  *     segments by minimizer. Records stay in global-id order within
  *     each shard because the log is consumed in ingest order.
  *  3. Cluster: each shard segment is streamed through the greedy
- *     pass (shards fan out over the thread pool), keeping only
- *     representatives and member lists, then merged serially in
- *     shard order and canonicalized.
+ *     pass (shards fan out over the thread pool, each on a reset
+ *     state from a free list), keeping only representatives and
+ *     member lists, then merged serially in shard order and
+ *     canonicalized.
  *
  * Determinism contract: the clustering is bit-identical for every
  * memory budget (spill or no spill), thread count, and SIMD tier.

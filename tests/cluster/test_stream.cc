@@ -141,31 +141,48 @@ TEST(StreamingCluster, MatchesPinnedReferenceClustering)
 
 TEST(SignatureFuzz, SelectionEqualsSortUniqueResize)
 {
-    // A capped signature is selected, not sorted; it must equal the
-    // sort + unique + resize of every gram hash, including reads of
-    // repeated grams (duplicates must not take a slot), reads shorter
-    // than q, and caps at or past the distinct-gram count. The
-    // unsorted DistinctGrams set must hold exactly the sort + unique
-    // hashes, in first-occurrence order.
+    // A capped signature hashes every gram once and sorts only the
+    // hashes under a bound, falling back to every gram when fewer than
+    // cap distinct ones pass; either way it must equal the sort +
+    // unique + resize of every gram hash, including reads of repeated
+    // grams (duplicates must not take a slot), reads shorter than q,
+    // strand-length reads at every q up to 31, and caps at or past
+    // the distinct-gram count. The unsorted DistinctGrams set must
+    // hold exactly the sort + unique hashes, in first-occurrence
+    // order.
+    constexpr size_t kCap = cluster_detail::kQuerySignatureSlots;
     Rng rng(311);
     std::vector<uint64_t> got;
     cluster_detail::DistinctGrams distinct;
+    int forced_fallbacks = 0;
     for (int iter = 0; iter < fuzzIters(400); ++iter) {
-        const size_t qgram = 1 + rng.nextBelow(14);
+        const size_t qgram = 1 + rng.nextBelow(31);
         Strand read;
-        switch (rng.nextBelow(3)) {
-          case 0: // low complexity: a short motif repeated
+        bool duplicate_heavy = false;
+        switch (rng.nextBelow(5)) {
+          case 0: // low complexity: a motif repeated, any length
             {
-                Strand motif = randomStrand(1 + rng.nextBelow(4), rng);
-                for (size_t n = rng.nextBelow(200); read.size() < n;)
+                Strand motif = randomStrand(1 + rng.nextBelow(3 * kCap), rng);
+                for (size_t n = rng.nextBelow(1025); read.size() < n;)
                     read.insert(read.end(), motif.begin(), motif.end());
                 break;
             }
           case 1:
             read = randomStrand(rng.nextBelow(qgram + 2), rng);
             break;
-          default:
+          case 2:
             read = randomStrand(rng.nextBelow(300), rng);
+            break;
+          case 3: // strand length
+            read = randomStrand(455 + rng.nextBelow(570), rng);
+            break;
+          default: // strand length, fewer distinct grams than kCap
+            {
+                Strand motif = randomStrand(1 + rng.nextBelow(kCap - 1), rng);
+                for (size_t n = 455 + rng.nextBelow(570); read.size() < n;)
+                    read.insert(read.end(), motif.begin(), motif.end());
+                duplicate_heavy = true;
+            }
         }
         std::vector<uint64_t> all;
         cluster_detail::signatureInto(read, qgram, size_t(-1), all);
@@ -197,7 +214,15 @@ TEST(SignatureFuzz, SelectionEqualsSortUniqueResize)
         ASSERT_EQ(got, first_seen) << "iter " << iter;
         std::sort(got.begin(), got.end());
         ASSERT_EQ(got, expected_all) << "iter " << iter;
-        for (size_t cap : { size_t(1), size_t(4), size_t(24),
+        if (duplicate_heavy) {
+            // More than 2 kCap + 16 grams arm the bound, and a period
+            // below kCap leaves fewer than kCap distinct hashes, so no
+            // bound can fill the signature: the exact path runs.
+            ASSERT_GT(read.size() - qgram + 1, 2 * kCap + 16);
+            ASSERT_LT(all.size(), kCap);
+            ++forced_fallbacks;
+        }
+        for (size_t cap : { size_t(1), size_t(4), size_t(24), kCap,
                             all.size(), all.size() + 1,
                             size_t(rng.nextBelow(all.size() + 2)) }) {
             std::vector<uint64_t> expected(
@@ -206,6 +231,9 @@ TEST(SignatureFuzz, SelectionEqualsSortUniqueResize)
             EXPECT_EQ(got, expected)
                 << "iter " << iter << " cap " << cap << " q " << qgram;
         }
+    }
+    if (fuzzIters(400) >= 50) {
+        EXPECT_GT(forced_fallbacks, 0);
     }
 }
 
@@ -756,6 +784,95 @@ TEST(GramIndex, InsertAllMatchesInsertLoopAndReference)
             expected = it->second; // ascending: clusters go in order
         ASSERT_EQ(got, want) << "key " << k;
         ASSERT_EQ(got, expected) << "key " << k;
+    }
+}
+
+TEST(GramIndex, ClearedIndexMatchesFreshIndex)
+{
+    // A cleared index keeps its grown slot arrays; every lookup, the
+    // key count and the rebuilt sketch must still match a fresh index
+    // fed the same batches, and nothing from before clear() may show.
+    Rng rng(317);
+    auto batch = [&rng](size_t n) {
+        std::vector<uint64_t> keys(n);
+        for (uint64_t &k : keys)
+            k = rng.next();
+        if (n > 1)
+            keys[n - 1] = keys[0]; // a repeat within the batch
+        return keys;
+    };
+    GramIndex reused, fresh;
+    std::vector<uint64_t> probes;
+    for (size_t cluster = 0; cluster < 30; ++cluster) {
+        const std::vector<uint64_t> keys = batch(2000);
+        reused.insertAll(keys.data(), keys.size(), cluster);
+        probes.insert(probes.end(), keys.begin(), keys.end());
+    }
+    reused.clear();
+    EXPECT_EQ(reused.keyCount(), 0u);
+    for (size_t cluster = 0; cluster < 12; ++cluster) {
+        const std::vector<uint64_t> keys = batch(rng.nextBelow(900));
+        reused.insertAll(keys.data(), keys.size(), cluster);
+        fresh.insertAll(keys.data(), keys.size(), cluster);
+        probes.insert(probes.end(), keys.begin(), keys.end());
+    }
+    EXPECT_EQ(reused.keyCount(), fresh.keyCount());
+    GramSketch reused_sketch, fresh_sketch;
+    reused.rebuildSketch(reused_sketch, 14);
+    fresh.rebuildSketch(fresh_sketch, 14);
+    std::vector<size_t> got, want;
+    for (uint64_t k : probes) {
+        got.clear();
+        want.clear();
+        reused.lookup(k, got);
+        fresh.lookup(k, want);
+        ASSERT_EQ(got, want) << "key " << k; // chain order too
+        const uint32_t fp = GramIndex::fingerprint(k);
+        ASSERT_EQ(reused_sketch.mayContain(fp), fresh_sketch.mayContain(fp))
+            << "key " << k;
+    }
+}
+
+TEST(GreedyState, ResetStateClustersLikeAFreshOne)
+{
+    // The shard pass reuses one state across shards. After reset(), a
+    // state that clustered soup A must cluster soup B exactly like a
+    // fresh state: same representatives, members and final
+    // clustering, with primer (frequent) grams and sketch rebuilds in
+    // play, at both an auto-sized and a fixed sketch.
+    const PrimerPair primers =
+        makePrimerPair(3, StorageConfig::benchScale().primerLen);
+    const std::vector<Strand> soup_a = makeSoup(120, 4, 0.05, 41, &primers);
+    const std::vector<Strand> soup_b = makeSoup(70, 5, 0.06, 42, &primers);
+    for (size_t qgram : { size_t(6), size_t(12) }) {
+        for (size_t sketch_bits : { size_t(0), size_t(12) }) {
+            ClusterParams params;
+            params.qgram = qgram;
+            params.sketchBits = sketch_bits;
+            cluster_detail::GreedyState fresh(params), reused(params);
+            for (size_t i = 0; i < soup_a.size(); ++i)
+                reused.consume(i, soup_a[i]);
+            reused.reset();
+            ASSERT_EQ(reused.clusterCount(), 0u);
+            for (size_t i = 0; i < soup_b.size(); ++i) {
+                fresh.consume(i, soup_b[i]);
+                reused.consume(i, soup_b[i]);
+            }
+            const std::string at = "q " + std::to_string(qgram) +
+                " sketch " + std::to_string(sketch_bits);
+            ASSERT_EQ(reused.clusterCount(), fresh.clusterCount()) << at;
+            for (size_t c = 0; c < fresh.clusterCount(); ++c) {
+                ASSERT_EQ(reused.representativeId(c),
+                          fresh.representativeId(c)) << at;
+                ASSERT_EQ(reused.representativeStrand(c),
+                          fresh.representativeStrand(c)) << at;
+                ASSERT_EQ(reused.membersOf(c), fresh.membersOf(c)) << at;
+            }
+            const Clustering want = fresh.finalize(soup_b.size());
+            const Clustering got = reused.finalize(soup_b.size());
+            EXPECT_EQ(got.clusterOf, want.clusterOf) << at;
+            EXPECT_EQ(got.members, want.members) << at;
+        }
     }
 }
 
