@@ -118,11 +118,10 @@ GramIndex::grow()
 }
 
 void
-GramIndex::rebuildSketch(GramSketch &sketch, size_t log2bits) const
+GramIndex::sketchKeys(GramSketch &sketch, size_t first) const
 {
-    sketch.reset(log2bits);
-    for (uint32_t fp : keyFps_)
-        sketch.insert(fp);
+    for (size_t i = first; i < keyFps_.size(); ++i)
+        sketch.insert(keyFps_[i]);
 }
 
 } // namespace dnastore

@@ -25,12 +25,12 @@
  * fingerprint and head arrays stay separate: an interleaved
  * {fingerprint, head} slot ran no faster and held more memory.
  *
- * Both structures are content-deterministic: the stored multiset of
- * (gram, cluster) pairs — and therefore every candidate list derived
- * from them — depends only on the insertion sequence, never on
- * capacity, probe order, or sketch sizing. So GramIndex::clear() keeps
- * its grown arrays for the next shard, and a key list keeps sketch
- * rebuilds proportional to keys, not to those slots.
+ * Both structures are content-deterministic: every posting chain,
+ * newest first, and therefore every candidate list derived from them
+ * depends only on the insertion sequence, never on capacity, probe
+ * order, or sketch sizing. So GramIndex::clear() keeps its grown
+ * arrays for the next shard, and a key list keeps sketch updates
+ * proportional to keys, not to those slots.
  */
 
 #ifndef DNASTORE_CLUSTER_GRAM_INDEX_HH
@@ -116,12 +116,21 @@ class GramSketch
  * verification rejects — never a wrong clustering — and halves the
  * slot footprint at the scales where the index dominates memory.
  *
- * Posting chains are newest-first; callers sort the gathered hits, so
- * per-chain order never reaches a result.
+ * Posting chains are newest-first, a contract: a caller that opens
+ * clusters with ascending ids (GreedyState does) sees ids never
+ * increase along a chain, so a walk can stop below the smallest id it
+ * wants. A fingerprint collision or a repeated key posts a cluster
+ * twice, back to back.
  */
 class GramIndex
 {
   public:
+    struct Posting
+    {
+        uint32_t cluster;
+        uint32_t next; //!< 1-based index into the pool; 0 = end.
+    };
+
     GramIndex();
 
     /** Drop every key and posting; the arrays keep their capacity. */
@@ -136,27 +145,24 @@ class GramIndex
      */
     void insertAll(const uint64_t *keys, size_t n, size_t cluster);
 
-    /** Append every cluster posted under @p key to @p out. */
-    void
-    lookup(uint64_t key, std::vector<size_t> &out) const
+    /** First posting (1-based) of @p key's chain; 0 if none. */
+    uint32_t
+    head(uint64_t key) const
     {
-        size_t slot = probe(fingerprint(key));
-        uint32_t e = heads_[slot];
-        while (e != 0) {
-            out.push_back(entries_[e - 1].cluster);
-            e = entries_[e - 1].next;
-        }
+        return heads_[probe(fingerprint(key))];
     }
+
+    /** Posting @p e (1-based: a head() or a Posting::next). */
+    const Posting &posting(uint32_t e) const { return entries_[e - 1]; }
 
     /** Distinct keys indexed (fingerprint-merged keys count once). */
     size_t keyCount() const { return keyFps_.size(); }
 
     /**
-     * Rebuild @p sketch from every indexed fingerprint, sized for the
-     * current key count (used when the sketch outgrows its bits).
-     * Walks the keys, not the slots, which stay large after clear().
+     * Set @p sketch's bits for the indexed keys from the @p first-th
+     * on: keyCount() before an insertAll names the keys it added.
      */
-    void rebuildSketch(GramSketch &sketch, size_t log2bits) const;
+    void sketchKeys(GramSketch &sketch, size_t first) const;
 
     /** The fingerprint the slot array stores for @p key. */
     static uint32_t
@@ -185,15 +191,9 @@ class GramIndex
 
     void grow();
 
-    struct Entry
-    {
-        uint32_t cluster;
-        uint32_t next; //!< 1-based index into entries_; 0 = end.
-    };
-
     std::vector<uint32_t> fps_;   //!< Slot fingerprints.
     std::vector<uint32_t> heads_; //!< 1-based chain heads; 0 = empty.
-    std::vector<Entry> entries_;  //!< Posting pool, insertion order.
+    std::vector<Posting> entries_; //!< Posting pool, insertion order.
     std::vector<uint32_t> keyFps_; //!< Indexed fingerprints, one per key.
     size_t mask_ = 0;             //!< Slot count - 1 (power of two).
 };

@@ -168,8 +168,7 @@ GreedyState::consumeGroup(size_t rep_id, StrandView rep,
 size_t
 GreedyState::joinOrOpen(size_t rep_id, StrandView read)
 {
-    signatureInto(read, params_.qgram, kQuerySignatureSlots, sig_);
-    gatherCandidates();
+    candidatesOf(read);
     size_t limit =
         size_t(params_.maxDistanceFrac * double(read.size()));
     size_t cluster = bestCluster(read, limit);
@@ -178,15 +177,16 @@ GreedyState::joinOrOpen(size_t rep_id, StrandView read)
     return cluster;
 }
 
-void
-GreedyState::gatherCandidates()
+const std::vector<size_t> &
+GreedyState::candidatesOf(StrandView read)
 {
+    signatureInto(read, params_.qgram, kQuerySignatureSlots, sig_);
     hits_.clear();
-    ranked_.clear();
+    frequentHeads_.clear();
     // sig_ holds the kQuerySignatureSlots smallest grams; walk them in
     // hash order until kQuerySignatureSize rare ones are used. A
-    // frequent gram's hits are tagged and its slot refilled by the
-    // next gram, so primers never crowd out the payload.
+    // frequent gram's chain is kept for the vote and its slot refilled
+    // by the next gram, so primers never crowd out the payload.
     const size_t frequent = std::max(
         kFrequentMinPostings, clusterCount() / kFrequentClusterDivisor);
     size_t used = 0;
@@ -198,36 +198,62 @@ GreedyState::gatherCandidates()
         // before the index is probed at all. A rejected gram has no
         // postings, so it is used like any rare one and sketch sizing
         // cannot move the walk.
-        const size_t first = hits_.size();
+        uint32_t head = 0;
         if (sketch_.mayContain(GramIndex::fingerprint(h)))
-            index_.lookup(h, hits_);
-        const size_t tag = hits_.size() - first >= frequent;
-        used += 1 - tag;
-        for (size_t i = first; i < hits_.size(); ++i)
-            hits_[i] = hits_[i] << 1 | tag;
+            head = index_.head(h);
+        // A rare chain's postings nominate; `frequent` of them are
+        // enough to tell it from a frequent one.
+        const size_t first = hits_.size();
+        for (uint32_t e = head; e != 0 && hits_.size() - first < frequent;
+             e = index_.posting(e).next)
+            hits_.push_back(index_.posting(e).cluster);
+        if (hits_.size() - first < frequent) {
+            ++used;
+        } else {
+            hits_.resize(first);
+            frequentHeads_.push_back(head);
+        }
     }
+    // Nominees: each distinct rare-hit cluster, ascending, as
+    // cluster << 32 | hits.
     std::sort(hits_.begin(), hits_.end());
+    ranked_.clear();
+    for (uint32_t cluster : hits_) {
+        if (ranked_.empty() || ranked_.back() >> 32 != cluster)
+            ranked_.push_back(uint64_t(cluster) << 32);
+        ++ranked_.back();
+    }
+    // A frequent gram only votes. Ids descend along its chain, so one
+    // merge walk from the top nominee down counts every posting of a
+    // nominee, repeats included, and stops below the lowest.
+    for (const uint32_t head : frequentHeads_) {
+        size_t k = ranked_.size();
+        for (uint32_t e = head; e != 0; e = index_.posting(e).next) {
+            const uint64_t id = index_.posting(e).cluster;
+            while (k > 0 && ranked_[k - 1] >> 32 > id)
+                --k;
+            if (k == 0)
+                break;
+            ranked_[k - 1] += ranked_[k - 1] >> 32 == id;
+        }
+    }
     // One shared gram happens by chance; two is a strong hint (tiny
     // signatures keep the single-hit rule so short reads still join).
-    // A frequent gram votes but cannot nominate: a cluster's run must
-    // start with a rare hit (tag 0 sorts first). Each survivor is
-    // ranked by (hits descending, id ascending) in one key; ids fit
-    // 32 bits (GramIndex enforces it) and a run is at most a few
-    // postings per signature gram.
-    for (size_t i = 0; i < hits_.size();) {
-        const size_t cluster = hits_[i] >> 1;
-        size_t j = i + 1;
-        while (j < hits_.size() && hits_[j] >> 1 == cluster)
-            ++j;
-        if ((hits_[i] & 1) == 0 && (j - i >= 2 || sig_.size() < 4))
-            ranked_.push_back(uint64_t(0xffffffffu - (j - i)) << 32 |
-                              cluster);
-        i = j;
+    // Each survivor is ranked by (hits descending, id ascending) in
+    // one key; ids fit 32 bits (GramIndex enforces it).
+    size_t kept = 0;
+    for (uint64_t nominee : ranked_) {
+        const uint32_t hits = uint32_t(nominee);
+        if (hits >= 2 || sig_.size() < 4)
+            ranked_[kept++] =
+                uint64_t(0xffffffffu - hits) << 32 | nominee >> 32;
     }
+    ranked_.resize(kept);
     std::sort(ranked_.begin(), ranked_.end());
     candidates_.clear();
     for (uint64_t key : ranked_)
         candidates_.push_back(size_t(key & 0xffffffffu));
+    return candidates_;
 }
 
 size_t
@@ -269,17 +295,20 @@ GreedyState::openCluster(size_t rep_id, StrandView read)
     representative_.push_back(rep_id);
     repArena_.append(read);
     // Index the representative with ALL its distinct grams so future
-    // noisy reads still find it. Their order is irrelevant: the index
-    // is a multiset and gatherCandidates sorts what it finds.
+    // noisy reads still find it. Their order is irrelevant: every
+    // posting of this open carries the same id.
     distinct_.collect(read, params_.qgram, repGrams_);
+    size_t known = index_.keyCount();
     index_.insertAll(repGrams_.data(), repGrams_.size(), cluster);
-    for (uint64_t h : repGrams_)
-        sketch_.insert(GramIndex::fingerprint(h));
     // Auto-sized sketches track the index: past ~8 bits per key the
-    // false-positive rate decays, so rebuild with headroom.
-    if (autoSketch_ && index_.keyCount() * 8 > sketch_.bitCount())
-        index_.rebuildSketch(
-            sketch_, GramSketch::autoLog2Bits(index_.keyCount() * 2));
+    // false-positive rate decays, so rebuild with headroom. Otherwise
+    // only the new keys set bits: a known key set its bits when it
+    // was new.
+    if (autoSketch_ && index_.keyCount() * 8 > sketch_.bitCount()) {
+        sketch_.reset(GramSketch::autoLog2Bits(index_.keyCount() * 2));
+        known = 0;
+    }
+    index_.sketchKeys(sketch_, known);
     return cluster;
 }
 

@@ -29,12 +29,18 @@
  *
  *  - A signature hashes each gram once and sorts only the hashes
  *    under a bound that about 2 cap + 16 of them pass (signatureInto).
+ *  - The gather never copies a frequent chain. It walks each chain
+ *    for at most `frequent` postings to classify it and sorts only
+ *    the rare postings into nominees. Ids descend along a chain
+ *    (gram_index.hh), so one walk per frequent chain adds its votes
+ *    and stops below the lowest nominee.
  *  - Opening a cluster indexes every distinct gram of its
  *    representative, collected in read order by DistinctGrams and
- *    inserted by GramIndex::insertAll with prefetch. The index is a
- *    multiset and gatherCandidates sorts its hits, so insert order
- *    never reaches a result. The engine reuses one state per running
- *    shard (reset()), so the index grows from empty only once.
+ *    inserted by GramIndex::insertAll with prefetch; only keys new to
+ *    the index set sketch bits. All of an open's postings carry one
+ *    id, so their order never reaches a result. The engine reuses one
+ *    state per running shard (reset()), so the index grows from empty
+ *    only once.
  *  - Verification runs candidates likeliest first (most signature
  *    hits), each batch bounded by the best distance so far, keeping
  *    the (distance, cluster id) minimum: the smallest distance,
@@ -191,6 +197,15 @@ class GreedyState
     std::vector<size_t> &membersOf(size_t c) { return members_[c]; }
 
     /**
+     * Candidates for @p read via sketch + flat index, likeliest first:
+     * by signature-hit count descending, ascending id on equal counts.
+     * Walks the signature until kQuerySignatureSize rare grams are
+     * used; a cluster qualifies only through a rare hit (see the file
+     * comment). Valid until the next call.
+     */
+    const std::vector<size_t> &candidatesOf(StrandView read);
+
+    /**
      * Convert into the public Clustering shape: members ascending,
      * clusters ordered by smallest member. Consumes the state.
      */
@@ -199,15 +214,6 @@ class GreedyState
   private:
     /** Candidate generation + verification; returns the cluster id. */
     size_t joinOrOpen(size_t rep_id, StrandView read);
-
-    /**
-     * Candidates for sig_ via sketch + flat index, likeliest first:
-     * by signature-hit count descending, ascending id on equal counts.
-     * Walks sig_ until kQuerySignatureSize rare grams are used; a
-     * cluster qualifies only through a rare hit (see the file
-     * comment).
-     */
-    void gatherCandidates();
 
     /**
      * Smallest verified distance <= limit, earliest cluster on ties,
@@ -231,7 +237,8 @@ class GreedyState
     // per state instead of a fresh vector per read.
     DistinctGrams distinct_;
     std::vector<uint64_t> sig_, repGrams_, ranked_;
-    std::vector<size_t> hits_; //!< cluster << 1 | frequent-gram tag.
+    std::vector<uint32_t> hits_;          //!< Rare postings.
+    std::vector<uint32_t> frequentHeads_; //!< Chains that only vote.
     std::vector<size_t> candidates_;
     std::vector<StrandView> reps_;
 };

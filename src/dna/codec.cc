@@ -4,14 +4,6 @@
 
 namespace dnastore {
 
-Strand
-encodeUint(uint64_t value, int n_bits)
-{
-    Strand out;
-    appendUint(out, value, n_bits);
-    return out;
-}
-
 void
 appendUint(Strand &out, uint64_t value, int n_bits)
 {

@@ -17,9 +17,6 @@
 
 namespace dnastore {
 
-/** Encode the low @p n_bits bits of @p value (must be even) into bases. */
-Strand encodeUint(uint64_t value, int n_bits);
-
 /**
  * Decode @p n_bits bits (n_bits/2 bases) starting at base offset
  * @p base_offset of @p s into an unsigned integer (MSB-first).
@@ -27,7 +24,10 @@ Strand encodeUint(uint64_t value, int n_bits);
  */
 uint64_t decodeUint(const Strand &s, size_t base_offset, int n_bits);
 
-/** Append @p n_bits bits of @p value to @p out as bases. */
+/**
+ * Append the low @p n_bits bits of @p value (must be even) to @p out
+ * as bases, MSB-first.
+ */
 void appendUint(Strand &out, uint64_t value, int n_bits);
 
 } // namespace dnastore

@@ -72,13 +72,4 @@ GaloisField::inverse(uint32_t a) const
     return exp_[n_ - log_[a]];
 }
 
-uint32_t
-GaloisField::pow(uint32_t a, uint64_t e) const
-{
-    if (a == 0)
-        return e == 0 ? 1 : 0;
-    uint64_t le = (uint64_t(log_[a]) * (e % n_)) % n_;
-    return exp_[le];
-}
-
 } // namespace dnastore

@@ -56,9 +56,6 @@ class GaloisField
     /** Multiplicative inverse of a nonzero element. */
     uint32_t inverse(uint32_t a) const;
 
-    /** a raised to integer power e (e may exceed the group order). */
-    uint32_t pow(uint32_t a, uint64_t e) const;
-
     /** alpha^e for the canonical primitive element alpha. */
     uint32_t
     alphaPow(uint64_t e) const

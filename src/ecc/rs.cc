@@ -1,6 +1,8 @@
 #include "ecc/rs.hh"
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
 #include <stdexcept>
 
 namespace dnastore {
@@ -78,6 +80,13 @@ divideBySlices(const uint32_t *data, size_t k, size_t e,
     }
 }
 
+/** True if every one of the @p n symbols at @p p is below 2^m. */
+bool
+inField(const uint32_t *p, size_t n, unsigned m)
+{
+    return std::accumulate(p, p + n, 0u, std::bit_or<uint32_t>()) >> m == 0;
+}
+
 /** Per-thread remainder buffer for encode() and isCodeword(). */
 thread_local std::vector<uint16_t> tlsRemainder;
 
@@ -134,6 +143,9 @@ ReedSolomon::encode(const std::vector<uint32_t> &data) const
 {
     if (data.size() != k())
         throw std::invalid_argument("ReedSolomon: data size != k");
+    if (!inField(data.data(), data.size(), gf_.degree()))
+        throw std::invalid_argument(
+            "ReedSolomon: data symbol outside GF(2^m)");
 
     // Systematic encoding: the parity is d(x) x^E mod g(x), stored at
     // codeword positions k..n-1.
@@ -231,6 +243,9 @@ ReedSolomon::decode(std::vector<uint32_t> &codeword,
             s.work[pos] = 0;
         cw = s.work.data();
     }
+    // A symbol past the field would index past the log tables.
+    if (!inField(cw, n_, gf_.degree()))
+        return result;
     dataRemainder(cw, s.rem);
     uint32_t nonzero = 0;
     for (size_t j = 0; j < nPar_; ++j) {
@@ -409,7 +424,8 @@ ReedSolomon::decode(std::vector<uint32_t> &codeword,
 bool
 ReedSolomon::isCodeword(const std::vector<uint32_t> &codeword) const
 {
-    if (codeword.size() != n_)
+    if (codeword.size() != n_ ||
+        !inField(codeword.data(), n_, gf_.degree()))
         return false;
     dataRemainder(codeword.data(), tlsRemainder);
     for (size_t j = 0; j < nPar_; ++j) {

@@ -97,7 +97,8 @@ class ReedSolomon
     /**
      * Encode @p data (k symbols) into a codeword of n symbols.
      *
-     * @throws std::invalid_argument if data.size() != k().
+     * @throws std::invalid_argument if data.size() != k() or a
+     *         symbol is outside the field (>= 2^m).
      */
     std::vector<uint32_t> encode(const std::vector<uint32_t> &data) const;
 
@@ -108,8 +109,9 @@ class ReedSolomon
      * @param erasures  Known-bad positions, each in [0, n) and
      *                  distinct; their symbol values are ignored.
      * @return Decode status and correction counts. On failure,
-     *         including a malformed erasure list, the codeword is
-     *         left unmodified.
+     *         including a malformed erasure list or a symbol outside
+     *         the field (>= 2^m) at a position not erased, the
+     *         codeword is left unmodified.
      */
     RsDecodeResult decode(std::vector<uint32_t> &codeword,
                           const std::vector<size_t> &erasures = {}) const;
@@ -123,7 +125,7 @@ class ReedSolomon
                           const std::vector<size_t> &erasures,
                           RsScratch &scratch) const;
 
-    /** True if @p codeword is a valid codeword (zero remainder). */
+    /** True if @p codeword is n field symbols with zero remainder. */
     bool isCodeword(const std::vector<uint32_t> &codeword) const;
 
     /** The field this code is defined over. */

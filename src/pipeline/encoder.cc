@@ -79,21 +79,28 @@ UnitEncoder::encode(const FileBundle &bundle) const
         map_->scatter(unit.matrix, j, rs_.encode(data));
     }
 
-    // 4. Emit strands: primer + index + payload bases + primer.
-    unit.strands.reserve(cfg_.codewordLen());
+    // 4. Emit strands: primer + index + payload bases + primer. The
+    // payload is the column's symbols MSB-first, two bits per base; an
+    // odd rows x symbolBits ends in a zero pad bit.
+    unit.strands.resize(cfg_.codewordLen());
     for (size_t col = 0; col < cfg_.codewordLen(); ++col) {
-        BitWriter w;
-        for (size_t row = 0; row < cfg_.rows; ++row)
-            w.writeBits(unit.matrix.at(row, col),
-                        int(cfg_.symbolBits));
-        Strand payload;
-        payload.reserve(cfg_.indexBases() + cfg_.payloadBases());
-        appendUint(payload, col, int(cfg_.indexBits()));
-        auto bytes = w.take();
-        BitReader r(bytes);
-        for (size_t b = 0; b < cfg_.payloadBases(); ++b)
-            payload.push_back(baseFromBits(r.readBits(2)));
-        unit.strands.push_back(attachPrimers(primers_, payload));
+        Strand &strand = unit.strands[col];
+        strand.reserve(cfg_.strandLen());
+        strand.assign(primers_.forward.begin(), primers_.forward.end());
+        appendUint(strand, col, int(cfg_.indexBits()));
+        uint64_t acc = 0;
+        unsigned held = 0;
+        for (size_t row = 0; row < cfg_.rows; ++row) {
+            acc = acc << cfg_.symbolBits | unit.matrix.at(row, col);
+            for (held += cfg_.symbolBits; held >= 2;) {
+                held -= 2;
+                strand.push_back(baseFromBits(unsigned(acc >> held)));
+            }
+        }
+        if (held != 0)
+            strand.push_back(baseFromBits(unsigned(acc << 1)));
+        strand.insert(strand.end(), primers_.backward.begin(),
+                      primers_.backward.end());
     }
     return unit;
 }

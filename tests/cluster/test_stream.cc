@@ -727,6 +727,16 @@ TEST(GramSketch, AutoSizingTargetsEightBitsPerKey)
 // postings a loop of one-key insertAll calls stores, grows and fingerprint
 // collisions included.
 
+/** Every cluster posted under @p key, in chain order. */
+std::vector<size_t>
+postings(const GramIndex &index, uint64_t key)
+{
+    std::vector<size_t> out;
+    for (uint32_t e = index.head(key); e != 0; e = index.posting(e).next)
+        out.push_back(index.posting(e).cluster);
+    return out;
+}
+
 TEST(GramIndex, InsertAllMatchesInsertLoopAndReference)
 {
     Rng rng(313);
@@ -770,12 +780,10 @@ TEST(GramIndex, InsertAllMatchesInsertLoopAndReference)
 
     EXPECT_EQ(batched.keyCount(), reference.size());
     EXPECT_EQ(looped.keyCount(), reference.size());
-    std::vector<size_t> got, want, expected;
+    std::vector<size_t> expected;
     for (uint64_t k : probes) {
-        got.clear();
-        want.clear();
-        batched.lookup(k, got);
-        looped.lookup(k, want);
+        std::vector<size_t> got = postings(batched, k);
+        std::vector<size_t> want = postings(looped, k);
         std::sort(got.begin(), got.end());
         std::sort(want.begin(), want.end());
         auto it = reference.find(GramIndex::fingerprint(k));
@@ -785,6 +793,44 @@ TEST(GramIndex, InsertAllMatchesInsertLoopAndReference)
         ASSERT_EQ(got, want) << "key " << k;
         ASSERT_EQ(got, expected) << "key " << k;
     }
+}
+
+TEST(GramIndex, ChainsAreNewestFirst)
+{
+    // The gather stops a frequent chain's walk below its lowest
+    // nominee, which is exact only if a chain lists its postings
+    // newest first: with clusters inserted in ascending id order, ids
+    // never increase along a chain. Keys are drawn from a small pool
+    // so chains grow long, with repeats within a batch and forced
+    // fingerprint collisions (same lo ^ hi) merging chains.
+    Rng rng(319);
+    std::vector<uint64_t> pool(64);
+    for (uint64_t &k : pool)
+        k = rng.next();
+    for (size_t i = 0; i < 8; ++i) {
+        const uint64_t d = rng.next() & 0xffffffffu;
+        pool.push_back(pool[i] ^ (d | d << 32));
+    }
+    GramIndex index;
+    std::map<uint32_t, std::vector<size_t>> reference; // oldest first
+    std::vector<uint64_t> keys;
+    for (size_t cluster = 0; cluster < 300; ++cluster) {
+        keys.clear();
+        for (size_t i = rng.nextBelow(40); i > 0; --i)
+            keys.push_back(pool[rng.nextBelow(pool.size())]);
+        index.insertAll(keys.data(), keys.size(), cluster);
+        for (uint64_t k : keys)
+            reference[GramIndex::fingerprint(k)].push_back(cluster);
+    }
+    for (uint64_t k : pool) {
+        const std::vector<size_t> got = postings(index, k);
+        std::vector<size_t> want = reference[GramIndex::fingerprint(k)];
+        std::reverse(want.begin(), want.end());
+        ASSERT_EQ(got, want) << "key " << k;
+        ASSERT_TRUE(std::is_sorted(got.rbegin(), got.rend()))
+            << "key " << k;
+    }
+    EXPECT_TRUE(postings(index, rng.next()).empty());
 }
 
 TEST(GramIndex, ClearedIndexMatchesFreshIndex)
@@ -818,15 +864,12 @@ TEST(GramIndex, ClearedIndexMatchesFreshIndex)
     }
     EXPECT_EQ(reused.keyCount(), fresh.keyCount());
     GramSketch reused_sketch, fresh_sketch;
-    reused.rebuildSketch(reused_sketch, 14);
-    fresh.rebuildSketch(fresh_sketch, 14);
-    std::vector<size_t> got, want;
+    reused_sketch.reset(14);
+    fresh_sketch.reset(14);
+    reused.sketchKeys(reused_sketch, 0);
+    fresh.sketchKeys(fresh_sketch, 0);
     for (uint64_t k : probes) {
-        got.clear();
-        want.clear();
-        reused.lookup(k, got);
-        fresh.lookup(k, want);
-        ASSERT_EQ(got, want) << "key " << k; // chain order too
+        ASSERT_EQ(postings(reused, k), postings(fresh, k)) << "key " << k; // chain order too
         const uint32_t fp = GramIndex::fingerprint(k);
         ASSERT_EQ(reused_sketch.mayContain(fp), fresh_sketch.mayContain(fp))
             << "key " << k;

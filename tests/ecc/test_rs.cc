@@ -194,6 +194,37 @@ TEST(ReedSolomon, ErasedPositionValuesAreIgnored)
     EXPECT_EQ(noisy, cw);
 }
 
+TEST(ReedSolomon, SymbolsOutsideTheFieldAreRejected)
+{
+    // Every symbol must be below 2^m. A parity symbol past the field
+    // used to index past the log table in the syndrome loop, and a
+    // data symbol past it used to "decode" with success and one error
+    // while keeping bits above the field.
+    GaloisField gf(10);
+    ReedSolomon rs(gf, 188);
+    Rng rng(26);
+    const auto cw = rs.encode(randomData(rs, rng));
+    for (size_t pos : { rs.k() + 3, size_t(17) }) {
+        for (uint32_t bad : { uint32_t(1024), uint32_t(5000),
+                              uint32_t(0xffff), ~uint32_t(0) }) {
+            auto noisy = cw;
+            noisy[pos] = bad;
+            const auto before = noisy;
+            EXPECT_FALSE(rs.isCodeword(noisy)) << pos << " " << bad;
+            const auto result = rs.decode(noisy);
+            EXPECT_FALSE(result.success) << pos << " " << bad;
+            EXPECT_EQ(result.errorsCorrected, 0u);
+            EXPECT_EQ(noisy, before) << pos << " " << bad;
+            // An erased position's value is ignored, out of field too.
+            EXPECT_TRUE(rs.decode(noisy, { pos }).success);
+            EXPECT_EQ(noisy, cw);
+        }
+    }
+    auto data = randomData(rs, rng);
+    data[9] = 1024;
+    EXPECT_THROW(rs.encode(data), std::invalid_argument);
+}
+
 class RsGfSweep : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(RsGfSweep, RoundTripWithHalfCapacityErrors)

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "dna/codec.hh"
+#include "dna/primer.hh"
 #include "ecc/gf.hh"
 #include "ecc/rs.hh"
 #include "pipeline/encoder.hh"
+#include "util/bitio.hh"
 #include "util/rng.hh"
 
 namespace dnastore {
@@ -121,6 +123,45 @@ TEST(UnitEncoder, PackSymbolsSplitsBitsMsbFirst)
     EXPECT_EQ(symbols[1], 0xcdu);
     EXPECT_EQ(symbols[2], 0xefu);
     EXPECT_EQ(symbols[3], 0u); // padding
+}
+
+TEST(UnitEncoder, StrandsCarryColumnBitsMsbFirstWithZeroPad)
+{
+    // Each strand is primer + index + the column's symbols as one
+    // MSB-first bit string, two bits per base + primer. When
+    // rows x symbolBits is odd, the last payload base carries one
+    // symbol bit and a zero pad, as a BitReader reading past the end
+    // of the packed column gives.
+    StorageConfig odd5 = StorageConfig::tinyTest();
+    odd5.symbolBits = 5;
+    odd5.rows = 7;
+    odd5.paritySymbols = 6;
+    StorageConfig odd11 = StorageConfig::tinyTest();
+    odd11.symbolBits = 11;
+    odd11.rows = 5;
+    odd11.paritySymbols = 300;
+    for (const StorageConfig &cfg :
+         { StorageConfig::tinyTest(), odd5, odd11 }) {
+        UnitEncoder enc(cfg, LayoutScheme::Gini);
+        auto unit = enc.encode(randomBundle(cfg.capacityBytes() / 2, 7));
+        const PrimerPair primers =
+            makePrimerPair(cfg.primerKey, cfg.primerLen);
+        for (size_t col = 0; col < cfg.codewordLen(); ++col) {
+            BitWriter w;
+            for (size_t row = 0; row < cfg.rows; ++row)
+                w.writeBits(unit.matrix.at(row, col), int(cfg.symbolBits));
+            const std::vector<uint8_t> bytes = w.take();
+            BitReader r(bytes);
+            Strand want = primers.forward;
+            appendUint(want, col, int(cfg.indexBits()));
+            for (size_t b = 0; b < cfg.payloadBases(); ++b)
+                want.push_back(baseFromBits(r.readBits(2)));
+            want.insert(want.end(), primers.backward.begin(),
+                        primers.backward.end());
+            ASSERT_EQ(unit.strands[col], want)
+                << cfg.symbolBits << "-bit symbols, column " << col;
+        }
+    }
 }
 
 } // namespace

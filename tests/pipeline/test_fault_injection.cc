@@ -59,7 +59,8 @@ TEST(FaultInjection, CorruptedIndexBecomesErasure)
 
     // Overwrite the index bases of cluster 5 with the index of
     // column 9 (a duplicate): one of the two claims loses.
-    Strand idx9 = encodeUint(9, int(cfg.indexBits()));
+    Strand idx9;
+    appendUint(idx9, 9, int(cfg.indexBits()));
     for (auto &read : clusters[5])
         for (size_t i = 0; i < idx9.size(); ++i)
             read[cfg.primerLen + i] = idx9[i];
