@@ -80,7 +80,6 @@ class GramSketch
         return bits_[(g & mask_) >> 6] >> (g & 63) & 1;
     }
 
-    bool empty() const { return bits_.empty(); }
     size_t bitCount() const { return bits_.size() * 64; }
 
     /**

@@ -91,9 +91,6 @@ class ReedSolomon
     /** Data symbols per codeword k = n - E. */
     size_t k() const { return n_ - nPar_; }
 
-    /** Parity symbols per codeword E. */
-    size_t parity() const { return nPar_; }
-
     /**
      * Encode @p data (k symbols) into a codeword of n symbols.
      *
