@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 
 namespace dnastore {
@@ -202,7 +203,7 @@ ChannelOptions::coverage(const CoverageModel &model)
 ChannelOptions &
 ChannelOptions::cluster(const ClusterOptions &options)
 {
-    cluster_ = options.params();
+    cluster_ = options;
     clusterSet_ = true;
     return *this;
 }
@@ -324,8 +325,7 @@ ChannelOptions::validate() const
 
     // Clustering knobs.
     if (clusterSet_) {
-        ClusterOptions check = ClusterOptions::fromParams(cluster_);
-        Status status = check.validate();
+        Status status = cluster_.validate();
         if (!status.ok())
             return status;
     }
@@ -359,7 +359,7 @@ ChannelOptions::coverageModel() const
 const ClusterParams &
 ChannelOptions::clusterParams() const
 {
-    return cluster_;
+    return cluster_.params();
 }
 
 size_t
@@ -414,14 +414,10 @@ ClusterOptions::shards(size_t n)
 ClusterOptions &
 ClusterOptions::memoryBudgetMb(size_t mb)
 {
+    // mb << 20 wraps for mb >= 2^44 (2^44 itself becomes 0, "never
+    // spill"); validate() reports it instead.
+    budgetOverflow_ = mb > (SIZE_MAX >> 20);
     params_.memoryBudgetBytes = mb << 20;
-    return *this;
-}
-
-ClusterOptions &
-ClusterOptions::sketchBits(size_t log2bits)
-{
-    params_.sketchBits = log2bits;
     return *this;
 }
 
@@ -439,6 +435,9 @@ ClusterOptions::validate() const
     // the same check.
     if (const char *err = params_.check())
         return Status::invalidArgument(err);
+    if (budgetOverflow_)
+        return Status::invalidArgument(formatMessage(
+            "cluster-memory-mb must be at most %zu", SIZE_MAX >> 20));
     return Status();
 }
 

@@ -116,16 +116,10 @@ class ClusterOptions
      * Memory budget for read buffering, in MiB. 0 (default) never
      * spills; any other value spills packed reads past the budget to
      * checksummed segments under spillDir(). The clustering is
-     * bit-identical either way.
+     * bit-identical either way. validate() rejects a budget whose
+     * byte count does not fit size_t.
      */
     ClusterOptions &memoryBudgetMb(size_t mb);
-
-    /**
-     * log2 bit-size of the gram-lookup Bloom sketch, 0 = auto-sized
-     * or explicitly in [10, 36]. Never changes a clustering — only
-     * how often the gram index is probed fruitlessly.
-     */
-    ClusterOptions &sketchBits(size_t log2bits);
 
     /** Spill directory for streaming runs ("" = system temp dir). */
     ClusterOptions &spillDir(const std::string &dir);
@@ -137,6 +131,7 @@ class ClusterOptions
 
   private:
     ClusterParams params_;
+    bool budgetOverflow_ = false; //!< memoryBudgetMb() * 2^20 wrapped.
 };
 
 /**
@@ -230,7 +225,7 @@ class ChannelOptions
     size_t coverage_ = 10;
     double gammaMean_ = 0.0;
     double gammaShape_ = 0.0;
-    ClusterParams cluster_;
+    ClusterOptions cluster_;
     bool clusterSet_ = false;
     uint64_t drawSeed_ = 20220618;
 };

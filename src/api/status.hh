@@ -71,8 +71,6 @@ class Status
         : code_(code), message_(std::move(message))
     {}
 
-    static Status okStatus() { return Status(); }
-
     static Status
     invalidArgument(std::string msg)
     {

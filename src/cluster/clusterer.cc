@@ -19,8 +19,6 @@ ClusterParams::check() const
         return "cluster-maxdist must be finite";
     if (!(maxDistanceFrac > 0.0) || maxDistanceFrac > 1.0)
         return "cluster-maxdist must be in (0, 1]";
-    if (sketchBits != 0 && (sketchBits < 10 || sketchBits > 36))
-        return "cluster-sketch-bits must be 0 (auto) or in [10, 36]";
     return nullptr;
 }
 

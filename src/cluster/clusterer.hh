@@ -9,7 +9,8 @@
  * module provides a real clusterer so the pipeline's perfect-
  * clustering assumption can itself be tested:
  *
- *  - a q-gram (k-mer) signature index buckets reads cheaply; a gram
+ *  - a q-gram (k-mer) signature, looked up in one flat gram index
+ *    (cluster/gram_index.hh), buckets reads cheaply; a gram
  *    that many representatives share (the primers every strand
  *    carries) votes for a candidate but never nominates one
  *    (cluster/greedy.hh), so it cannot make every cluster a
@@ -81,15 +82,6 @@ struct ClusterParams
      * read count.
      */
     size_t memoryBudgetBytes = 0;
-
-    /**
-     * log2 bit-size of the Bloom sketch that pre-filters gram
-     * lookups, in [10, 36]. 0 (default) sizes it automatically from
-     * the representative count (~8 bits per indexed gram, ~5%
-     * false-positive rate). Sketch sizing can never change a
-     * clustering — false positives only cost a wasted index probe.
-     */
-    size_t sketchBits = 0;
 
     /**
      * Directory for streaming spill segments. Empty (default) uses

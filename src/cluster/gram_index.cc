@@ -1,47 +1,9 @@
 #include "cluster/gram_index.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace dnastore {
-
-// ------------------------------------------------------------ GramSketch
-
-void
-GramSketch::reset(size_t log2bits)
-{
-    if (log2bits < 10 || log2bits > 36)
-        throw std::invalid_argument(
-            "GramSketch log2bits must be in [10, 36]");
-    size_t words = (size_t(1) << log2bits) / 64;
-    bits_.assign(words, 0);
-    mask_ = (uint64_t(1) << log2bits) - 1;
-}
-
-size_t
-GramSketch::autoLog2Bits(size_t expected_keys)
-{
-    // ~8 bits per key, power-of-two rounded up; floor keeps the
-    // filter at least one cache line even for tiny indexes.
-    size_t log2bits = 10;
-    while (log2bits < 36 &&
-           (size_t(1) << log2bits) < expected_keys * 8)
-        ++log2bits;
-    return log2bits;
-}
-
-double
-GramSketch::estimatedFpr(size_t keys) const
-{
-    if (bits_.empty())
-        return 1.0;
-    double m = double(bitCount());
-    double fill = 1.0 - std::exp(-2.0 * double(keys) / m);
-    return fill * fill;
-}
-
-// ------------------------------------------------------------- GramIndex
 
 namespace {
 constexpr size_t kInitialSlots = 1024;
@@ -59,7 +21,7 @@ GramIndex::clear()
 {
     std::fill(heads_.begin(), heads_.end(), 0);
     entries_.clear();
-    keyFps_.clear();
+    keys_ = 0;
 }
 
 void
@@ -83,13 +45,13 @@ GramIndex::insertAll(const uint64_t *keys, size_t n, size_t cluster)
         }
         // Keep probes short: grow at 1/2 load so the average
         // successful probe stays near two slots.
-        if ((keyFps_.size() + 1) * 2 > mask_ + 1)
+        if ((keys_ + 1) * 2 > mask_ + 1)
             grow();
         uint32_t fp = fingerprint(keys[i]);
         size_t slot = probe(fp);
         if (heads_[slot] == 0) {
             fps_[slot] = fp;
-            keyFps_.push_back(fp);
+            ++keys_;
         }
         entries_.push_back({ uint32_t(cluster), heads_[slot] });
         heads_[slot] = uint32_t(entries_.size());
@@ -115,13 +77,6 @@ GramIndex::grow()
     fps_ = std::move(fps);
     heads_ = std::move(heads);
     mask_ = new_mask;
-}
-
-void
-GramIndex::sketchKeys(GramSketch &sketch, size_t first) const
-{
-    for (size_t i = first; i < keyFps_.size(); ++i)
-        sketch.insert(keyFps_[i]);
 }
 
 } // namespace dnastore

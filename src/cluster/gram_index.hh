@@ -1,22 +1,15 @@
 /**
  * @file
- * Flat sketch-and-index structures for q-gram candidate generation.
+ * The flat gram index behind q-gram candidate generation.
  *
  * For every read, each signature gram is looked up in an index of the
- * grams of all cluster representatives. Two flat structures, borrowed
- * in spirit from layout-into-bins sketching (chopper-style k-mer count
- * sketches with false-positive correction), keep that cheap:
- *
- *  - GramSketch: a tiny Bloom filter over the indexed gram hashes.
- *    Most query grams of a noisy read are corrupted and were never
- *    indexed; the sketch rejects them with one or two probes of a
- *    bit array that stays cache-resident, before the (larger) index
- *    is touched at all. False positives only cost a wasted index
- *    probe — they can never change a clustering.
- *  - GramIndex: open-addressing hash table in a single contiguous
- *    slot array (linear probing), with per-key posting chains kept in
- *    one contiguous entry pool. No per-key allocation, no node
- *    chasing; growth rehashes slots only, never the entries.
+ * grams of all cluster representatives. GramIndex is an
+ * open-addressing hash table in a single contiguous slot array
+ * (linear probing), with per-key posting chains kept in one
+ * contiguous entry pool. No per-key allocation, no node chasing;
+ * growth rehashes slots only, never the entries. Most query grams of
+ * a noisy read are corrupted and were never indexed; their probe ends
+ * at the first empty slot, which the 1/2-load grow rule keeps near.
  *
  * A new representative indexes all its distinct grams in one
  * GramIndex::insertAll batch. At scale the slot arrays are many MiB
@@ -25,12 +18,10 @@
  * fingerprint and head arrays stay separate: an interleaved
  * {fingerprint, head} slot ran no faster and held more memory.
  *
- * Both structures are content-deterministic: every posting chain,
- * newest first, and therefore every candidate list derived from them
- * depends only on the insertion sequence, never on capacity, probe
- * order, or sketch sizing. So GramIndex::clear() keeps its grown
- * arrays for the next shard, and a key list keeps sketch updates
- * proportional to keys, not to those slots.
+ * The index is content-deterministic: every posting chain, newest
+ * first, and therefore every candidate list derived from it depends
+ * only on the insertion sequence, never on capacity or probe order.
+ * So GramIndex::clear() keeps its grown arrays for the next shard.
  */
 
 #ifndef DNASTORE_CLUSTER_GRAM_INDEX_HH
@@ -41,69 +32,6 @@
 #include <vector>
 
 namespace dnastore {
-
-/**
- * Bloom filter over 32-bit gram fingerprints (two probes per key).
- *
- * Sized by a log2 bit-count; autoLog2Bits() picks the size for an
- * expected key count at roughly 8 bits per key, which with two probes
- * gives a ~5% theoretical false-positive rate (estimatedFpr()).
- * mayContain() never returns false for an inserted fingerprint.
- */
-class GramSketch
-{
-  public:
-    GramSketch() = default;
-
-    /** Clear and size the filter to 2^log2bits bits ([10, 36]). */
-    void reset(size_t log2bits);
-
-    /** log2 bit-count targeting ~8 bits per expected key. */
-    static size_t autoLog2Bits(size_t expected_keys);
-
-    void
-    insert(uint32_t fp)
-    {
-        uint64_t h = spread(fp);
-        bits_[(h & mask_) >> 6] |= uint64_t(1) << (h & 63);
-        uint64_t g = h >> 32;
-        bits_[(g & mask_) >> 6] |= uint64_t(1) << (g & 63);
-    }
-
-    bool
-    mayContain(uint32_t fp) const
-    {
-        uint64_t h = spread(fp);
-        if (!(bits_[(h & mask_) >> 6] >> (h & 63) & 1))
-            return false;
-        uint64_t g = h >> 32;
-        return bits_[(g & mask_) >> 6] >> (g & 63) & 1;
-    }
-
-    size_t bitCount() const { return bits_.size() * 64; }
-
-    /**
-     * Theoretical false-positive rate for @p keys inserted keys at
-     * the current size: (1 - e^(-2k/m))^2 for two probes.
-     */
-    double estimatedFpr(size_t keys) const;
-
-  private:
-    /** 32 -> 64 bit avalanche so the two probe words are independent. */
-    static uint64_t
-    spread(uint32_t fp)
-    {
-        uint64_t x = fp;
-        x *= 0x9e3779b97f4a7c15ULL;
-        x ^= x >> 29;
-        x *= 0xbf58476d1ce4e5b9ULL;
-        x ^= x >> 32;
-        return x;
-    }
-
-    std::vector<uint64_t> bits_;
-    uint64_t mask_ = 0; //!< bitCount - 1 (bitCount is a power of two).
-};
 
 /**
  * gram hash -> postings of cluster ids, in one slot array plus one
@@ -155,13 +83,7 @@ class GramIndex
     const Posting &posting(uint32_t e) const { return entries_[e - 1]; }
 
     /** Distinct keys indexed (fingerprint-merged keys count once). */
-    size_t keyCount() const { return keyFps_.size(); }
-
-    /**
-     * Set @p sketch's bits for the indexed keys from the @p first-th
-     * on: keyCount() before an insertAll names the keys it added.
-     */
-    void sketchKeys(GramSketch &sketch, size_t first) const;
+    size_t keyCount() const { return keys_; }
 
     /** The fingerprint the slot array stores for @p key. */
     static uint32_t
@@ -193,7 +115,7 @@ class GramIndex
     std::vector<uint32_t> fps_;   //!< Slot fingerprints.
     std::vector<uint32_t> heads_; //!< 1-based chain heads; 0 = empty.
     std::vector<Posting> entries_; //!< Posting pool, insertion order.
-    std::vector<uint32_t> keyFps_; //!< Indexed fingerprints, one per key.
+    size_t keys_ = 0;             //!< Occupied slots.
     size_t mask_ = 0;             //!< Slot count - 1 (power of two).
 };
 

@@ -130,8 +130,7 @@ resolveShardCount(const ClusterParams &params, size_t n_reads)
 }
 
 GreedyState::GreedyState(const ClusterParams &params)
-    : params_(params),
-      autoSketch_(params.sketchBits == 0)
+    : params_(params)
 {
     reset();
 }
@@ -140,7 +139,6 @@ void
 GreedyState::reset()
 {
     index_.clear();
-    sketch_.reset(autoSketch_ ? 12 : params_.sketchBits);
     repArena_.clear();
     representative_.clear();
     members_.clear();
@@ -192,17 +190,11 @@ GreedyState::candidatesOf(StrandView read)
     size_t used = 0;
     for (size_t g = 0; g < sig_.size() && used < kQuerySignatureSize;
          ++g) {
-        const uint64_t h = sig_[g];
-        // The sketch rejects grams no representative ever had —
-        // the common case for a noisy read's corrupted grams —
-        // before the index is probed at all. A rejected gram has no
-        // postings, so it is used like any rare one and sketch sizing
-        // cannot move the walk.
-        uint32_t head = 0;
-        if (sketch_.mayContain(GramIndex::fingerprint(h)))
-            head = index_.head(h);
-        // A rare chain's postings nominate; `frequent` of them are
-        // enough to tell it from a frequent one.
+        // A gram with no postings (a noisy read's corrupted grams,
+        // mostly) is used like any rare one. A rare chain's postings
+        // nominate; `frequent` of them are enough to tell it from a
+        // frequent one.
+        const uint32_t head = index_.head(sig_[g]);
         const size_t first = hits_.size();
         for (uint32_t e = head; e != 0 && hits_.size() - first < frequent;
              e = index_.posting(e).next)
@@ -298,17 +290,7 @@ GreedyState::openCluster(size_t rep_id, StrandView read)
     // noisy reads still find it. Their order is irrelevant: every
     // posting of this open carries the same id.
     distinct_.collect(read, params_.qgram, repGrams_);
-    size_t known = index_.keyCount();
     index_.insertAll(repGrams_.data(), repGrams_.size(), cluster);
-    // Auto-sized sketches track the index: past ~8 bits per key the
-    // false-positive rate decays, so rebuild with headroom. Otherwise
-    // only the new keys set bits: a known key set its bits when it
-    // was new.
-    if (autoSketch_ && index_.keyCount() * 8 > sketch_.bitCount()) {
-        sketch_.reset(GramSketch::autoLog2Bits(index_.keyCount() * 2));
-        known = 0;
-    }
-    index_.sketchKeys(sketch_, known);
     return cluster;
 }
 

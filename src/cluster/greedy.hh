@@ -4,8 +4,8 @@
  * streaming engine (cluster/stream.hh).
  *
  * GreedyState consumes reads one at a time — join the closest
- * verified representative or open a new cluster — against a
- * sketch-filtered flat gram index (cluster/gram_index.hh), and owns
+ * verified representative or open a new cluster — against a flat
+ * gram index (cluster/gram_index.hh), and owns
  * every scratch buffer the per-read loop needs, so the steady state
  * does no heap allocation. The consumer is deliberately ignorant of
  * where reads live: the engine feeds it records decoded from buffered
@@ -36,11 +36,10 @@
  *    and stops below the lowest nominee.
  *  - Opening a cluster indexes every distinct gram of its
  *    representative, collected in read order by DistinctGrams and
- *    inserted by GramIndex::insertAll with prefetch; only keys new to
- *    the index set sketch bits. All of an open's postings carry one
- *    id, so their order never reaches a result. The engine reuses one
- *    state per running shard (reset()), so the index grows from empty
- *    only once.
+ *    inserted by GramIndex::insertAll with prefetch. All of an open's
+ *    postings carry one id, so their order never reaches a result.
+ *    The engine reuses one state per running shard (reset()), so the
+ *    index grows from empty only once.
  *  - Verification runs candidates likeliest first (most signature
  *    hits), each batch bounded by the best distance so far, keeping
  *    the (distance, cluster id) minimum: the smallest distance,
@@ -155,8 +154,8 @@ uint64_t minimizerOf(StrandView read, size_t qgram);
 size_t resolveShardCount(const ClusterParams &params, size_t n_reads);
 
 /**
- * Greedy clustering state: representatives, members, and the
- * sketch-filtered gram index they are found through.
+ * Greedy clustering state: representatives, members, and the gram
+ * index they are found through.
  *
  * Representative strands are copied into an internal arena at
  * open-cluster time, so consumers may discard a read's storage the
@@ -197,7 +196,7 @@ class GreedyState
     std::vector<size_t> &membersOf(size_t c) { return members_[c]; }
 
     /**
-     * Candidates for @p read via sketch + flat index, likeliest first:
+     * Candidates for @p read via the gram index, likeliest first:
      * by signature-hit count descending, ascending id on equal counts.
      * Walks the signature until kQuerySignatureSize rare grams are
      * used; a cluster qualifies only through a rare hit (see the file
@@ -225,10 +224,8 @@ class GreedyState
     size_t openCluster(size_t rep_id, StrandView read);
 
     ClusterParams params_;
-    bool autoSketch_;
 
     GramIndex index_;
-    GramSketch sketch_;
     StrandArena repArena_;
     std::vector<size_t> representative_;
     std::vector<std::vector<size_t>> members_;

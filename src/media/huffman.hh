@@ -37,9 +37,6 @@ class HuffmanCode
     /** Number of symbols. */
     size_t symbolCount() const { return lengths_.size(); }
 
-    /** Code length in bits for a symbol. */
-    int codeLength(size_t symbol) const { return lengths_[symbol]; }
-
     /** Append the code for @p symbol to the writer. */
     void encode(BitWriter &w, size_t symbol) const;
 

@@ -108,24 +108,4 @@ generateSyntheticPhoto(size_t width, size_t height, uint64_t seed)
     return img;
 }
 
-Image
-generateTexture(size_t width, size_t height, uint64_t seed)
-{
-    Rng rng(seed ^ 0xa5a5a5a5ULL);
-    Image img(width, height);
-    ValueNoise n1(16, 16, rng);
-    ValueNoise n2(48, 48, rng);
-    for (size_t y = 0; y < height; ++y) {
-        double v = height > 1 ? double(y) / double(height - 1) : 0.0;
-        for (size_t x = 0; x < width; ++x) {
-            double u = width > 1 ? double(x) / double(width - 1) : 0.0;
-            double val = 128.0 + (n1.sample(u, v) - 0.5) * 90.0 +
-                (n2.sample(u, v) - 0.5) * 60.0 +
-                rng.nextGaussian() * 6.0;
-            img.at(x, y) = uint8_t(std::clamp(val, 0.0, 255.0));
-        }
-    }
-    return img;
-}
-
 } // namespace dnastore

@@ -29,12 +29,6 @@ namespace dnastore {
  */
 Image generateSyntheticPhoto(size_t width, size_t height, uint64_t seed);
 
-/**
- * Generate a flat-plus-noise "texture" image (higher entropy than a
- * photo; stresses the codec differently).
- */
-Image generateTexture(size_t width, size_t height, uint64_t seed);
-
 } // namespace dnastore
 
 #endif // DNASTORE_MEDIA_SYNTH_HH

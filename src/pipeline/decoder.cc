@@ -20,24 +20,12 @@ DecodeStats::totalCorrected() const
     return total;
 }
 
-UnitDecoder::UnitDecoder(const StorageConfig &cfg, LayoutScheme scheme,
-                         Reconstructor reconstruct)
+UnitDecoder::UnitDecoder(const StorageConfig &cfg, LayoutScheme scheme)
     : cfg_(cfg), scheme_(scheme), gf_(cfg.symbolBits),
       rs_(gf_, cfg.paritySymbols), map_(makeCodewordMap(cfg, scheme)),
-      primers_(makePrimerPair(cfg.primerKey, cfg.primerLen)),
-      reconstruct_(std::move(reconstruct))
+      primers_(makePrimerPair(cfg.primerKey, cfg.primerLen))
 {
     cfg_.validate();
-    if (!reconstruct_) {
-        // The default two-sided reconstruction runs through the
-        // view-based scratch fast path in decode(); the std::function
-        // fallback only serves substituted reconstructors.
-        defaultReconstruct_ = true;
-        reconstruct_ = [](const std::vector<Strand> &reads,
-                          size_t target_len) {
-            return reconstructTwoSided(reads, target_len);
-        };
-    }
 }
 
 DecodedUnit
@@ -114,18 +102,8 @@ UnitDecoder::decode(const ReadBatch &batch,
 
         static thread_local TwoSidedScratch ts_scratch;
         static thread_local Strand consensus;
-        static thread_local std::vector<Strand> compat_reads;
-        if (defaultReconstruct_) {
-            reconstructTwoSidedInto(reads, n_reads, strand_len,
-                                    ts_scratch, consensus);
-        } else {
-            // Substituted reconstructors keep the historical
-            // vector-of-strands interface; materialize copies.
-            compat_reads.resize(n_reads);
-            for (size_t r = 0; r < n_reads; ++r)
-                compat_reads[r].assign(reads[r].begin(), reads[r].end());
-            consensus = reconstruct_(compat_reads, strand_len);
-        }
+        reconstructTwoSidedInto(reads, n_reads, strand_len, ts_scratch,
+                                consensus);
         if (probe != nullptr) {
             // Telemetry only: per-read agreement with the consensus.
             // Slot-per-cluster writes, so thread count cannot leak
@@ -144,12 +122,6 @@ UnitDecoder::decode(const ReadBatch &batch,
                     : 1.0 - double(dist) / double(len);
             }
             p.agreement = n_reads == 0 ? 0.0 : total / double(n_reads);
-        }
-        if (consensus.size() != strand_len) {
-            // A substituted reconstructor may miss the length; treat
-            // the cluster as unusable (erasure).
-            o.kind = ClusterOutcome::Fault;
-            return;
         }
         // Frame: [forward primer | index | payload | backward primer].
         size_t idx_off = cfg_.primerLen;

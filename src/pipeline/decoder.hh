@@ -18,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "consensus/profiler.hh"
 #include "dna/packed_strand.hh"
 #include "dna/primer.hh"
 #include "dna/strand.hh"
@@ -75,20 +74,13 @@ class UnitDecoder
 {
   public:
     /**
+     * Consensus is the paper's two-sided reconstruction, which always
+     * yields exactly cfg.strandLen() bases.
+     *
      * @param cfg    Unit geometry.
      * @param scheme Layout used at encoding time.
-     * @param reconstruct Consensus algorithm; defaults to the
-     *        two-sided reconstruction used by the paper's pipeline
-     *        (it guarantees the target output length). Any
-     *        Reconstructor can be substituted; wrong-length outputs
-     *        are treated as index faults for that cluster. When
-     *        cfg.numThreads != 1 the reconstructor is invoked
-     *        concurrently from worker threads, so a substituted one
-     *        must be safe to call in parallel (stateless, or
-     *        internally synchronized) — or keep numThreads = 1.
      */
-    UnitDecoder(const StorageConfig &cfg, LayoutScheme scheme,
-                Reconstructor reconstruct = {});
+    UnitDecoder(const StorageConfig &cfg, LayoutScheme scheme);
 
     /**
      * Decode a unit from clustered reads.
@@ -131,8 +123,6 @@ class UnitDecoder
     ReedSolomon rs_;
     std::unique_ptr<CodewordMap> map_;
     PrimerPair primers_;
-    Reconstructor reconstruct_;
-    bool defaultReconstruct_ = false;
 };
 
 } // namespace dnastore

@@ -34,12 +34,6 @@ Rng::Rng(uint64_t seed)
         s_[0] = 1;
 }
 
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
-}
-
 double
 Rng::nextGaussian()
 {

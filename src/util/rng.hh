@@ -76,9 +76,6 @@ class Rng
     /** Uniform double in [0, 1): the top 53 bits of next(), scaled. */
     double nextDouble() { return (next() >> 11) * 0x1.0p-53; }
 
-    /** Bernoulli trial with success probability p. */
-    bool nextBool(double p);
-
     /** Standard normal via Marsaglia polar method. */
     double nextGaussian();
 

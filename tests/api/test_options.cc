@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 
 #include "api/options.hh"
@@ -223,7 +224,6 @@ TEST(ClusterOptions, ParamsRoundTrip)
     params.numThreads = 4;
     params.numShards = 2;
     params.memoryBudgetBytes = 123456;
-    params.sketchBits = 20;
     params.spillDir = "/var/tmp/spill";
     ClusterOptions opt = ClusterOptions::fromParams(params);
     EXPECT_TRUE(opt.validate().ok());
@@ -232,33 +232,32 @@ TEST(ClusterOptions, ParamsRoundTrip)
     EXPECT_EQ(opt.params().numThreads, 4u);
     EXPECT_EQ(opt.params().numShards, 2u);
     EXPECT_EQ(opt.params().memoryBudgetBytes, 123456u);
-    EXPECT_EQ(opt.params().sketchBits, 20u);
     EXPECT_EQ(opt.params().spillDir, "/var/tmp/spill");
-}
-
-TEST(ClusterOptions, RejectsSketchBitsBounds)
-{
-    // 0 is auto-sizing; explicit values must land in [10, 36].
-    EXPECT_TRUE(ClusterOptions().sketchBits(0).validate().ok());
-    EXPECT_TRUE(ClusterOptions().sketchBits(10).validate().ok());
-    EXPECT_TRUE(ClusterOptions().sketchBits(36).validate().ok());
-    expectInvalid(ClusterOptions().sketchBits(9).validate(),
-                  "cluster-sketch-bits");
-    expectInvalid(ClusterOptions().sketchBits(37).validate(),
-                  "cluster-sketch-bits");
 }
 
 TEST(ClusterOptions, StreamingKnobs)
 {
     ClusterOptions opt;
-    opt.memoryBudgetMb(512).sketchBits(24).spillDir("/tmp/x");
+    opt.memoryBudgetMb(512).spillDir("/tmp/x");
     EXPECT_TRUE(opt.validate().ok());
     EXPECT_EQ(opt.params().memoryBudgetBytes, size_t(512) << 20);
-    EXPECT_EQ(opt.params().sketchBits, 24u);
     EXPECT_EQ(opt.params().spillDir, "/tmp/x");
     // 0 MiB means no budget: the engine never spills.
     opt.memoryBudgetMb(0);
     EXPECT_EQ(opt.params().memoryBudgetBytes, 0u);
+    // A budget whose byte count overflows size_t is rejected, not
+    // wrapped (2^44 MiB would read as 0, "never spill", and
+    // 2^44 + 1 MiB as 1 MiB); through ChannelOptions too, which is
+    // how the CLI's --cluster path validates.
+    const size_t largest = SIZE_MAX >> 20;
+    EXPECT_TRUE(opt.memoryBudgetMb(largest).validate().ok());
+    for (size_t mb : { largest + 1, largest + 2, SIZE_MAX }) {
+        expectInvalid(opt.memoryBudgetMb(mb).validate(),
+                      "cluster-memory-mb");
+        expectInvalid(ChannelOptions().cluster(opt).validate(),
+                      "cluster-memory-mb");
+    }
+    EXPECT_TRUE(opt.memoryBudgetMb(512).validate().ok());
 }
 
 // ------------------------------------------------ non-finite regressions

@@ -10,10 +10,8 @@
  *
  * The index is modelled by a plain map from gram fingerprint to the
  * clusters posted under it, built from the representatives a
- * GreedyState reports. The reference has no sketch: a gram the sketch
- * rejects has no postings, so the sketch can never move a candidate
- * list, and leaving it out also checks that it never rejects a gram
- * that has postings.
+ * GreedyState reports. A gram the map does not hold has no postings
+ * and is used like any rare gram, as in GreedyState.
  */
 
 #ifndef DNASTORE_TESTS_CLUSTER_GATHER_REFERENCE_HH

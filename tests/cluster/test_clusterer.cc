@@ -420,9 +420,8 @@ TEST(Clusterer, RejectsOutOfRangeQgram)
 TEST(Clusterer, RejectsBadParamsAtConstruction)
 {
     // A NaN, non-positive or > 1 distance fraction would reach
-    // size_t(maxDistanceFrac * len) in the greedy pass, and a bad
-    // sketch size used to throw only inside finish(): the engine
-    // rejects both before it ingests a read.
+    // size_t(maxDistanceFrac * len) in the greedy pass: the engine
+    // rejects it before it ingests a read.
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
     for (double frac : { nan, inf, -0.25, 0.0, 1.5 }) {
@@ -432,16 +431,8 @@ TEST(Clusterer, RejectsBadParamsAtConstruction)
                      std::invalid_argument)
             << "maxDistanceFrac " << frac;
     }
-    for (size_t bits : { size_t(9), size_t(37) }) {
-        ClusterParams params;
-        params.sketchBits = bits;
-        EXPECT_THROW(StreamingClusterer engine(params),
-                     std::invalid_argument)
-            << "sketchBits " << bits;
-    }
     ClusterParams ok;
     ok.maxDistanceFrac = 1.0;
-    ok.sketchBits = 36;
     EXPECT_EQ(ok.check(), nullptr);
     EXPECT_NO_THROW(StreamingClusterer engine(ok));
 }

@@ -668,61 +668,6 @@ TEST(SpillChunks, TrailingGarbageIsDetected)
 }
 
 // ---------------------------------------------------------------------
-// Sketch calibration: the Bloom pre-filter must never produce false
-// negatives, and its measured false-positive rate must track the
-// analytic estimate.
-
-TEST(GramSketch, NoFalseNegativesAndCalibratedFpr)
-{
-    GramSketch sketch;
-    sketch.reset(16); // 65536 bits
-    const size_t keys = 4096;
-    Rng rng(308);
-    std::vector<uint32_t> inserted;
-    for (size_t i = 0; i < keys; ++i) {
-        uint32_t fp = GramIndex::fingerprint(rng.next());
-        sketch.insert(fp);
-        inserted.push_back(fp);
-    }
-    for (uint32_t fp : inserted)
-        EXPECT_TRUE(sketch.mayContain(fp));
-
-    const double estimate = sketch.estimatedFpr(keys);
-    EXPECT_GT(estimate, 0.0);
-    EXPECT_LT(estimate, 0.05);
-
-    size_t false_positives = 0;
-    const size_t probes = 200000;
-    for (size_t i = 0; i < probes; ++i) {
-        // Disjoint key space: probe values the insert loop (which
-        // drew full-width fingerprints) can collide with only by
-        // fingerprint accident, which the tolerance absorbs.
-        uint32_t fp = GramIndex::fingerprint(
-            (uint64_t(1) << 40) + i * 2654435761u);
-        if (sketch.mayContain(fp))
-            ++false_positives;
-    }
-    double measured = double(false_positives) / double(probes);
-    EXPECT_LT(measured, estimate * 2.5)
-        << "measured " << measured << " estimate " << estimate;
-}
-
-TEST(GramSketch, AutoSizingTargetsEightBitsPerKey)
-{
-    for (size_t keys : { size_t(1), size_t(100), size_t(5000),
-                         size_t(1000000) }) {
-        size_t log2bits = GramSketch::autoLog2Bits(keys);
-        EXPECT_GE(log2bits, 10u);
-        EXPECT_LE(log2bits, 36u);
-        EXPECT_GE(size_t(1) << log2bits, keys * 8)
-            << "keys " << keys;
-    }
-    GramSketch sketch;
-    EXPECT_THROW(sketch.reset(9), std::invalid_argument);
-    EXPECT_THROW(sketch.reset(37), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------
 // Index equivalence: the prefetched batch insert must store exactly the
 // postings a loop of one-key insertAll calls stores, grows and fingerprint
 // collisions included.
@@ -835,9 +780,9 @@ TEST(GramIndex, ChainsAreNewestFirst)
 
 TEST(GramIndex, ClearedIndexMatchesFreshIndex)
 {
-    // A cleared index keeps its grown slot arrays; every lookup, the
-    // key count and the rebuilt sketch must still match a fresh index
-    // fed the same batches, and nothing from before clear() may show.
+    // A cleared index keeps its grown slot arrays; every lookup and
+    // the key count must still match a fresh index fed the same
+    // batches, and nothing from before clear() may show.
     Rng rng(317);
     auto batch = [&rng](size_t n) {
         std::vector<uint64_t> keys(n);
@@ -863,17 +808,8 @@ TEST(GramIndex, ClearedIndexMatchesFreshIndex)
         probes.insert(probes.end(), keys.begin(), keys.end());
     }
     EXPECT_EQ(reused.keyCount(), fresh.keyCount());
-    GramSketch reused_sketch, fresh_sketch;
-    reused_sketch.reset(14);
-    fresh_sketch.reset(14);
-    reused.sketchKeys(reused_sketch, 0);
-    fresh.sketchKeys(fresh_sketch, 0);
-    for (uint64_t k : probes) {
-        ASSERT_EQ(postings(reused, k), postings(fresh, k)) << "key " << k; // chain order too
-        const uint32_t fp = GramIndex::fingerprint(k);
-        ASSERT_EQ(reused_sketch.mayContain(fp), fresh_sketch.mayContain(fp))
-            << "key " << k;
-    }
+    for (uint64_t k : probes) // chain order too
+        ASSERT_EQ(postings(reused, k), postings(fresh, k)) << "key " << k;
 }
 
 TEST(GreedyState, ResetStateClustersLikeAFreshOne)
@@ -881,41 +817,37 @@ TEST(GreedyState, ResetStateClustersLikeAFreshOne)
     // The shard pass reuses one state across shards. After reset(), a
     // state that clustered soup A must cluster soup B exactly like a
     // fresh state: same representatives, members and final
-    // clustering, with primer (frequent) grams and sketch rebuilds in
-    // play, at both an auto-sized and a fixed sketch.
+    // clustering, with primer (frequent) grams and index grows in
+    // play.
     const PrimerPair primers =
         makePrimerPair(3, StorageConfig::benchScale().primerLen);
     const std::vector<Strand> soup_a = makeSoup(120, 4, 0.05, 41, &primers);
     const std::vector<Strand> soup_b = makeSoup(70, 5, 0.06, 42, &primers);
     for (size_t qgram : { size_t(6), size_t(12) }) {
-        for (size_t sketch_bits : { size_t(0), size_t(12) }) {
-            ClusterParams params;
-            params.qgram = qgram;
-            params.sketchBits = sketch_bits;
-            cluster_detail::GreedyState fresh(params), reused(params);
-            for (size_t i = 0; i < soup_a.size(); ++i)
-                reused.consume(i, soup_a[i]);
-            reused.reset();
-            ASSERT_EQ(reused.clusterCount(), 0u);
-            for (size_t i = 0; i < soup_b.size(); ++i) {
-                fresh.consume(i, soup_b[i]);
-                reused.consume(i, soup_b[i]);
-            }
-            const std::string at = "q " + std::to_string(qgram) +
-                " sketch " + std::to_string(sketch_bits);
-            ASSERT_EQ(reused.clusterCount(), fresh.clusterCount()) << at;
-            for (size_t c = 0; c < fresh.clusterCount(); ++c) {
-                ASSERT_EQ(reused.representativeId(c),
-                          fresh.representativeId(c)) << at;
-                ASSERT_EQ(reused.representativeStrand(c),
-                          fresh.representativeStrand(c)) << at;
-                ASSERT_EQ(reused.membersOf(c), fresh.membersOf(c)) << at;
-            }
-            const Clustering want = fresh.finalize(soup_b.size());
-            const Clustering got = reused.finalize(soup_b.size());
-            EXPECT_EQ(got.clusterOf, want.clusterOf) << at;
-            EXPECT_EQ(got.members, want.members) << at;
+        ClusterParams params;
+        params.qgram = qgram;
+        cluster_detail::GreedyState fresh(params), reused(params);
+        for (size_t i = 0; i < soup_a.size(); ++i)
+            reused.consume(i, soup_a[i]);
+        reused.reset();
+        ASSERT_EQ(reused.clusterCount(), 0u);
+        for (size_t i = 0; i < soup_b.size(); ++i) {
+            fresh.consume(i, soup_b[i]);
+            reused.consume(i, soup_b[i]);
         }
+        const std::string at = "q " + std::to_string(qgram);
+        ASSERT_EQ(reused.clusterCount(), fresh.clusterCount()) << at;
+        for (size_t c = 0; c < fresh.clusterCount(); ++c) {
+            ASSERT_EQ(reused.representativeId(c),
+                      fresh.representativeId(c)) << at;
+            ASSERT_EQ(reused.representativeStrand(c),
+                      fresh.representativeStrand(c)) << at;
+            ASSERT_EQ(reused.membersOf(c), fresh.membersOf(c)) << at;
+        }
+        const Clustering want = fresh.finalize(soup_b.size());
+        const Clustering got = reused.finalize(soup_b.size());
+        EXPECT_EQ(got.clusterOf, want.clusterOf) << at;
+        EXPECT_EQ(got.members, want.members) << at;
     }
 }
 

@@ -57,20 +57,5 @@ TEST(Synth, PhotoUsesReasonableDynamicRange)
     EXPECT_LT(s.mean(), 225.0);
 }
 
-TEST(Synth, TextureHasHigherLocalVariationThanPhoto)
-{
-    auto photo = generateSyntheticPhoto(96, 96, 13);
-    auto tex = generateTexture(96, 96, 13);
-    auto local_var = [](const Image &img) {
-        RunningStat s;
-        for (size_t y = 0; y + 1 < img.height(); ++y)
-            for (size_t x = 0; x + 1 < img.width(); ++x)
-                s.add(std::abs(double(img.at(x, y)) -
-                               double(img.at(x + 1, y))));
-        return s.mean();
-    };
-    EXPECT_GT(local_var(tex), local_var(photo));
-}
-
 } // namespace
 } // namespace dnastore

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "channel/ids_channel.hh"
-#include "consensus/realign.hh"
-#include "consensus/two_sided.hh"
 #include "pipeline/decoder.hh"
 #include "pipeline/encoder.hh"
 #include "util/rng.hh"
@@ -172,53 +170,6 @@ TEST(UnitDecoder, GiniSpreadsMiddleErrorsAcrossCodewords)
             EXPECT_LE(max_cw, 4u);
         }
     }
-}
-
-TEST(UnitDecoder, PluggableReconstructor)
-{
-    // The decoder accepts any consensus algorithm; the iterative
-    // realignment reconstructor must round-trip like the default.
-    auto cfg = StorageConfig::tinyTest();
-    auto bundle = randomBundle(1500, 6);
-    UnitEncoder enc(cfg, LayoutScheme::Gini);
-    Reconstructor iterative = [](const std::vector<Strand> &reads,
-                                 size_t target) {
-        return reconstructIterative(reads, target);
-    };
-    UnitDecoder dec(cfg, LayoutScheme::Gini, iterative);
-    auto unit = enc.encode(bundle);
-    Rng rng(10);
-    IdsChannel channel(ErrorModel::uniform(0.03));
-    std::vector<std::vector<Strand>> clusters;
-    for (const auto &s : unit.strands)
-        clusters.push_back(channel.transmitCluster(s, 8, rng));
-    auto result = dec.decode(clusters);
-    ASSERT_TRUE(result.bundleOk);
-    EXPECT_TRUE(result.exact);
-    EXPECT_EQ(result.bundle.file(0).data, bundle.file(0).data);
-}
-
-TEST(UnitDecoder, WrongLengthReconstructionsBecomeErasures)
-{
-    // A reconstructor that returns bad lengths must not crash the
-    // decoder; its clusters count as faults and ECC absorbs a few.
-    auto cfg = StorageConfig::tinyTest();
-    auto bundle = randomBundle(1500, 7);
-    UnitEncoder enc(cfg, LayoutScheme::Baseline);
-    size_t calls = 0;
-    Reconstructor flaky = [&calls](const std::vector<Strand> &reads,
-                                   size_t target) {
-        ++calls;
-        if (calls % 10 == 0)
-            return Strand(target / 2, Base::A); // wrong length
-        return reconstructTwoSided(reads, target);
-    };
-    UnitDecoder dec(cfg, LayoutScheme::Baseline, flaky);
-    auto clusters = cleanClusters(enc.encode(bundle), 2);
-    auto result = dec.decode(clusters);
-    ASSERT_TRUE(result.bundleOk);
-    EXPECT_TRUE(result.exact);
-    EXPECT_GE(result.stats.indexFaults, 20u);
 }
 
 TEST(UnitDecoder, StatsTotalCorrectedSumsPerCodeword)

@@ -42,7 +42,7 @@ TEST(PipelineFuzz, RandomBundlesRoundTripAcrossGeometries)
             bundle.add("f" + std::to_string(file_idx++),
                        std::move(data));
             budget -= take;
-            if (rng.nextBool(0.3))
+            if (rng.nextDouble() < 0.3)
                 break;
         }
 

@@ -52,17 +52,6 @@ TEST(Rng, NextDoubleInUnitInterval)
     }
 }
 
-TEST(Rng, NextBoolMatchesProbability)
-{
-    Rng rng(11);
-    int hits = 0;
-    const int n = 100000;
-    for (int i = 0; i < n; ++i)
-        if (rng.nextBool(0.3))
-            ++hits;
-    EXPECT_NEAR(double(hits) / n, 0.3, 0.01);
-}
-
 TEST(Rng, GaussianMoments)
 {
     Rng rng(13);

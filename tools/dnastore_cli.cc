@@ -132,10 +132,9 @@ struct CliOptions
     size_t threads = 1; // 0 = all hardware threads
     bool packedPools = false;
     bool cluster = false;
-    size_t clusterQgram = 6;
-    double clusterMaxDist = 0.25;
+    size_t clusterQgram = ClusterParams().qgram;
+    double clusterMaxDist = ClusterParams().maxDistanceFrac;
     size_t clusterMemoryMb = 0;
-    size_t clusterSketchBits = 0;
     std::string clusterSpillDir;
     bool clusterKnobsSet = false;
     // pack/unpack/--from-pool
@@ -310,9 +309,6 @@ parseArgs(int argc, char **argv, int first)
         } else if (arg == "--cluster-memory-mb") {
             nextSize("--cluster-memory-mb", &opt.clusterMemoryMb);
             opt.clusterKnobsSet = true;
-        } else if (arg == "--cluster-sketch-bits") {
-            nextSize("--cluster-sketch-bits", &opt.clusterSketchBits);
-            opt.clusterKnobsSet = true;
         } else if (arg == "--cluster-spill-dir") {
             opt.clusterSpillDir = next("--cluster-spill-dir");
             opt.clusterKnobsSet = true;
@@ -403,7 +399,6 @@ clusterOptionsFor(const CliOptions &opt)
         .maxDistanceFrac(opt.clusterMaxDist)
         .threads(opt.threads)
         .memoryBudgetMb(opt.clusterMemoryMb)
-        .sketchBits(opt.clusterSketchBits)
         .spillDir(opt.clusterSpillDir);
     return cluster;
 }
@@ -1159,7 +1154,7 @@ usage()
         "                [--cluster] [--cluster-qgram Q] "
         "[--cluster-maxdist F]\n"
         "                [--cluster-memory-mb N] "
-        "[--cluster-sketch-bits B] [--cluster-spill-dir D]\n"
+        "[--cluster-spill-dir D]\n"
         "    (--threads 0 uses all hardware threads; --packed-pools\n"
         "     stores reads 2-bit packed; --cluster regroups reads\n"
         "     with the real clusterer before decoding; results are\n"
