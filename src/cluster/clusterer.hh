@@ -78,7 +78,9 @@ struct ClusterParams
      * never spills. Any other value spills the excess to
      * CRC-checksummed shard segments under spillDir. The budget never
      * changes the clustering, and it governs read buffering only —
-     * the representative index scales with the cluster count, not the
+     * the representative index scales with the cluster count times
+     * the share of the hash range under the index watermark (about
+     * 15% on benchScale reads; short reads raise it), not with the
      * read count.
      */
     size_t memoryBudgetBytes = 0;

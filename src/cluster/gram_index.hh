@@ -43,6 +43,11 @@ namespace dnastore {
  * verification rejects — never a wrong clustering — and halves the
  * slot footprint at the scales where the index dominates memory.
  *
+ * The fingerprint is the key's top 32 bits, so keys that share a
+ * chain lie in one aligned 2^32-wide hash range. GreedyState indexes
+ * only the keys at or below a watermark whose low 32 bits are set:
+ * a chain is then wholly indexed or wholly absent, never split.
+ *
  * Posting chains are newest-first, a contract: a caller that opens
  * clusters with ascending ids (GreedyState does) sees ids never
  * increase along a chain, so a walk can stop below the smallest id it
@@ -82,16 +87,13 @@ class GramIndex
     /** Posting @p e (1-based: a head() or a Posting::next). */
     const Posting &posting(uint32_t e) const { return entries_[e - 1]; }
 
-    /** Distinct keys indexed (fingerprint-merged keys count once). */
-    size_t keyCount() const { return keys_; }
-
     /** The fingerprint the slot array stores for @p key. */
     static uint32_t
     fingerprint(uint64_t key)
     {
-        // Keys are mixed hashes already; fold the halves so the
-        // fingerprint keeps entropy from all 64 bits.
-        uint32_t fp = uint32_t(key ^ (key >> 32));
+        // Keys are mixed hashes already, so the top half alone is
+        // uniform; it keeps a chain's keys in one watermark band.
+        uint32_t fp = uint32_t(key >> 32);
         // 0 marks never-written slots in fps_; remap.
         return fp == 0 ? 1u : fp;
     }

@@ -65,8 +65,8 @@ signatureInto(StrandView read, size_t qgram, size_t cap,
 }
 
 void
-DistinctGrams::collect(StrandView read, size_t qgram,
-                       std::vector<uint64_t> &out)
+DistinctGrams::collect(StrandView read, size_t qgram, uint64_t lo,
+                       uint64_t hi, std::vector<uint64_t> &out)
 {
     out.clear();
     if (read.size() < qgram)
@@ -92,6 +92,8 @@ DistinctGrams::collect(StrandView read, size_t qgram,
         if (i + 1 < qgram)
             continue;
         const uint64_t h = mixHash(gram);
+        if (h < lo || h > hi)
+            continue;
         size_t s = h & slot_mask;
         while (slots_[s].gen == gen_ && slots_[s].key != h)
             s = (s + 1) & slot_mask;
@@ -139,6 +141,8 @@ void
 GreedyState::reset()
 {
     index_.clear();
+    // The floor covers fingerprint 1, which keys with top half 0 share.
+    watermark_ = (uint64_t(1) << 33) - 1;
     repArena_.clear();
     representative_.clear();
     members_.clear();
@@ -179,6 +183,18 @@ const std::vector<size_t> &
 GreedyState::candidatesOf(StrandView read)
 {
     signatureInto(read, params_.qgram, kQuerySignatureSlots, sig_);
+    if (!sig_.empty() && sig_.back() > watermark_) {
+        // Back-fill the band (old, new] in ascending id: its chains
+        // were empty, so they end up newest first, as a full index.
+        const uint64_t lo = watermark_ + 1;
+        watermark_ = (sig_.back() >> 63 ? ~uint64_t(0) : sig_.back() * 2) |
+            0xffffffffu;
+        for (size_t c = 0; c < clusterCount(); ++c) {
+            distinct_.collect(repArena_.view(c), params_.qgram, lo,
+                              watermark_, repGrams_);
+            index_.insertAll(repGrams_.data(), repGrams_.size(), c);
+        }
+    }
     hits_.clear();
     frequentHeads_.clear();
     // sig_ holds the kQuerySignatureSlots smallest grams; walk them in
@@ -286,10 +302,10 @@ GreedyState::openCluster(size_t rep_id, StrandView read)
     members_.emplace_back();
     representative_.push_back(rep_id);
     repArena_.append(read);
-    // Index the representative with ALL its distinct grams so future
-    // noisy reads still find it. Their order is irrelevant: every
-    // posting of this open carries the same id.
-    distinct_.collect(read, params_.qgram, repGrams_);
+    // Index every distinct gram under the watermark so future noisy
+    // reads still find it. Their order is irrelevant: every posting
+    // of this open carries the same id.
+    distinct_.collect(read, params_.qgram, 0, watermark_, repGrams_);
     index_.insertAll(repGrams_.data(), repGrams_.size(), cluster);
     return cluster;
 }

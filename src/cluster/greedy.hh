@@ -34,12 +34,21 @@
  *    the rare postings into nominees. Ids descend along a chain
  *    (gram_index.hh), so one walk per frequent chain adds its votes
  *    and stops below the lowest nominee.
- *  - Opening a cluster indexes every distinct gram of its
- *    representative, collected in read order by DistinctGrams and
- *    inserted by GramIndex::insertAll with prefetch. All of an open's
- *    postings carry one id, so their order never reaches a result.
- *    The engine reuses one state per running shard (reset()), so the
- *    index grows from empty only once.
+ *  - The index holds only the grams whose hash is at or below a
+ *    watermark. A query looks up its kQuerySignatureSlots smallest
+ *    hashes, which on 455-base reads lie in the bottom 13% or so of
+ *    the range. When a query's largest one is above the watermark, it
+ *    first doubles the watermark past it and back-fills the new band
+ *    from every representative, in ascending id. A chain's keys share
+ *    their top 32 bits (gram_index.hh), so the band's chains were
+ *    empty and end up exactly as a full index holds them, newest
+ *    first. Doubling keeps raises rare: a handful per state.
+ *  - Opening a cluster indexes the distinct grams of its
+ *    representative under the watermark, collected in read order by
+ *    DistinctGrams and inserted by GramIndex::insertAll with
+ *    prefetch. All of an open's postings carry one id, so their order
+ *    never reaches a result. The engine reuses one state per running
+ *    shard (reset()), so the index grows from empty only once.
  *  - Verification runs candidates likeliest first (most signature
  *    hits), each batch bounded by the best distance so far, keeping
  *    the (distance, cluster id) minimum: the smallest distance,
@@ -79,9 +88,10 @@ mixHash(uint64_t x)
 /**
  * Query signature size: a read looks up kQuerySignatureSize of its
  * smallest distinct q-gram hashes in the index (representatives are
- * indexed with all their grams). Frequent grams do not count toward
- * it: their slots are refilled from a slack of kSignatureSlack more
- * grams, so the query takes its kQuerySignatureSlots smallest.
+ * indexed with all their grams up to the watermark). Frequent grams
+ * do not count toward it: their slots are refilled from a slack of
+ * kSignatureSlack more grams, so the query takes its
+ * kQuerySignatureSlots smallest.
  */
 constexpr size_t kQuerySignatureSize = 24;
 constexpr size_t kSignatureSlack = 8;
@@ -111,8 +121,8 @@ void signatureInto(StrandView read, size_t qgram, size_t cap,
                    std::vector<uint64_t> &out);
 
 /**
- * Distinct q-gram hashes of a read in first-occurrence order: the
- * set of signatureInto(read, q, SIZE_MAX) without its sort. A
+ * Distinct q-gram hashes in [lo, hi] of a read, in first-occurrence
+ * order: those of signatureInto(read, q, SIZE_MAX), unsorted. A
  * generation-stamped open-addressing set keyed by the full 64-bit
  * hash drops repeats, so two distinct grams always both survive —
  * keying by the 32-bit GramIndex fingerprint would merge colliding
@@ -122,8 +132,8 @@ void signatureInto(StrandView read, size_t qgram, size_t cap,
 class DistinctGrams
 {
   public:
-    /** The distinct gram hashes of @p read into @p out. */
-    void collect(StrandView read, size_t qgram,
+    /** The distinct gram hashes in [lo, hi] of @p read into @p out. */
+    void collect(StrandView read, size_t qgram, uint64_t lo, uint64_t hi,
                  std::vector<uint64_t> &out);
 
   private:
@@ -200,7 +210,8 @@ class GreedyState
      * by signature-hit count descending, ascending id on equal counts.
      * Walks the signature until kQuerySignatureSize rare grams are
      * used; a cluster qualifies only through a rare hit (see the file
-     * comment). Valid until the next call.
+     * comment). Raises the watermark first if the signature needs it.
+     * Valid until the next call.
      */
     const std::vector<size_t> &candidatesOf(StrandView read);
 
@@ -226,6 +237,7 @@ class GreedyState
     ClusterParams params_;
 
     GramIndex index_;
+    uint64_t watermark_; //!< Highest indexed hash; low 32 bits set.
     StrandArena repArena_;
     std::vector<size_t> representative_;
     std::vector<std::vector<size_t>> members_;

@@ -159,6 +159,57 @@ TEST(GatherDifferential, SoupsMatchReferenceAtEveryQ)
     EXPECT_GT(compared, 1000u);
 }
 
+TEST(GatherDifferential, LateWatermarkRaisesMatchFullIndex)
+{
+    // A state indexes only the grams under a watermark, which a query
+    // raises, back-filling the new band from every representative,
+    // when its largest signature hash lies above it. Long reads keep
+    // the watermark low: their 32 smallest of ~444 hashes lie in the
+    // bottom seventh of the range. So hundreds of 455-base reads open
+    // clusters first, and only then come 40-80-base noisy fragments
+    // of them, whose 32 smallest hashes span most of the range: each
+    // raise back-fills a wide band, and the fragments' candidates come
+    // from the back-filled chains. Framed by primers, those chains
+    // include frequent ones, whose votes need newest-first order.
+    // The reference indexes every gram of every representative.
+    const size_t primer_len = StorageConfig::benchScale().primerLen;
+    const PrimerPair primers = makePrimerPair(5, primer_len);
+    Rng rng(2029);
+    IdsChannel channel(ErrorModel::uniform(0.02));
+    size_t compared = 0;
+    for (int iter = 0; iter < fuzzIters(2); ++iter) {
+        for (bool primed : { true, false }) {
+            const size_t frame = primed ? 2 * primer_len : 0;
+            auto framed = [&](const Strand &payload) {
+                return primed ? attachPrimers(primers, payload) : payload;
+            };
+            const size_t strands = 200 + rng.nextBelow(200);
+            std::vector<Strand> payloads, reads;
+            for (size_t s = 0; s < strands; ++s) {
+                payloads.push_back(randomStrand(455 - frame, rng));
+                reads.push_back(
+                    channel.transmit(framed(payloads.back()), rng));
+            }
+            for (size_t s = 0; s < strands; ++s) {
+                const Strand &payload = payloads[rng.nextBelow(strands)];
+                const size_t len = 40 + rng.nextBelow(41) - frame;
+                const long at = long(rng.nextBelow(payload.size() - len));
+                const Strand fragment(payload.begin() + at,
+                                      payload.begin() + at + long(len));
+                reads.push_back(channel.transmit(framed(fragment), rng));
+            }
+            const size_t shards = 1 + rng.nextBelow(4);
+            const std::string at = "iter " + std::to_string(iter) +
+                (primed ? " primed" : " bare") + " shards " +
+                std::to_string(shards);
+            compared += checkShardsAndMerge(reads, 12, shards, at);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+    EXPECT_GT(compared, 1000u);
+}
+
 TEST(GatherDifferential, FingerprintMergedChainsCountEveryPosting)
 {
     // Two distinct 10-grams whose hashes share a GramIndex
