@@ -147,9 +147,7 @@ ChannelOptions::errorRate(double p)
 ChannelOptions &
 ChannelOptions::rates(double ins, double del, double sub)
 {
-    insRate_ = ins;
-    delRate_ = del;
-    subRate_ = sub;
+    rates_ = ErrorModel::custom(ins, del, sub);
     ratesSet_ = true;
     return *this;
 }
@@ -229,106 +227,29 @@ ChannelOptions::validate() const
             "a channel profile cannot be combined with "
             "error-rate/ins-rate/del-rate/sub-rate (set the profile's "
             "base model instead)");
-    // Non-finite gates come first: every ordered comparison below is
-    // false for NaN, so without them NaN rates/means sail through
-    // validation and poison the channel maths downstream.
-    if (ratesSet_) {
-        if (!std::isfinite(insRate_))
-            return Status::invalidArgument(formatMessage(
-                "ins-rate must be finite (got %g)", insRate_));
-        if (!std::isfinite(delRate_))
-            return Status::invalidArgument(formatMessage(
-                "del-rate must be finite (got %g)", delRate_));
-        if (!std::isfinite(subRate_))
-            return Status::invalidArgument(formatMessage(
-                "sub-rate must be finite (got %g)", subRate_));
-        if (insRate_ < 0.0)
-            return Status::invalidArgument(formatMessage(
-                "ins-rate must be >= 0 (got %g)", insRate_));
-        if (delRate_ < 0.0)
-            return Status::invalidArgument(formatMessage(
-                "del-rate must be >= 0 (got %g)", delRate_));
-        if (subRate_ < 0.0)
-            return Status::invalidArgument(formatMessage(
-                "sub-rate must be >= 0 (got %g)", subRate_));
-    } else if (!profileSet_) {
+    // The scalar error-rate is this builder's own knob; everything it
+    // resolves to is checked by the channel's rule below.
+    if (!ratesSet_ && !profileSet_) {
         if (!std::isfinite(errorRate_))
-            return Status::invalidArgument(formatMessage(
-                "error-rate must be finite (got %g)", errorRate_));
+            return Status::invalidArgument("error-rate must be finite");
         if (errorRate_ < 0.0 || errorRate_ > 1.0)
-            return Status::invalidArgument(formatMessage(
-                "error-rate must be in [0, 1] (got %g)", errorRate_));
+            return Status::invalidArgument("error-rate must be in [0, 1]");
     }
+    if (const char *err = channelProfile().check())
+        return Status::invalidArgument(err);
 
-    const ChannelProfile resolved = channelProfile();
-    if (!std::isfinite(resolved.base.insertion) ||
-        !std::isfinite(resolved.base.deletion) ||
-        !std::isfinite(resolved.base.substitution))
-        return Status::invalidArgument(formatMessage(
-            "error rates must be finite (ins=%g del=%g sub=%g)",
-            resolved.base.insertion, resolved.base.deletion,
-            resolved.base.substitution));
-    if (!resolved.base.valid())
-        return Status::invalidArgument(formatMessage(
-            "invalid error rates (ins=%g del=%g sub=%g): each must be "
-            ">= 0 and their total at most 1",
-            resolved.base.insertion, resolved.base.deletion,
-            resolved.base.substitution));
-    if (!resolved.ramp.valid())
-        return Status::invalidArgument(
-            "invalid positional ramp (startFrac outside [0,1] or "
-            "negative multiplier)");
-    if (!resolved.pcr.valid())
-        return Status::invalidArgument(
-            "invalid PCR profile (efficiency/errorRate outside [0,1] "
-            "or maxLineage == 0)");
-    if (!resolved.dropout.valid())
-        return Status::invalidArgument(
-            "invalid dropout profile (rate outside [0,1] or "
-            "burstLen == 0)");
-    if (!std::isfinite(resolved.aging.strandLossRate) ||
-        !std::isfinite(resolved.aging.substitutionRate))
-        return Status::invalidArgument(formatMessage(
-            "aging rates must be finite (strand-loss %g / "
-            "substitution %g)",
-            resolved.aging.strandLossRate,
-            resolved.aging.substitutionRate));
-    if (!resolved.aging.valid())
-        return Status::invalidArgument(formatMessage(
-            "invalid aging profile (strand-loss %g / substitution %g "
-            "must each be in [0, 1])",
-            resolved.aging.strandLossRate,
-            resolved.aging.substitutionRate));
-
-    // Coverage.
     if (coverage_ == 0)
         return Status::invalidArgument("coverage must be >= 1");
-    const bool gamma = gammaMean_ != 0.0 || gammaShape_ != 0.0;
-    if (gamma) {
-        if (!std::isfinite(gammaMean_))
-            return Status::invalidArgument(formatMessage(
-                "gamma-mean must be finite (got %g)", gammaMean_));
-        if (!std::isfinite(gammaShape_))
-            return Status::invalidArgument(formatMessage(
-                "gamma-shape must be finite (got %g)", gammaShape_));
-        if (gammaShape_ <= 0.0)
-            return Status::invalidArgument(formatMessage(
-                "gamma-shape must be > 0 (got %g)", gammaShape_));
-        if (gammaMean_ <= 0.0)
-            return Status::invalidArgument(formatMessage(
-                "gamma-mean must be > 0 (got %g)", gammaMean_));
-        // gamma + cluster is NOT rejected here: per-trial read
-        // generation (TrialJob/runTrial) supports the combination;
-        // only the pool-backed retrieval path cannot, and Store
-        // rejects it there.
+    // gamma + cluster is NOT rejected here: per-trial read generation
+    // (TrialJob/runTrial) supports the combination; only the
+    // pool-backed retrieval path cannot, and Store rejects it there.
+    if (gammaMean_ != 0.0 || gammaShape_ != 0.0) {
+        if (const char *err = CoverageModel::checkGamma(gammaMean_,
+                                                        gammaShape_))
+            return Status::invalidArgument(err);
     }
-
-    // Clustering knobs.
-    if (clusterSet_) {
-        Status status = cluster_.validate();
-        if (!status.ok())
-            return status;
-    }
+    if (clusterSet_)
+        return cluster_.validate();
     return Status();
 }
 
@@ -339,9 +260,8 @@ ChannelOptions::channelProfile() const
     if (profileSet_) {
         resolved = profile_;
     } else {
-        resolved.base = ratesSet_
-            ? ErrorModel::custom(insRate_, delRate_, subRate_)
-            : ErrorModel::uniform(errorRate_);
+        resolved.base =
+            ratesSet_ ? rates_ : ErrorModel::uniform(errorRate_);
     }
     if (agingSet_)
         resolved.aging = aging_;
@@ -401,13 +321,6 @@ ClusterOptions &
 ClusterOptions::threads(size_t n)
 {
     params_.numThreads = n;
-    return *this;
-}
-
-ClusterOptions &
-ClusterOptions::shards(size_t n)
-{
-    params_.numShards = n;
     return *this;
 }
 

@@ -5,12 +5,13 @@
  *
  * Three fluent builders — StoreOptions (unit geometry + execution
  * knobs), ChannelOptions (error model, stressors, coverage, seeds),
- * and ClusterOptions (read-clustering knobs) — are the single source
- * of truth for parameter validation: the CLI's flag checks delegate
- * here, so the CLI and the API reject identical inputs with identical
- * messages. Every rejected parameter maps to
- * StatusCode::InvalidArgument with a message naming the parameter and
- * the offending value.
+ * and ClusterOptions (read-clustering knobs) — run the one check()
+ * each parameter group has on the type that owns it (StorageConfig,
+ * ClusterParams, ChannelProfile, CoverageModel::checkGamma), adding
+ * only what no such type owns. The CLI's flag checks delegate here,
+ * so the CLI, the API and the engines reject identical inputs with
+ * identical messages: InvalidArgument with the rule's text, which
+ * names the parameter and quotes no value.
  *
  * Builders never throw; setters record values and validate() reports
  * the first broken constraint. A Store refuses to open on an invalid
@@ -109,9 +110,6 @@ class ClusterOptions
     /** Worker threads for the sharded mode (1 serial, 0 = all). */
     ClusterOptions &threads(size_t n);
 
-    /** Minimizer shards (0 = auto, 1 = classic single pass). */
-    ClusterOptions &shards(size_t n);
-
     /**
      * Memory budget for read buffering, in MiB. 0 (default) never
      * spills; any other value spills packed reads past the budget to
@@ -188,7 +186,11 @@ class ChannelOptions
     /** Seed for gamma coverage draws at retrieval time. */
     ChannelOptions &drawSeed(uint64_t seed);
 
-    /** First broken constraint as InvalidArgument; Ok when valid. */
+    /**
+     * First broken constraint as InvalidArgument; Ok when valid. Past
+     * the builder's own knobs, runs channelProfile().check(),
+     * CoverageModel::checkGamma and ClusterOptions::validate().
+     */
     Status validate() const;
 
     // Resolved accessors (meaningful once validate().ok()).
@@ -219,7 +221,7 @@ class ChannelOptions
     bool agingSet_ = false;
     double errorRate_ = 0.06;
     bool errorRateSet_ = false;
-    double insRate_ = 0.0, delRate_ = 0.0, subRate_ = 0.0;
+    ErrorModel rates_;
     bool ratesSet_ = false;
     bool profileSet_ = false;
     size_t coverage_ = 10;
@@ -232,10 +234,8 @@ class ChannelOptions
 
 
 /**
- * printf-style helper for builder messages ("coverage must be >= 1",
- * "gamma-shape must be > 0 (got -2)"). Exposed so the CLI can phrase
- * its own few remaining complaints (file I/O, unknown flags)
- * consistently.
+ * printf-style helper for status messages ("cluster-memory-mb must be
+ * at most %zu"), shared by the api and daemon sources.
  */
 std::string formatMessage(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));

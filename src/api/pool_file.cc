@@ -520,17 +520,17 @@ syncParentDir(const std::string &path)
 } // namespace
 
 Status
-writePoolFile(const std::string &path, const PoolFileContents &contents)
+replaceFileAtomically(const std::string &path,
+                      const std::vector<uint8_t> &bytes)
 {
-    const std::vector<uint8_t> bytes = serializePoolFile(contents);
     // Crash-safe replacement: stream into a fresh sibling temp file,
     // flush it to stable storage, rename() it over the target, then
     // sync the directory. A crash or power loss mid-save leaves any
     // previous good file untouched (at worst plus a stale temp
-    // sibling, which the next save of the pool removes). The temp
+    // sibling, which the next save of the file removes). The temp
     // name is unique per save and created with O_EXCL | O_NOFOLLOW,
     // so a planted file or symlink is never written through, and
-    // concurrent savers of one pool never share (or remove) each
+    // concurrent savers of one file never share (or remove) each
     // other's temp file.
     removeStaleTemps(path);
     std::string tmp;
@@ -585,6 +585,12 @@ writePoolFile(const std::string &path, const PoolFileContents &contents)
             "may not survive a crash: %s",
             path.c_str(), errnoText(errno).c_str()));
     return Status();
+}
+
+Status
+writePoolFile(const std::string &path, const PoolFileContents &contents)
+{
+    return replaceFileAtomically(path, serializePoolFile(contents));
 }
 
 Result<PoolFileContents>

@@ -109,16 +109,16 @@ std::vector<uint8_t> serializePoolFile(const PoolFileContents &contents);
 Result<PoolFileContents> parsePoolFile(const std::vector<uint8_t> &bytes);
 
 /**
- * serializePoolFile + atomic replacement: the bytes stream into a
+ * Atomic replacement of @p path by @p bytes: the bytes stream into a
  * fresh sibling `<path>.tmp.<pid>.<n>`, are fsync'd, and rename() over
  * @p path; the directory is then fsync'd, so a crash mid-save never
  * destroys a previously good file and an acknowledged save survives
  * power loss. The temp file is created exclusively and never through
  * a symlink, so a planted `<path>.tmp*` cannot redirect the save and
- * concurrent savers of one pool never collide. A save holds an
+ * concurrent savers of one file never collide. A save holds an
  * exclusive flock on its temp file until the rename, and first
  * removes the unlocked temp files that crashed saves of the same
- * pool left behind.
+ * file left behind.
  *
  * Unavailable on I/O errors before the rename (the temp file is
  * removed and @p path is untouched). The directory sync is skipped
@@ -127,6 +127,10 @@ Result<PoolFileContents> parsePoolFile(const std::vector<uint8_t> &bytes);
  * fails the result is Unavailable although the new file is in place,
  * since it may not survive a crash.
  */
+Status replaceFileAtomically(const std::string &path,
+                             const std::vector<uint8_t> &bytes);
+
+/** serializePoolFile + replaceFileAtomically. */
 Status writePoolFile(const std::string &path,
                      const PoolFileContents &contents);
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -61,22 +60,6 @@ mapRetrieval(RetrievalResult &&result)
     out.errorsPerCodeword =
         std::move(result.decoded.stats.errorsPerCodeword);
     return out;
-}
-
-/**
- * ScrubOptions is a plain struct (no builder), so the non-finite gate
- * lives at the two consumption points: a NaN minAgreement would make
- * every `agreement < minAgreement` comparison false and silently turn
- * the policy into a no-op.
- */
-Status
-checkScrubOptions(const ScrubOptions &options)
-{
-    if (!std::isfinite(options.minAgreement))
-        return Status::invalidArgument(formatMessage(
-            "scrub min-agreement must be finite (got %g)",
-            options.minAgreement));
-    return Status();
 }
 
 /** The caller's view of a scrub pass, shared by scrub() and ScrubJob. */
@@ -657,8 +640,8 @@ Store::scrub(const ScrubOptions &options)
         return Status::failedPrecondition(
             "the store was opened read-only; scrub() is not "
             "available");
-    if (Status bad = checkScrubOptions(options); !bad.ok())
-        return bad;
+    if (const char *err = options.check())
+        return Status::invalidArgument(err);
     Status status = rep_->ensureSynthesized();
     if (!status.ok())
         return status;
@@ -845,6 +828,10 @@ Store::submit(const TrialJob &job)
 {
     if (!rep_)
         return readyFuture<TrialSeries>(movedFromStore());
+    if (job.scrubEachEpoch) {
+        if (const char *err = job.scrub.check())
+            return readyFuture<TrialSeries>(Status::invalidArgument(err));
+    }
     if (job.useClusterer && !rep_->channel.hasCluster())
         return readyFuture<TrialSeries>(Status::failedPrecondition(
             "TrialJob.useClusterer needs ClusterOptions on the "
@@ -940,8 +927,8 @@ Store::submit(const ScrubJob &job)
     if (rep_->readOnly)
         return readyFuture<ScrubReport>(Status::failedPrecondition(
             "the store was opened read-only; scrub is not available"));
-    if (Status bad = checkScrubOptions(job.options); !bad.ok())
-        return readyFuture<ScrubReport>(std::move(bad));
+    if (const char *err = job.options.check())
+        return readyFuture<ScrubReport>(Status::invalidArgument(err));
     Status status = rep_->ensureSynthesized();
     if (!status.ok())
         return readyFuture<ScrubReport>(std::move(status));
@@ -971,12 +958,6 @@ const StoreOptions &
 Store::options() const
 {
     return rep_->options;
-}
-
-const ChannelOptions &
-Store::channel() const
-{
-    return rep_->channel;
 }
 
 StorageConfig

@@ -200,7 +200,7 @@ struct TrialJob
     /** Scrub after each epoch's decay (the closed loop under test). */
     bool scrubEachEpoch = false;
 
-    /** Scrub policy of the per-epoch scrubs. */
+    /** Per-epoch scrub policy (checked when scrubEachEpoch is set). */
     ScrubOptions scrub;
 };
 
@@ -449,7 +449,8 @@ class Store
      * cluster with fresh full-depth reads of its repaired strand.
      * Repairs invalidate the retrieveAll() memo.
      *
-     * Errors: FailedPrecondition on a read-only store; Unavailable
+     * Errors: InvalidArgument when options.check() fails;
+     * FailedPrecondition on a read-only store; Unavailable
      * when clusters need repair but some codeword failed at the
      * current depth (every column then embeds an untrusted symbol, so
      * no rewrite is safe — transient: deeper coverage can clear it).
@@ -468,7 +469,6 @@ class Store
 
     // ----------------------------------------------------- inspection
     const StoreOptions &options() const;
-    const ChannelOptions &channel() const;
 
     /**
      * The unit geometry retrievals will use. Under autoGeometry the

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace dnastore {
 
@@ -16,9 +17,24 @@ CoverageModel::fixed(size_t n)
 CoverageModel
 CoverageModel::gamma(double mean, double shape)
 {
-    if (mean <= 0.0 || shape <= 0.0)
-        throw std::invalid_argument("CoverageModel: bad gamma params");
+    if (const char *err = checkGamma(mean, shape))
+        throw std::invalid_argument(std::string("CoverageModel: ") + err);
     return CoverageModel(false, mean, shape);
+}
+
+const char *
+CoverageModel::checkGamma(double mean, double shape)
+{
+    // Finiteness first: NaN fails every ordered comparison.
+    if (!std::isfinite(mean))
+        return "gamma-mean must be finite";
+    if (mean <= 0.0)
+        return "gamma-mean must be > 0";
+    if (!std::isfinite(shape))
+        return "gamma-shape must be finite";
+    if (shape <= 0.0)
+        return "gamma-shape must be > 0";
+    return nullptr;
 }
 
 size_t

@@ -33,8 +33,15 @@ class CoverageModel
      *              clamped to be at least 1 (a cluster that exists has
      *              at least one read; zero-read clusters are modelled
      *              separately as erasures by the pipeline).
+     * @throws std::invalid_argument on a checkGamma() failure.
      */
     static CoverageModel gamma(double mean, double shape);
+
+    /**
+     * The gamma rule, run by gamma() and api::ChannelOptions: mean,
+     * then shape, finite and > 0. The first broken one, or nullptr.
+     */
+    static const char *checkGamma(double mean, double shape);
 
     /** Sample the number of reads for one cluster. */
     size_t sample(Rng &rng) const;

@@ -1,5 +1,7 @@
 #include "channel/error_model.hh"
 
+#include <cmath>
+
 namespace dnastore {
 
 ErrorModel
@@ -41,11 +43,24 @@ ErrorModel::nanopore(double p)
     return { indel / 2.0, indel / 2.0, p - indel };
 }
 
-bool
-ErrorModel::valid() const
+const char *
+ErrorModel::check() const
 {
-    return insertion >= 0.0 && deletion >= 0.0 && substitution >= 0.0 &&
-        total() <= 1.0;
+    if (!std::isfinite(insertion))
+        return "ins-rate must be finite";
+    if (!std::isfinite(deletion))
+        return "del-rate must be finite";
+    if (!std::isfinite(substitution))
+        return "sub-rate must be finite";
+    if (insertion < 0.0)
+        return "ins-rate must be >= 0";
+    if (deletion < 0.0)
+        return "del-rate must be >= 0";
+    if (substitution < 0.0)
+        return "sub-rate must be >= 0";
+    if (total() > 1.0)
+        return "error rates must total at most 1";
+    return nullptr;
 }
 
 } // namespace dnastore

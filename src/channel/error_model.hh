@@ -46,8 +46,11 @@ struct ErrorModel
     /** Nanopore-like breakdown (section 8): ~60% of errors are indels. */
     static ErrorModel nanopore(double p);
 
-    /** Validate that rates are non-negative and total() <= 1. */
-    bool valid() const;
+    /**
+     * The first broken constraint, or nullptr: each rate finite, then
+     * each >= 0, then total() at most 1.
+     */
+    const char *check() const;
 };
 
 } // namespace dnastore

@@ -1,6 +1,7 @@
 #include "channel/ids_channel.hh"
 
 #include <stdexcept>
+#include <string>
 
 #include "channel/walk.hh"
 
@@ -9,8 +10,8 @@ namespace dnastore {
 IdsChannel::IdsChannel(const ErrorModel &model)
     : model_(model)
 {
-    if (!model.valid())
-        throw std::invalid_argument("IdsChannel: invalid error model");
+    if (const char *err = model.check())
+        throw std::invalid_argument(std::string("IdsChannel: ") + err);
 }
 
 Strand

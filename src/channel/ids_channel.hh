@@ -42,6 +42,7 @@ struct ChannelEvents
 class IdsChannel
 {
   public:
+    /** @throws std::invalid_argument("IdsChannel: " + check()). */
     explicit IdsChannel(const ErrorModel &model);
 
     /**
@@ -82,9 +83,6 @@ class IdsChannel
     /** Generate a cluster of @p n noisy copies into an arena. */
     void transmitClusterInto(StrandView input, size_t n, Rng &rng,
                              StrandArena &out) const;
-
-    /** The configured error model. */
-    const ErrorModel &model() const { return model_; }
 
   private:
     ErrorModel model_;

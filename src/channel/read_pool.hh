@@ -91,9 +91,6 @@ class ReadPool
     /** Maximum coverage available per cluster. */
     size_t maxCoverage() const { return maxCoverage_; }
 
-    /** Storage mode of this pool. */
-    ReadStorage storage() const { return storage_; }
-
     /**
      * Reads currently alive in cluster @p cluster. Equal to
      * maxCoverage() for a freshly generated pool; aging

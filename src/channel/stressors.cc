@@ -1,5 +1,6 @@
 #include "channel/stressors.hh"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -19,63 +20,67 @@ PositionalRamp::multiplierAt(size_t i, size_t len) const
     return 1.0 + progress * (endMultiplier - 1.0);
 }
 
-bool
-PositionalRamp::valid() const
+const char *
+PositionalRamp::check() const
 {
-    return startFrac >= 0.0 && startFrac <= 1.0 && endMultiplier >= 0.0;
+    if (!std::isfinite(startFrac) || !std::isfinite(endMultiplier))
+        return "ramp startFrac and endMultiplier must be finite";
+    if (startFrac < 0.0 || startFrac > 1.0)
+        return "ramp startFrac must be in [0, 1]";
+    if (endMultiplier < 0.0)
+        return "ramp endMultiplier must be >= 0";
+    return nullptr;
 }
 
-bool
-PcrProfile::valid() const
+const char *
+PcrProfile::check() const
 {
-    return efficiency >= 0.0 && efficiency <= 1.0 && errorRate >= 0.0 &&
-        errorRate <= 1.0 && maxLineage >= 1;
+    if (!std::isfinite(efficiency) || !std::isfinite(errorRate))
+        return "pcr efficiency and errorRate must be finite";
+    if (efficiency < 0.0 || efficiency > 1.0)
+        return "pcr efficiency must be in [0, 1]";
+    if (errorRate < 0.0 || errorRate > 1.0)
+        return "pcr errorRate must be in [0, 1]";
+    if (cycles > 64)
+        return "pcr cycles must be at most 64";
+    if (maxLineage == 0)
+        return "pcr maxLineage must be >= 1";
+    return nullptr;
 }
 
-bool
-DropoutProfile::valid() const
+const char *
+DropoutProfile::check() const
 {
-    return rate >= 0.0 && rate <= 1.0 && burstLen >= 1;
+    if (!std::isfinite(rate))
+        return "dropout rate must be finite";
+    if (rate < 0.0 || rate > 1.0)
+        return "dropout rate must be in [0, 1]";
+    if (burstLen == 0)
+        return "dropout burstLen must be >= 1";
+    return nullptr;
 }
 
-bool
-AgingProfile::valid() const
+const char *
+AgingProfile::check() const
 {
-    return strandLossRate >= 0.0 && strandLossRate <= 1.0 &&
-        substitutionRate >= 0.0 && substitutionRate <= 1.0;
+    if (!std::isfinite(strandLossRate) || !std::isfinite(substitutionRate))
+        return "aging rates must be finite";
+    if (strandLossRate < 0.0 || strandLossRate > 1.0)
+        return "aging strand-loss rate must be in [0, 1]";
+    if (substitutionRate < 0.0 || substitutionRate > 1.0)
+        return "aging substitution rate must be in [0, 1]";
+    return nullptr;
 }
 
-bool
-ChannelProfile::valid() const
+const char *
+ChannelProfile::check() const
 {
-    return base.valid() && ramp.valid() && pcr.valid() &&
-        dropout.valid() && aging.valid();
-}
-
-void
-ChannelProfile::validateOrThrow(const char *who) const
-{
-    std::string prefix = std::string(who) + ": ";
-    if (!base.valid())
-        throw std::invalid_argument(
-            prefix + "invalid base error model "
-                     "(negative rate or total() > 1)");
-    if (!ramp.valid())
-        throw std::invalid_argument(
-            prefix + "invalid positional ramp "
-                     "(startFrac outside [0,1] or negative multiplier)");
-    if (!pcr.valid())
-        throw std::invalid_argument(
-            prefix + "invalid PCR profile (efficiency/errorRate outside "
-                     "[0,1] or maxLineage == 0)");
-    if (!dropout.valid())
-        throw std::invalid_argument(
-            prefix + "invalid dropout profile (rate outside [0,1] or "
-                     "burstLen == 0)");
-    if (!aging.valid())
-        throw std::invalid_argument(
-            prefix + "invalid aging profile (strand-loss or "
-                     "substitution rate outside [0,1])");
+    for (const char *err : { base.check(), ramp.check(), pcr.check(),
+                             dropout.check(), aging.check() }) {
+        if (err != nullptr)
+            return err;
+    }
+    return nullptr;
 }
 
 void
@@ -144,7 +149,8 @@ class RampThresholds
 ProfileChannel::ProfileChannel(const ChannelProfile &profile)
     : profile_(profile)
 {
-    profile.validateOrThrow("ProfileChannel");
+    if (const char *err = profile.check())
+        throw std::invalid_argument(std::string("ProfileChannel: ") + err);
 }
 
 void

@@ -62,8 +62,8 @@ struct PositionalRamp
     /** Multiplier for position @p i of a length-@p len strand. */
     double multiplierAt(size_t i, size_t len) const;
 
-    /** startFrac in [0, 1], endMultiplier >= 0. */
-    bool valid() const;
+    /** Both finite, startFrac in [0, 1], endMultiplier >= 0. */
+    const char *check() const;
 };
 
 /**
@@ -89,8 +89,11 @@ struct PcrProfile
 
     bool enabled() const { return cycles > 0; }
 
-    /** efficiency/errorRate in [0, 1], maxLineage >= 1. */
-    bool valid() const;
+    /**
+     * efficiency/errorRate finite and in [0, 1], cycles at most 64
+     * (2^64 templates is far past any maxLineage), maxLineage >= 1.
+     */
+    const char *check() const;
 };
 
 /** Whole-strand dropout: clusters that yield zero reads. */
@@ -104,8 +107,8 @@ struct DropoutProfile
 
     bool enabled() const { return rate > 0.0; }
 
-    /** rate in [0, 1], burstLen >= 1. */
-    bool valid() const;
+    /** rate finite and in [0, 1], burstLen >= 1. */
+    const char *check() const;
 };
 
 /**
@@ -133,8 +136,8 @@ struct AgingProfile
         return strandLossRate > 0.0 || substitutionRate > 0.0;
     }
 
-    /** Both rates in [0, 1]. */
-    bool valid() const;
+    /** Both rates finite and in [0, 1]. */
+    const char *check() const;
 };
 
 /** A channel profile: base IDS model composed with stressors. */
@@ -146,11 +149,13 @@ struct ChannelProfile
     DropoutProfile dropout;
     AgingProfile aging;
 
-    /** All components valid (ramped rates are clamped, see below). */
-    bool valid() const;
-
-    /** Throw std::invalid_argument naming the broken component. */
-    void validateOrThrow(const char *who) const;
+    /**
+     * The channel rule, run by ProfileChannel and api::ChannelOptions:
+     * base.check(), then the ramp, PCR, dropout and aging checks. The
+     * first broken constraint, or nullptr (ramped rates are clamped,
+     * see below).
+     */
+    const char *check() const;
 };
 
 /**
@@ -172,7 +177,7 @@ void applyDropout(const DropoutProfile &dropout, Rng &rng,
 class ProfileChannel
 {
   public:
-    /** @throws std::invalid_argument on an invalid profile. */
+    /** @throws std::invalid_argument("ProfileChannel: " + check()). */
     explicit ProfileChannel(const ChannelProfile &profile);
 
     /**

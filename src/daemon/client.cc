@@ -218,9 +218,7 @@ Client::scrub(const std::string &tenant,
     Request request;
     request.op = Op::Scrub;
     request.tenant = tenant;
-    request.minReads = options.minReads;
-    request.minAgreement = options.minAgreement;
-    request.repairAll = options.repairAll;
+    request.scrub = options;
     api::Result<Response> response = roundTrip(request);
     if (!response.ok())
         return response.status();

@@ -40,7 +40,6 @@ class Client
     api::Status connect(uint16_t port);
 
     void close();
-    bool connected() const { return fd_ >= 0; }
 
     // ------------------------------------------------------ protocol ops
     api::Status ping();

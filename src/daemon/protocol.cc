@@ -122,9 +122,9 @@ encodeRequest(const Request &request)
         w.str(request.name);
         break;
       case Op::Scrub:
-        w.u64(request.minReads);
-        w.u64(doubleBits(request.minAgreement));
-        w.u8(request.repairAll ? 1 : 0);
+        w.u64(request.scrub.minReads);
+        w.u64(doubleBits(request.scrub.minAgreement));
+        w.u8(request.scrub.repairAll ? 1 : 0);
         break;
       case Op::Trial:
         w.u32(request.trials);
@@ -166,9 +166,9 @@ decodeRequest(const std::vector<uint8_t> &payload, Request *out,
         out->name = r.str(r.u16());
         break;
       case Op::Scrub:
-        out->minReads = r.u64();
-        out->minAgreement = bitsDouble(r.u64());
-        out->repairAll = r.u8() != 0;
+        out->scrub.minReads = size_t(r.u64());
+        out->scrub.minAgreement = bitsDouble(r.u64());
+        out->scrub.repairAll = r.u8() != 0;
         break;
       case Op::Trial:
         out->trials = r.u32();

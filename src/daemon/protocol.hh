@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "api/health.hh"
 #include "api/status.hh"
 
 namespace dnastore {
@@ -87,10 +88,7 @@ struct Request
     std::string name;
     std::vector<uint8_t> data; //!< Put payload.
 
-    // Scrub.
-    uint64_t minReads = 0;
-    double minAgreement = 0.0;
-    bool repairAll = false;
+    api::ScrubOptions scrub; //!< Scrub policy.
 
     // Trial.
     uint32_t trials = 0;

@@ -375,9 +375,7 @@ Server::dispatch(const Request &request)
         api::Result<Tenant *> tenant = tenants_.find(request.tenant);
         if (!tenant.ok())
             return fromStatus(tenant.status());
-        bool exact = false;
-        api::Result<std::string> json =
-            (*tenant)->healthJson(&exact);
+        api::Result<std::string> json = (*tenant)->healthJson();
         if (!json.ok())
             return fromStatus(json.status());
         response.body = textBody(*json);
@@ -387,12 +385,8 @@ Server::dispatch(const Request &request)
         api::Result<Tenant *> tenant = tenants_.find(request.tenant);
         if (!tenant.ok())
             return fromStatus(tenant.status());
-        api::ScrubOptions scrub_opt;
-        scrub_opt.minReads = size_t(request.minReads);
-        scrub_opt.minAgreement = request.minAgreement;
-        scrub_opt.repairAll = request.repairAll;
         api::Result<api::ScrubReport> report =
-            (*tenant)->scrub(scrub_opt);
+            (*tenant)->scrub(request.scrub);
         if (!report.ok())
             return fromStatus(report.status());
         response.body = textBody(report->toJson());

@@ -180,7 +180,7 @@ Tenant::list()
 }
 
 api::Result<std::string>
-Tenant::healthJson(bool *exact)
+Tenant::healthJson()
 {
     // Health is never served stale: a snapshot of an older
     // generation is rebuilt under the writer lock before it answers.
@@ -195,14 +195,11 @@ Tenant::healthJson(bool *exact)
         if (!snap || snap->generation != generation) {
             api::Result<api::HealthReport> health = store_->health();
             snap = std::make_shared<const HealthSnapshot>(
-                health.ok() ? HealthSnapshot{ generation, health->toJson(),
-                                              health->exact }
+                health.ok() ? HealthSnapshot{ generation, health->toJson() }
                             : HealthSnapshot{ generation, health.status() });
             std::atomic_store(&healthSnap_, snap);
         }
     }
-    if (snap->json.ok() && exact != nullptr)
-        *exact = snap->exact;
     return snap->json;
 }
 

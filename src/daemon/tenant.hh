@@ -100,7 +100,6 @@ struct HealthSnapshot
 {
     uint64_t generation = 0;
     api::Result<std::string> json; //!< HealthReport::toJson(), or why not.
-    bool exact = false;
 };
 
 class TenantRegistry;
@@ -119,8 +118,6 @@ class Tenant
      * once, under the registry lock, before the tenant is published.
      */
     api::Status open();
-
-    const std::string &name() const { return name_; }
 
     /** Quota check + Store::put + generation bump, under the lock. */
     api::Status put(const std::string &objectName,
@@ -141,7 +138,7 @@ class Tenant
     std::vector<api::ObjectInfo> list();
 
     /** Health report JSON from the current health snapshot. */
-    api::Result<std::string> healthJson(bool *exact);
+    api::Result<std::string> healthJson();
 
     /** Synchronous scrub under the writer lock. */
     api::Result<api::ScrubReport> scrub(const api::ScrubOptions &options);

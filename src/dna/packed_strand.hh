@@ -199,8 +199,6 @@ class PackedArena
     /** Unpack strand @p i as a new strand appended to @p out. */
     void unpackInto(size_t i, StrandArena &out) const;
 
-    size_t wordCount() const { return words_.size(); }
-
   private:
     std::vector<uint64_t> words_;
     std::vector<size_t> wordOffsets_;

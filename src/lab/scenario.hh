@@ -28,6 +28,7 @@
 #include "cluster/clusterer.hh"
 #include "pipeline/bundle.hh"
 #include "pipeline/config.hh"
+#include "pipeline/health.hh"
 
 namespace dnastore {
 
@@ -92,11 +93,8 @@ struct Scenario
     /** Scrub after each epoch's decay (the repair half of the loop). */
     bool scrubEachEpoch = false;
 
-    /** Scrub policy: repair clusters below this many live reads. */
-    size_t scrubMinReads = 0;
-
-    /** Scrub policy: repair below this consensus agreement. */
-    double scrubMinAgreement = 0.0;
+    /** Policy of those scrubs. */
+    ScrubOptions scrub;
 
     /**
      * Minimum decode-success rate the regression suite enforces for

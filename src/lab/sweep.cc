@@ -75,8 +75,7 @@ SweepRunner::run(const Scenario &scenario) const
     job.useClusterer = scenario.clustered;
     job.agingEpochs = scenario.agingEpochs;
     job.scrubEachEpoch = scenario.scrubEachEpoch;
-    job.scrub.minReads = scenario.scrubMinReads;
-    job.scrub.minAgreement = scenario.scrubMinAgreement;
+    job.scrub = scenario.scrub;
 
     api::Result<api::TrialSeries> series =
         store->submit(job).get();

@@ -1,5 +1,6 @@
 #include "pipeline/health.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -74,6 +75,14 @@ HealthReport::toJson(bool detail) const
     }
     out << "\n}\n";
     return out.str();
+}
+
+const char *
+ScrubOptions::check() const
+{
+    if (!std::isfinite(minAgreement))
+        return "scrub min-agreement must be finite";
+    return nullptr;
 }
 
 std::string

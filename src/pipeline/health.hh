@@ -107,6 +107,13 @@ struct ScrubOptions
 
     /** Rewrite every cluster regardless of margin. */
     bool repairAll = false;
+
+    /**
+     * The scrub rule, run by Store::scrub, ScrubJob and a scrubbing
+     * TrialJob: minAgreement finite (a NaN selects nothing). The
+     * first broken constraint, or nullptr.
+     */
+    const char *check() const;
 };
 
 /** What one scrub pass did (StorageSimulator::scrub). */

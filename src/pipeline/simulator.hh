@@ -276,9 +276,6 @@ class StorageSimulator
     /** The stored serialized stream (exactness reference). */
     const std::vector<uint8_t> &storedStream() const { return stored_; }
 
-    /** The channel profile driving runTrial(). */
-    const ChannelProfile &profile() const { return profileChannel_.profile(); }
-
   private:
     /**
      * Fraction of the stored bytes @p raw gets wrong (missing trailing

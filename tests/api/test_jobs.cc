@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "api/api.hh"
 #include "pipeline/simulator.hh"
 #include "util/rng.hh"
@@ -303,6 +305,28 @@ TEST(TrialJob, ClustererWithoutOptionsIsFailedPrecondition)
     ASSERT_FALSE(series.ok());
     EXPECT_EQ(series.status().code(),
               StatusCode::FailedPrecondition);
+}
+
+TEST(TrialJob, NonFiniteScrubPolicyIsInvalidArgument)
+{
+    // Store::scrub and ScrubJob reject this policy; a scrubbing
+    // TrialJob runs the same rule instead of scrubbing nothing.
+    AgingProfile aging;
+    aging.strandLossRate = 0.2;
+    ChannelOptions channel;
+    channel.errorRate(0.03).coverage(6).aging(aging);
+    Store store = openTiny(channel);
+    ASSERT_TRUE(store.put("p", patternBytes(500, 2)).ok());
+    TrialJob job;
+    job.trialSeeds = { 1 };
+    job.agingEpochs = 1;
+    job.scrubEachEpoch = true;
+    job.scrub.minAgreement = std::numeric_limits<double>::quiet_NaN();
+    Result<TrialSeries> series = store.submit(job).get();
+    ASSERT_FALSE(series.ok());
+    EXPECT_EQ(series.status().code(), StatusCode::InvalidArgument);
+    EXPECT_EQ(series.status().message(),
+              "scrub min-agreement must be finite");
 }
 
 TEST(TrialJob, EmptySeedListYieldsEmptySeries)

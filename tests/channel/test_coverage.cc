@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "channel/coverage.hh"
 
 namespace dnastore {
@@ -89,6 +91,14 @@ TEST(Coverage, GammaRejectsNonFiniteEdges)
                  std::invalid_argument);
     EXPECT_THROW(CoverageModel::gamma(5.0, 0.0),
                  std::invalid_argument);
+    // NaN is not <= 0, so only an explicit finiteness gate stops it.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(CoverageModel::gamma(nan, 2.0), std::invalid_argument);
+    EXPECT_STREQ(CoverageModel::checkGamma(nan, 2.0),
+                 "gamma-mean must be finite");
+    EXPECT_STREQ(CoverageModel::checkGamma(8.0, nan),
+                 "gamma-shape must be finite");
+    EXPECT_EQ(CoverageModel::checkGamma(8.0, 2.0), nullptr);
 }
 
 TEST(Coverage, GammaSpreadShrinksWithShape)

@@ -12,7 +12,7 @@ TEST(ErrorModel, UniformSplitsEvenly)
     EXPECT_NEAR(m.deletion, 0.03, 1e-12);
     EXPECT_NEAR(m.substitution, 0.03, 1e-12);
     EXPECT_NEAR(m.total(), 0.09, 1e-12);
-    EXPECT_TRUE(m.valid());
+    EXPECT_EQ(m.check(), nullptr);
 }
 
 TEST(ErrorModel, SubstitutionOnly)
@@ -50,9 +50,9 @@ TEST(ErrorModel, NanoporeBreakdownMatchesPaper)
 
 TEST(ErrorModel, ValidityChecks)
 {
-    EXPECT_FALSE(ErrorModel::custom(-0.1, 0.0, 0.0).valid());
-    EXPECT_FALSE(ErrorModel::custom(0.5, 0.4, 0.2).valid());
-    EXPECT_TRUE(ErrorModel::custom(0.3, 0.3, 0.3).valid());
+    EXPECT_NE(ErrorModel::custom(-0.1, 0.0, 0.0).check(), nullptr);
+    EXPECT_NE(ErrorModel::custom(0.5, 0.4, 0.2).check(), nullptr);
+    EXPECT_EQ(ErrorModel::custom(0.3, 0.3, 0.3).check(), nullptr);
 }
 
 TEST(ErrorModel, TotalExactlyOneIsValid)
@@ -61,28 +61,28 @@ TEST(ErrorModel, TotalExactlyOneIsValid)
     // legal (if hopeless) channel.
     auto m = ErrorModel::custom(0.4, 0.3, 0.3);
     EXPECT_DOUBLE_EQ(m.total(), 1.0);
-    EXPECT_TRUE(m.valid());
-    EXPECT_TRUE(ErrorModel::uniform(1.0).valid());
+    EXPECT_EQ(m.check(), nullptr);
+    EXPECT_EQ(ErrorModel::uniform(1.0).check(), nullptr);
 }
 
 TEST(ErrorModel, TinyNegativesAreInvalid)
 {
     // Even sub-epsilon negative rates must be rejected — they would
     // silently skew the cumulative-threshold channel walk.
-    EXPECT_FALSE(ErrorModel::custom(-1e-12, 0.01, 0.01).valid());
-    EXPECT_FALSE(ErrorModel::custom(0.01, -1e-15, 0.01).valid());
-    EXPECT_FALSE(ErrorModel::custom(0.01, 0.01, -1e-9).valid());
+    EXPECT_NE(ErrorModel::custom(-1e-12, 0.01, 0.01).check(), nullptr);
+    EXPECT_NE(ErrorModel::custom(0.01, -1e-15, 0.01).check(), nullptr);
+    EXPECT_NE(ErrorModel::custom(0.01, 0.01, -1e-9).check(), nullptr);
 }
 
 TEST(ErrorModel, TotalBarelyOverOneIsInvalid)
 {
-    EXPECT_FALSE(ErrorModel::custom(0.4, 0.3, 0.3 + 1e-9).valid());
+    EXPECT_NE(ErrorModel::custom(0.4, 0.3, 0.3 + 1e-9).check(), nullptr);
 }
 
 TEST(ErrorModel, ZeroRatesAreValid)
 {
     auto m = ErrorModel::custom(0.0, 0.0, 0.0);
-    EXPECT_TRUE(m.valid());
+    EXPECT_EQ(m.check(), nullptr);
     EXPECT_DOUBLE_EQ(m.total(), 0.0);
 }
 

@@ -99,7 +99,6 @@ TEST(ReadPool, PackedPoolHoldsIdenticalReads)
     IdsChannel ch(ErrorModel::uniform(0.1));
     ReadPool flat(refs, ch, 6, 777, 1, ReadStorage::Flat);
     ReadPool packed(refs, ch, 6, 777, 1, ReadStorage::Packed);
-    EXPECT_EQ(packed.storage(), ReadStorage::Packed);
     for (size_t c = 0; c < flat.clusters(); ++c)
         EXPECT_EQ(flat.reads(c, 6), packed.reads(c, 6));
     ReadBatch fb, pb;

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 
+#include "api/options.hh"
 #include "channel/ids_channel.hh"
 #include "channel/stressors.hh"
 #include "dna/strand.hh"
@@ -50,10 +55,10 @@ TEST(PositionalRamp, RampShape)
 
 TEST(PositionalRamp, Validation)
 {
-    EXPECT_TRUE((PositionalRamp{ 0.5, 3.0 }).valid());
-    EXPECT_FALSE((PositionalRamp{ -0.1, 3.0 }).valid());
-    EXPECT_FALSE((PositionalRamp{ 1.5, 3.0 }).valid());
-    EXPECT_FALSE((PositionalRamp{ 0.5, -1.0 }).valid());
+    EXPECT_EQ((PositionalRamp{ 0.5, 3.0 }).check(), nullptr);
+    EXPECT_NE((PositionalRamp{ -0.1, 3.0 }).check(), nullptr);
+    EXPECT_NE((PositionalRamp{ 1.5, 3.0 }).check(), nullptr);
+    EXPECT_NE((PositionalRamp{ 0.5, -1.0 }).check(), nullptr);
 }
 
 TEST(ProfileChannel, FlatProfileMatchesIdsChannelBitForBit)
@@ -243,33 +248,88 @@ TEST(Pcr, DeterministicForSeed)
 
 TEST(ChannelProfile, ValidationRejectsBrokenComponents)
 {
+    // One rule: the builder and the channel reject every row with the
+    // same rule text, and a bad component is named even when its
+    // stressor is otherwise disabled.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
     ChannelProfile good;
     good.base = ErrorModel::uniform(0.03);
-    EXPECT_TRUE(good.valid());
+    EXPECT_EQ(good.check(), nullptr);
     EXPECT_NO_THROW(ProfileChannel{ good });
+    EXPECT_TRUE(api::ChannelOptions().profile(good).validate().ok());
 
-    ChannelProfile bad_base = good;
-    bad_base.base = ErrorModel::custom(0.5, 0.4, 0.2);
-    EXPECT_FALSE(bad_base.valid());
-    EXPECT_THROW(ProfileChannel{ bad_base }, std::invalid_argument);
+    struct Row
+    {
+        const char *rule;
+        std::function<void(ChannelProfile &)> breakIt;
+    };
+    const Row rows[] = {
+        { "ins-rate must be finite",
+          [&](ChannelProfile &p) { p.base.insertion = nan; } },
+        { "del-rate must be finite",
+          [&](ChannelProfile &p) { p.base.deletion = inf; } },
+        { "sub-rate must be finite",
+          [&](ChannelProfile &p) { p.base.substitution = -inf; } },
+        { "del-rate must be >= 0",
+          [](ChannelProfile &p) { p.base.deletion = -0.01; } },
+        { "error rates must total at most 1",
+          [](ChannelProfile &p) {
+              p.base = ErrorModel::custom(0.5, 0.4, 0.2);
+          } },
+        { "ramp startFrac and endMultiplier must be finite",
+          [&](ChannelProfile &p) { p.ramp = { 0.5, inf }; } },
+        { "ramp startFrac and endMultiplier must be finite",
+          [&](ChannelProfile &p) { p.ramp.startFrac = nan; } },
+        { "ramp startFrac must be in [0, 1]",
+          [](ChannelProfile &p) { p.ramp.startFrac = 2.0; } },
+        { "ramp endMultiplier must be >= 0",
+          [](ChannelProfile &p) { p.ramp = { 0.5, -1.0 }; } },
+        { "pcr efficiency and errorRate must be finite",
+          [&](ChannelProfile &p) { p.pcr.efficiency = nan; } },
+        { "pcr efficiency must be in [0, 1]",
+          [](ChannelProfile &p) { p.pcr.efficiency = 1.5; } },
+        { "pcr errorRate must be in [0, 1]",
+          [](ChannelProfile &p) { p.pcr.errorRate = -0.1; } },
+        { "pcr cycles must be at most 64",
+          [](ChannelProfile &p) { p.pcr.cycles = SIZE_MAX; } },
+        { "pcr cycles must be at most 64",
+          [](ChannelProfile &p) { p.pcr.cycles = 65; } },
+        { "pcr maxLineage must be >= 1",
+          [](ChannelProfile &p) { p.pcr.maxLineage = 0; } },
+        { "dropout rate must be finite",
+          [&](ChannelProfile &p) { p.dropout.rate = nan; } },
+        { "dropout rate must be in [0, 1]",
+          [](ChannelProfile &p) { p.dropout.rate = -0.5; } },
+        { "dropout burstLen must be >= 1",
+          [](ChannelProfile &p) { p.dropout = { 0.1, 0 }; } },
+        { "aging rates must be finite",
+          [&](ChannelProfile &p) { p.aging.substitutionRate = inf; } },
+        { "aging strand-loss rate must be in [0, 1]",
+          [](ChannelProfile &p) { p.aging.strandLossRate = 1.5; } },
+        { "aging substitution rate must be in [0, 1]",
+          [](ChannelProfile &p) { p.aging.substitutionRate = -0.1; } },
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.rule);
+        ChannelProfile bad = good;
+        row.breakIt(bad);
+        ASSERT_NE(bad.check(), nullptr);
+        EXPECT_STREQ(bad.check(), row.rule);
 
-    ChannelProfile bad_ramp = good;
-    bad_ramp.ramp.startFrac = 2.0;
-    EXPECT_THROW(ProfileChannel{ bad_ramp }, std::invalid_argument);
+        const api::Status status =
+            api::ChannelOptions().profile(bad).validate();
+        EXPECT_EQ(status.code(), api::StatusCode::InvalidArgument);
+        EXPECT_EQ(status.message(), row.rule);
 
-    ChannelProfile bad_pcr = good;
-    bad_pcr.pcr.cycles = 3;
-    bad_pcr.pcr.efficiency = 1.5;
-    EXPECT_THROW(ProfileChannel{ bad_pcr }, std::invalid_argument);
-
-    ChannelProfile bad_dropout = good;
-    bad_dropout.dropout.rate = -0.5;
-    EXPECT_THROW(ProfileChannel{ bad_dropout }, std::invalid_argument);
-
-    ChannelProfile zero_burst = good;
-    zero_burst.dropout.rate = 0.1;
-    zero_burst.dropout.burstLen = 0;
-    EXPECT_THROW(ProfileChannel{ zero_burst }, std::invalid_argument);
+        try {
+            ProfileChannel channel(bad);
+            ADD_FAILURE() << "ProfileChannel accepted the profile";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      std::string("ProfileChannel: ") + row.rule);
+        }
+    }
 }
 
 TEST(ArenaGrowth, ClusterAppendsReallocateLogarithmically)

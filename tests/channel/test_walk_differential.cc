@@ -53,9 +53,9 @@ drawModel(Rng &rng)
 {
     ErrorModel m =
         ErrorModel::custom(drawRate(rng), drawRate(rng), drawRate(rng));
-    if (!m.valid())
+    if (m.check() != nullptr)
         m.substitution = 0.0;
-    if (!m.valid())
+    if (m.check() != nullptr)
         m.deletion = 0.0;
     return m;
 }

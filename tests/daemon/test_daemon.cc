@@ -1013,4 +1013,44 @@ TEST(DaemonCli, SigtermMidLoadDrainsCleanAndDurable)
     }
 }
 
+// The port file is replaced atomically through a fresh exclusive temp
+// name, so a symlink planted at the old fixed `<port-file>.tmp` name
+// can neither redirect the write nor become the port file.
+TEST(DaemonCli, PortFileNeverWritesThroughAPlantedSymlink)
+{
+    const std::string dir = freshRoot("portfile");
+    const std::string root = dir + "/root";
+    const std::string portFile = dir + "/port";
+    const std::string victim = dir + "/victim";
+    ASSERT_EQ(::mkdir(root.c_str(), 0755), 0);
+    std::ofstream(victim) << "precious";
+    ASSERT_EQ(::symlink(victim.c_str(), (portFile + ".tmp").c_str()), 0);
+
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ::execl(DNASTORE_CLI_PATH, DNASTORE_CLI_PATH, "serve", "--root",
+                root.c_str(), "--port-file", portFile.c_str(),
+                static_cast<char *>(nullptr));
+        _exit(127); // exec failed
+    }
+    unsigned port = 0;
+    for (int i = 0; i < 300 && port == 0; ++i) {
+        std::ifstream f(portFile);
+        if (!(f >> port))
+            ::usleep(100 * 1000);
+    }
+    ::kill(pid, SIGTERM);
+    int wait_status = 0;
+    ASSERT_EQ(::waitpid(pid, &wait_status, 0), pid);
+    EXPECT_NE(port, 0u) << "daemon never wrote " << portFile;
+
+    std::string kept;
+    std::ifstream(victim) >> kept;
+    EXPECT_EQ(kept, "precious");
+    struct stat st;
+    ASSERT_EQ(::lstat(portFile.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISREG(st.st_mode)) << portFile << " is not a regular file";
+}
+
 #endif // DNASTORE_CLI_PATH

@@ -52,9 +52,9 @@ TEST(Frame, RoundTripsEveryOp)
         request.tenant = "tenant-a";
         request.name = "obj.bin";
         request.data = { 1, 2, 3 };
-        request.minReads = 7;
-        request.minAgreement = 0.625;
-        request.repairAll = true;
+        request.scrub.minReads = 7;
+        request.scrub.minAgreement = 0.625;
+        request.scrub.repairAll = true;
         request.trials = 19;
         request.trialSeed = 0xDEADBEEFCAFEF00DULL;
 
@@ -78,9 +78,10 @@ TEST(Frame, RoundTripsEveryOp)
             EXPECT_EQ(decoded.data, request.data);
         }
         if (request.op == Op::Scrub) {
-            EXPECT_EQ(decoded.minReads, request.minReads);
-            EXPECT_EQ(decoded.minAgreement, request.minAgreement);
-            EXPECT_EQ(decoded.repairAll, request.repairAll);
+            EXPECT_EQ(decoded.scrub.minReads, request.scrub.minReads);
+            EXPECT_EQ(decoded.scrub.minAgreement,
+                      request.scrub.minAgreement);
+            EXPECT_EQ(decoded.scrub.repairAll, request.scrub.repairAll);
         }
         if (request.op == Op::Trial) {
             EXPECT_EQ(decoded.trials, request.trials);

@@ -145,9 +145,9 @@ dnastoreFuzzSeeds()
     Request scrub;
     scrub.op = Op::Scrub;
     scrub.tenant = "tenant0";
-    scrub.minReads = 6;
-    scrub.minAgreement = 0.75;
-    scrub.repairAll = true;
+    scrub.scrub.minReads = 6;
+    scrub.scrub.minAgreement = 0.75;
+    scrub.scrub.repairAll = true;
     seedRequest(scrub);
 
     Request trial;

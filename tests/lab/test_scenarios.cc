@@ -49,7 +49,7 @@ TEST(ScenarioRegistry, NamesAreUniqueAndFindable)
         // against (the real assertion lives in DurabilityLoop below).
         EXPECT_GE(s.minSuccessRate, 0.0);
         EXPECT_LE(s.minSuccessRate, 1.0);
-        EXPECT_TRUE(s.channel.valid());
+        EXPECT_EQ(s.channel.check(), nullptr);
     }
     EXPECT_EQ(findScenario("no-such-scenario"), nullptr);
     EXPECT_GE(names.size(), 6u);

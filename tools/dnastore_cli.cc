@@ -143,12 +143,9 @@ struct CliOptions
     bool outSet = false;
     // health/scrub
     size_t ageEpochs = 0;
-    double ageLoss = 0.0;
-    double ageSub = 0.0;
+    AgingProfile aging;
     bool agingSet = false;
-    size_t scrubMinReads = 0;
-    double scrubMinAgreement = 0.0;
-    bool scrubRepairAll = false;
+    api::ScrubOptions scrub;
     // sweep
     std::string scenario = "all";
     size_t trials = 100;
@@ -315,17 +312,17 @@ parseArgs(int argc, char **argv, int first)
         } else if (arg == "--age") {
             nextSize("--age", &opt.ageEpochs);
         } else if (arg == "--age-loss") {
-            nextF64("--age-loss", &opt.ageLoss);
+            nextF64("--age-loss", &opt.aging.strandLossRate);
             opt.agingSet = true;
         } else if (arg == "--age-sub") {
-            nextF64("--age-sub", &opt.ageSub);
+            nextF64("--age-sub", &opt.aging.substitutionRate);
             opt.agingSet = true;
         } else if (arg == "--min-reads") {
-            nextSize("--min-reads", &opt.scrubMinReads);
+            nextSize("--min-reads", &opt.scrub.minReads);
         } else if (arg == "--min-agreement") {
-            nextF64("--min-agreement", &opt.scrubMinAgreement);
+            nextF64("--min-agreement", &opt.scrub.minAgreement);
         } else if (arg == "--repair-all") {
-            opt.scrubRepairAll = true;
+            opt.scrub.repairAll = true;
         } else if (arg == "--port") {
             nextU64("--port", &opt.port);
             if (opt.ok && opt.port > 65535) {
@@ -433,7 +430,8 @@ putInputs(api::Store &store, const CliOptions &opt, int *exit_code)
 /**
  * Build the channel/coverage/cluster options from the flags. All
  * validation — rates, totals, gamma, coverage, cluster knobs —
- * happens in ChannelOptions::validate() at Store::open.
+ * happens at Store::open, in ChannelOptions::validate() and the
+ * rules it runs.
  */
 api::ChannelOptions
 channelOptionsFor(const CliOptions &opt)
@@ -448,12 +446,8 @@ channelOptionsFor(const CliOptions &opt)
         chan.gammaCoverage(opt.gammaMean, opt.gammaShape);
     if (opt.cluster)
         chan.cluster(clusterOptionsFor(opt));
-    if (opt.agingSet) {
-        AgingProfile aging;
-        aging.strandLossRate = opt.ageLoss;
-        aging.substitutionRate = opt.ageSub;
-        chan.aging(aging);
-    }
+    if (opt.agingSet)
+        chan.aging(opt.aging);
     chan.drawSeed(opt.seed);
     return chan;
 }
@@ -562,7 +556,7 @@ cmdDecode(const CliOptions &opt)
 }
 
 /**
- * Builder validation of every channel/coverage/cluster flag,
+ * Validation of every channel/coverage/cluster/scrub flag by its rule,
  * regardless of subcommand — the parse-time checks this replaces
  * rejected a bad --ins-rate or --cluster-qgram even on `encode`, and
  * a typo'd knob should never pass silently.
@@ -581,6 +575,11 @@ validateFlags(const CliOptions &opt)
             printStatus(status);
             return kExitUsage;
         }
+    }
+    // Up front, so `scrub --age` never decays a pool it cannot scrub.
+    if (const char *err = opt.scrub.check()) {
+        std::fprintf(stderr, "%s\n", err);
+        return kExitUsage;
     }
     return kExitOk;
 }
@@ -895,11 +894,7 @@ cmdScrub(const CliOptions &opt)
         std::fprintf(stderr, "aged %zu epochs: %zu reads lost\n",
                      opt.ageEpochs, *lost);
     }
-    api::ScrubOptions scrub_opt;
-    scrub_opt.minReads = opt.scrubMinReads;
-    scrub_opt.minAgreement = opt.scrubMinAgreement;
-    scrub_opt.repairAll = opt.scrubRepairAll;
-    api::Result<api::ScrubReport> report = store->scrub(scrub_opt);
+    api::Result<api::ScrubReport> report = store->scrub(opt.scrub);
     if (!report.ok()) {
         // Unavailable (selected clusters exist but the probe decode
         // could not recover every codeword) maps to the runtime exit:
@@ -967,14 +962,12 @@ cmdServe(const CliOptions &opt)
     std::printf("listening on 127.0.0.1:%u\n", unsigned(server.port()));
     std::fflush(stdout);
     if (!opt.portFile.empty()) {
-        // tmp + rename so a reader never sees a half-written port.
-        const std::string tmp = opt.portFile + ".tmp";
-        std::ofstream f(tmp);
-        f << server.port() << "\n";
-        f.close();
-        if (!f || std::rename(tmp.c_str(), opt.portFile.c_str()) != 0) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opt.portFile.c_str());
+        // Atomic so a reader never sees a half-written port.
+        const std::string port = std::to_string(server.port()) + "\n";
+        api::Status written = api::replaceFileAtomically(
+            opt.portFile, std::vector<uint8_t>(port.begin(), port.end()));
+        if (!written.ok()) {
+            printStatus(written);
             server.drain();
             return kExitRuntime;
         }
@@ -1097,12 +1090,7 @@ cmdClient(const CliOptions &opt)
         return emitJson(*json, opt.jsonPath);
     }
     if (op == "scrub") {
-        api::ScrubOptions scrub_opt;
-        scrub_opt.minReads = opt.scrubMinReads;
-        scrub_opt.minAgreement = opt.scrubMinAgreement;
-        scrub_opt.repairAll = opt.scrubRepairAll;
-        api::Result<std::string> json =
-            client.scrub(opt.tenant, scrub_opt);
+        api::Result<std::string> json = client.scrub(opt.tenant, opt.scrub);
         if (!json.ok()) {
             printStatus(json.status());
             return statusExit(json.status());
