@@ -158,7 +158,7 @@ buildScenarios()
         s.coverageMean = 8.0;
         s.agingEpochs = 6;
         s.scrubEachEpoch = true;
-        s.scrub.minReads = 6;
+        s.scrubMinReads = 6;
         s.minSuccessRate = 0.95;
         all.push_back(s);
     }

@@ -28,7 +28,6 @@
 #include "cluster/clusterer.hh"
 #include "pipeline/bundle.hh"
 #include "pipeline/config.hh"
-#include "pipeline/health.hh"
 
 namespace dnastore {
 
@@ -93,8 +92,8 @@ struct Scenario
     /** Scrub after each epoch's decay (the repair half of the loop). */
     bool scrubEachEpoch = false;
 
-    /** Policy of those scrubs. */
-    ScrubOptions scrub;
+    /** Scrub policy: repair clusters below this many live reads. */
+    size_t scrubMinReads = 0;
 
     /**
      * Minimum decode-success rate the regression suite enforces for

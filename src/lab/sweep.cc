@@ -75,7 +75,7 @@ SweepRunner::run(const Scenario &scenario) const
     job.useClusterer = scenario.clustered;
     job.agingEpochs = scenario.agingEpochs;
     job.scrubEachEpoch = scenario.scrubEachEpoch;
-    job.scrub = scenario.scrub;
+    job.scrub.minReads = scenario.scrubMinReads;
 
     api::Result<api::TrialSeries> series =
         store->submit(job).get();

@@ -99,6 +99,11 @@ TEST(Coverage, GammaRejectsNonFiniteEdges)
     EXPECT_STREQ(CoverageModel::checkGamma(8.0, nan),
                  "gamma-shape must be finite");
     EXPECT_EQ(CoverageModel::checkGamma(8.0, 2.0), nullptr);
+    // With both broken, the mean is reported first.
+    EXPECT_STREQ(CoverageModel::checkGamma(-5.0, 0.0),
+                 "gamma-mean must be > 0");
+    EXPECT_STREQ(CoverageModel::checkGamma(-5.0, nan),
+                 "gamma-mean must be > 0");
 }
 
 TEST(Coverage, GammaSpreadShrinksWithShape)
