@@ -238,8 +238,8 @@ ChannelOptions::validate() const
     if (const char *err = channelProfile().check())
         return Status::invalidArgument(err);
 
-    if (coverage_ == 0)
-        return Status::invalidArgument("coverage must be >= 1");
+    if (const char *err = CoverageModel::checkFixed(coverage_))
+        return Status::invalidArgument(err);
     // gamma + cluster is NOT rejected here: per-trial read generation
     // (TrialJob/runTrial) supports the combination; only the
     // pool-backed retrieval path cannot, and Store rejects it there.

@@ -7,11 +7,11 @@
  * knobs), ChannelOptions (error model, stressors, coverage, seeds),
  * and ClusterOptions (read-clustering knobs) — run the one check()
  * each parameter group has on the type that owns it (StorageConfig,
- * ClusterParams, ChannelProfile, CoverageModel::checkGamma), adding
- * only what no such type owns. The CLI's flag checks delegate here,
- * so the CLI, the API and the engines reject identical inputs with
- * identical messages: InvalidArgument with the rule's text, which
- * names the parameter and quotes no value.
+ * ClusterParams, ChannelProfile, CoverageModel::checkFixed and
+ * checkGamma), adding only what no such type owns. The CLI's flag
+ * checks delegate here, so the CLI, the API and the engines reject
+ * identical inputs with identical messages: InvalidArgument with the
+ * rule's text, which names the parameter and quotes no value.
  *
  * Builders never throw; setters record values and validate() reports
  * the first broken constraint. A Store refuses to open on an invalid

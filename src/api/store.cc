@@ -541,8 +541,8 @@ Store::retrieveAll()
 Result<Retrieval>
 Store::retrieveAt(size_t coverage)
 {
-    if (coverage == 0)
-        return Status::invalidArgument("coverage must be >= 1");
+    if (const char *err = CoverageModel::checkFixed(coverage))
+        return Status::invalidArgument(err);
     if (coverage > rep_->channel.maxCoverage())
         return Status::invalidArgument(formatMessage(
             "coverage %zu exceeds the synthesized pool depth %zu",

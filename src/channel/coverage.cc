@@ -9,9 +9,15 @@ namespace dnastore {
 CoverageModel
 CoverageModel::fixed(size_t n)
 {
-    if (n == 0)
-        throw std::invalid_argument("CoverageModel: fixed coverage of 0");
+    if (const char *err = checkFixed(n))
+        throw std::invalid_argument(std::string("CoverageModel: ") + err);
     return CoverageModel(true, double(n), 0.0);
+}
+
+const char *
+CoverageModel::checkFixed(size_t n)
+{
+    return n == 0 ? "coverage must be >= 1" : nullptr;
 }
 
 CoverageModel

@@ -21,8 +21,18 @@ namespace dnastore {
 class CoverageModel
 {
   public:
-    /** Every cluster receives exactly @p n reads. */
+    /**
+     * Every cluster receives exactly @p n reads.
+     * @throws std::invalid_argument on a checkFixed() failure.
+     */
     static CoverageModel fixed(size_t n);
+
+    /**
+     * The fixed-coverage rule, run by fixed(), api::ChannelOptions and
+     * Store::retrieveAt: at least one read. The broken rule, or
+     * nullptr.
+     */
+    static const char *checkFixed(size_t n);
 
     /**
      * Gamma-distributed coverage with the given mean.

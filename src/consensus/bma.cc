@@ -3,10 +3,11 @@
  *
  * Word h of mask M[b] holds bit 8a + j = "base j of active read
  * 8h + a's window is b": one byte lane per read, one bit per window
- * position, built from each window's base bit planes with a few
- * multiplies (no SIMD tier involved). Clusters of up to 16 reads use
- * two words per mask fixed at compile time, so every word loop
- * unrolls; larger clusters size the same core at runtime.
+ * position. On the vector tiers SSE2 byte compares build the bits of
+ * two reads at once; the Scalar tier packs each window's base bit
+ * planes with a few multiplies. Clusters of up to 16 reads use two
+ * words per mask fixed at compile time, so every word loop unrolls;
+ * larger clusters size the same core at runtime.
  */
 
 #include "consensus/bma.hh"
@@ -16,6 +17,10 @@
 #include <stdexcept>
 
 #include "util/simd.hh"
+
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 namespace dnastore {
 
@@ -71,6 +76,56 @@ loadWindow(const uint8_t *p, ptrdiff_t rem)
         (~uint64_t(0) << (8 * len));
 }
 
+/**
+ * One mask word per base for active reads [first, end), all in one
+ * word. With @p byte_compare, two reads' windows share one SSE2
+ * register (read a in the low half) and each base's compare and
+ * movemask yields their 16 mask bits at once; a missing partner read
+ * is all 0xff, which equals no base. The portable path packs each
+ * window's base bit planes (bits 0 and 1, and bit 7, which only the
+ * past-the-end 0xff has) into a byte with a multiply each. Both give
+ * the same bits.
+ */
+template <bool kRev>
+inline void
+gatherWord(bool byte_compare, const uint8_t *const *head,
+           const ptrdiff_t *rem, uint64_t w0, size_t first, size_t end,
+           uint64_t bits[4])
+{
+    auto window = [&](size_t a) {
+        return a == 0 ? w0 : loadWindow<kRev>(head[a], rem[a]);
+    };
+#ifdef __SSE2__
+    if (byte_compare) {
+        for (size_t a = first; a < end; a += 2) {
+            const uint64_t hi = a + 1 < end ? window(a + 1) : ~uint64_t(0);
+            const __m128i v = _mm_set_epi64x(static_cast<long long>(hi),
+                                             static_cast<long long>(window(a)));
+            const unsigned shift = unsigned(8 * (a & 7));
+            for (unsigned b = 0; b < 4; ++b) {
+                const int eq = _mm_movemask_epi8(
+                    _mm_cmpeq_epi8(v, _mm_set1_epi8(static_cast<char>(b))));
+                bits[b] |= uint64_t(unsigned(eq)) << shift;
+            }
+        }
+        return;
+    }
+#else
+    (void)byte_compare;
+#endif
+    for (size_t a = first; a < end; ++a) {
+        const uint64_t w = window(a);
+        const uint64_t b0 = ((w & kLanes) * kPack) >> 56;
+        const uint64_t b1 = (((w >> 1) & kLanes) * kPack) >> 56;
+        const uint64_t in = ~(((w >> 7) & kLanes) * kPack) >> 56;
+        const unsigned shift = unsigned(8 * (a & 7));
+        bits[0] |= (~b0 & ~b1 & in) << shift;
+        bits[1] |= (b0 & ~b1 & in) << shift;
+        bits[2] |= (~b0 & b1 & in) << shift;
+        bits[3] |= (b0 & b1 & in) << shift;
+    }
+}
+
 /** Length of the run over which two reads agree from their heads. */
 template <bool kRev>
 inline size_t
@@ -101,9 +156,13 @@ agreeRun(const uint8_t *a, const uint8_t *b, size_t cap)
  *    deletion scores are byte sums (at most 3), compared lane-wise
  *    into an advance of 0, 1 or 2.
  *
- * When every read moved by the same amount and none ended, the masks
- * shift down by it instead of being gathered again, as long as they
- * still cover a vote step's kVoteSpan positions.
+ * After a step in which no read ended, the masks shift down instead
+ * of being gathered again, as long as they still cover a vote step's
+ * kVoteSpan positions: by the common amount when every read moved in
+ * step, else lane by lane by each read's own advance. While every
+ * read holds more bases than the steps before the next gather can
+ * consume, no read can end in between, so the advances wait as
+ * per-lane bytes and reach the read cursors once, at that gather.
  */
 template <size_t kW, bool kRev>
 void
@@ -111,13 +170,19 @@ scanCore(const StrandView *reads, size_t n, size_t target_len,
          BmaScratch &scratch, Strand &out)
 {
     const size_t width = kW ? kW : (n + 7) / 8;
+    // The byte-compare gather is the vector tiers'; Scalar keeps the
+    // portable one, so forced-scalar runs cover it.
+    const bool byte_compare = simd::activeLevel() != simd::Level::Scalar;
     // Rows of one word per 8 reads: M[0..3], the per-lane advances,
-    // and the padding lanes past the last active read.
-    scratch.masks.resize(6 * width);
+    // the padding lanes past the last active read, and the advances
+    // not yet applied to head and rem.
+    scratch.masks.resize(7 * width);
     auto row = [&](size_t i) { return scratch.masks.data() + i * width; };
     uint64_t *const m[4] = {row(0), row(1), row(2), row(3)};
     uint64_t *const adv = row(4);
     uint64_t *const pad = row(5);
+    uint64_t *const pending = row(6);
+    std::fill(pending, pending + width, 0);
 
     scratch.head.resize(n);
     scratch.remaining.resize(n);
@@ -163,20 +228,40 @@ scanCore(const StrandView *reads, size_t n, size_t target_len,
 
     // Window positions the masks still describe; 0 forces a gather.
     size_t known = 0;
+    // Set at a gather when every active read holds more than 8 bases,
+    // the most the steps until the next gather consume: no read can
+    // end before then, so the advances wait in pending.
+    bool deferred = false;
     uint64_t w0 = 0; // lane 0's window, for emitting short runs
-    // After a step that moved every read by @p s (@p in_step) the
-    // masks shift down instead, while a vote step's span stays known.
-    auto afterStep = [&](bool in_step, size_t s) {
-        if (!in_step || known < s + kVoteSpan) {
+    // After a step that moved every read by at most @p s and dropped
+    // none (@p kept), the masks shift down instead, while a vote
+    // step's span stays known: by @p s in every lane, or by each
+    // lane's own advance byte in @p lanes. Positions past known stay
+    // empty.
+    auto afterStep = [&](bool kept, size_t s, const uint64_t *lanes) {
+        if (!kept || known < s + kVoteSpan) {
             known = 0;
             return;
         }
         known -= s;
-        const uint64_t keep = kLanes * (0xffu >> s);
-        for (unsigned b = 0; b < 4; ++b)
-            for (size_t h = 0; h < width; ++h)
-                m[b][h] = (m[b][h] >> s) & keep;
-        w0 >>= 8 * s;
+        const uint64_t keep = kLanes * (0xffu >> (8 - known));
+        if (lanes == nullptr) {
+            for (unsigned b = 0; b < 4; ++b)
+                for (size_t h = 0; h < width; ++h)
+                    m[b][h] = (m[b][h] >> s) & keep;
+            w0 >>= 8 * s;
+            return;
+        }
+        for (size_t h = 0; h < width; ++h) {
+            const uint64_t one = (lanes[h] & kLanes) * 0xff;
+            const uint64_t two = ((lanes[h] >> 1) & kLanes) * 0xff;
+            for (unsigned b = 0; b < 4; ++b) {
+                const uint64_t x = m[b][h];
+                m[b][h] = ((x & ~(one | two)) | ((x >> 1) & one) |
+                           ((x >> 2) & two)) & keep;
+            }
+        }
+        w0 >>= 8 * (lanes[0] & 0xff);
     };
 
     out.resize(target_len);
@@ -191,24 +276,27 @@ scanCore(const StrandView *reads, size_t n, size_t target_len,
 
         if (known == 0) {
             known = 8;
-            w0 = loadWindow<kRev>(head[0], rem[0]);
-            for (unsigned b = 0; b < 4; ++b)
-                for (size_t h = 0; h < width; ++h)
-                    m[b][h] = 0;
-            // Bit planes of the window bytes: base bits 0 and 1,
-            // and bit 7, which only the past-the-end 0xff has.
+            ptrdiff_t shortest = PTRDIFF_MAX;
             for (size_t a = 0; a < na; ++a) {
-                const uint64_t w =
-                    a == 0 ? w0 : loadWindow<kRev>(head[a], rem[a]);
-                const uint64_t b0 = ((w & kLanes) * kPack) >> 56;
-                const uint64_t b1 = (((w >> 1) & kLanes) * kPack) >> 56;
-                const uint64_t in =
-                    ~(((w >> 7) & kLanes) * kPack) >> 56;
-                const unsigned shift = unsigned(8 * (a & 7));
-                m[0][a >> 3] |= (~b0 & ~b1 & in) << shift;
-                m[1][a >> 3] |= (b0 & ~b1 & in) << shift;
-                m[2][a >> 3] |= (~b0 & b1 & in) << shift;
-                m[3][a >> 3] |= (b0 & b1 & in) << shift;
+                const ptrdiff_t s =
+                    ptrdiff_t((pending[a >> 3] >> (8 * (a & 7))) & 0xff);
+                head[a] = kRev ? head[a] - s : head[a] + s;
+                rem[a] -= s;
+                shortest = std::min(shortest, rem[a]);
+            }
+            std::fill(pending, pending + width, 0);
+            deferred = shortest > 8;
+            w0 = loadWindow<kRev>(head[0], rem[0]);
+            for (size_t h = 0; h < width; ++h) {
+                // Word h holds reads [8h, end); words past the last
+                // active read stay empty.
+                const size_t first = std::min(na, 8 * h);
+                const size_t end = std::min(na, first + 8);
+                uint64_t bits[4] = {0, 0, 0, 0};
+                gatherWord<kRev>(byte_compare, head, rem, w0, first, end,
+                                 bits);
+                for (unsigned b = 0; b < 4; ++b)
+                    m[b][h] = bits[b];
             }
         }
 
@@ -253,7 +341,14 @@ scanCore(const StrandView *reads, size_t n, size_t target_len,
                 std::reverse_copy(head[0] + 1 - run, head[0] + 1,
                                   reinterpret_cast<uint8_t *>(o + pos));
             pos += run;
-            afterStep(advanceAll([run](size_t) { return run; }), run);
+            if (deferred && run <= known) {
+                for (size_t h = 0; h < width; ++h)
+                    pending[h] += run * kLanes;
+                afterStep(true, run, nullptr);
+            } else {
+                afterStep(advanceAll([run](size_t) { return run; }), run,
+                          nullptr);
+            }
             continue;
         }
 
@@ -324,10 +419,18 @@ scanCore(const StrandView *reads, size_t n, size_t target_len,
             uneven |= (adv[h] ^ kLanes) & ~pad[h];
         }
         o[pos++] = Base(c);
-        const bool all_active = advanceAll([adv](size_t a) {
-            return (adv[a >> 3] >> (8 * (a & 7))) & 0xff;
-        });
-        afterStep(all_active && uneven == 0, 1);
+        bool all_active = true;
+        if (deferred) {
+            for (size_t h = 0; h < width; ++h)
+                pending[h] += adv[h];
+        } else {
+            all_active = advanceAll([adv](size_t a) {
+                return (adv[a >> 3] >> (8 * (a & 7))) & 0xff;
+            });
+        }
+        // Some lane moved by 2 iff its bit 1 is set in uneven.
+        afterStep(all_active, (uneven & (kLanes << 1)) != 0 ? 2 : 1,
+                  uneven != 0 ? adv : nullptr);
     }
 }
 

@@ -11,16 +11,18 @@
  * is the root cause of the reliability skew (section 3.1).
  *
  * The core is bit-parallel across reads (after Myers' bit-vector edit
- * distance, JACM 1999). Each step gathers every active read's next 8
- * bases once into per-base masks, one bit per (read, position); the
+ * distance, JACM 1999). A gather turns every active read's next 8
+ * bases into per-base masks, one bit per (read, position); the
  * unanimity run, the column and lookahead votes, and every read's
  * error-type classification are then byte-lane arithmetic on a few
  * 64-bit words. A unanimous run that fills the 8-base window
- * continues with 8-byte word compares straight from the reads, and
- * masks are shifted rather than re-gathered while every read moves in
- * step. Clusters of up to 16 reads use a compile-time mask width;
- * larger ones size the same core at runtime, up to 65,534 reads. No
- * step dispatches on a SIMD tier, and every width and lens gives
+ * continues with 8-byte word compares straight from the reads. After
+ * a step the masks shift, lane by lane, rather than being gathered
+ * again, and read cursors catch up only at the next gather. Clusters
+ * of up to 16 reads use a compile-time mask width; larger ones size
+ * the same core at runtime, up to 65,534 reads. The gather is the one
+ * step that follows the SIMD tier: SSE2 byte compares on the vector
+ * tiers, multiplies on Scalar. Every tier, width and lens gives
  * bit-identical output.
  */
 

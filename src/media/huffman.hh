@@ -34,9 +34,6 @@ class HuffmanCode
      */
     explicit HuffmanCode(const std::vector<uint64_t> &freqs);
 
-    /** Number of symbols. */
-    size_t symbolCount() const { return lengths_.size(); }
-
     /** Append the code for @p symbol to the writer. */
     void encode(BitWriter &w, size_t symbol) const;
 

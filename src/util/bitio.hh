@@ -30,9 +30,6 @@ class BitWriter
     /** Pad with zero bits to the next byte boundary. */
     void alignToByte();
 
-    /** Number of bits written so far. */
-    size_t bitCount() const { return bitCount_; }
-
     /** Finish (pads to a byte) and return the accumulated buffer. */
     std::vector<uint8_t> take();
 

@@ -82,10 +82,4 @@ Rng::nextGamma(double shape, double scale)
     }
 }
 
-Rng
-Rng::fork()
-{
-    return Rng(next());
-}
-
 } // namespace dnastore

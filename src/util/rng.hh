@@ -87,9 +87,6 @@ class Rng
      */
     double nextGamma(double shape, double scale);
 
-    /** Fork an independent child stream (splitmix of a fresh draw). */
-    Rng fork();
-
     /** Fisher-Yates shuffle of an index vector. */
     template <typename T>
     void

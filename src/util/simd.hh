@@ -1,18 +1,20 @@
 /**
  * @file
- * The one runtime-dispatched vector kernel, and the decode path's
- * byte-run compares.
+ * The runtime-dispatched SIMD tier, the vector kernel it picks, and
+ * the decode path's byte-run compares.
  *
- * myersBatch — bounded Myers bit-parallel edit distance for cluster
- * candidate verification — is the only kernel whose width pays on
- * this pipeline's operands. It has two tiers: an AVX2 path that runs
- * four texts in the lanes of one register, and a portable scalar
- * path. The tier is chosen once at startup from CPUID, and both
- * return bit-identical results, so the choice never changes an output
- * (the determinism suites run with DNASTORE_FORCE_SCALAR=1 to prove
- * it). The AVX2 path is compiled with a per-function target
- * attribute, so the library stays runnable on any x86-64 (and non-x86
- * builds use the scalar path throughout) without -march flags.
+ * The tier is chosen once at startup from CPUID, and every path it
+ * picks returns bit-identical results, so the choice never changes an
+ * output (the determinism suites run with DNASTORE_FORCE_SCALAR=1 to
+ * prove it). Two steps follow it:
+ *  - myersBatch, bounded Myers bit-parallel edit distance for cluster
+ *    candidate verification: an AVX2 path that runs four texts in the
+ *    lanes of one register, or a portable scalar path. The AVX2 path
+ *    is compiled with a per-function target attribute, so the library
+ *    stays runnable on any x86-64 (and non-x86 builds use the scalar
+ *    path throughout) without -march flags.
+ *  - consensus's mask gather (consensus/bma.cc): SSE2 byte compares,
+ *    which every x86-64 has, on Avx2; multiplies on Scalar.
  *
  * matchRunForward/Backward serve consensus's unanimity runs. Those
  * runs average a few bases, so they are a portable 8-byte-word loop,
@@ -28,7 +30,7 @@
 namespace dnastore {
 namespace simd {
 
-/** Instruction-set tiers myersBatch dispatches over. */
+/** Instruction-set tiers myersBatch and the BMA gather dispatch over. */
 enum class Level
 {
     Scalar = 0, //!< Portable C++ (also the DNASTORE_FORCE_SCALAR path).

@@ -37,13 +37,6 @@ ThreadPool::~ThreadPool()
         t.join();
 }
 
-size_t
-ThreadPool::spawnedWorkers() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return workers_.size();
-}
-
 void
 ThreadPool::ensureWorkers(size_t wanted)
 {

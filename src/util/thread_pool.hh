@@ -64,9 +64,6 @@ class ThreadPool
     void forEach(size_t n, size_t num_threads, size_t grain,
                  const std::function<void(size_t)> &body);
 
-    /** Persistent workers spawned so far (for introspection/tests). */
-    size_t spawnedWorkers() const;
-
   private:
     /** One participant's stealable slice of the index range. */
     struct alignas(64) Slice
@@ -91,7 +88,7 @@ class ThreadPool
     void workerMain(size_t slot);
     void participate(Job &job, size_t participant);
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable wake_;
     std::condition_variable done_;
     std::vector<std::thread> workers_;

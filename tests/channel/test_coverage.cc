@@ -19,6 +19,8 @@ TEST(Coverage, FixedAlwaysReturnsSameCount)
 TEST(Coverage, FixedZeroRejected)
 {
     EXPECT_THROW(CoverageModel::fixed(0), std::invalid_argument);
+    EXPECT_STREQ(CoverageModel::checkFixed(0), "coverage must be >= 1");
+    EXPECT_EQ(CoverageModel::checkFixed(1), nullptr);
 }
 
 TEST(Coverage, GammaBadParamsRejected)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "consensus/two_sided.hh"
 #include "fuzz_iters.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 
 namespace dnastore {
 namespace {
@@ -16,10 +18,12 @@ namespace {
 /**
  * Differential suite: the library's bit-parallel BMA core against the
  * frozen per-read reference (bma_reference.hh), byte for byte, for
- * both lenses and the two-sided combiner. Consensus calls no
- * dispatched kernel, so one pass covers every SIMD tier. Cluster
- * sizes cross the 8-read mask words, the 16-read limit of the fixed
- * width and the runtime-width path beyond it.
+ * both lenses and the two-sided combiner. Every cluster runs on both
+ * mask gathers: the byte-compare one of the vector tiers and the
+ * portable one of the Scalar tier (on a host without a vector tier
+ * both runs take the portable one). Cluster sizes cross the 8-read
+ * mask words, the 16-read limit of the fixed width and the
+ * runtime-width path beyond it.
  */
 
 Strand
@@ -34,7 +38,9 @@ randomStrand(size_t len, Rng &rng)
 class BmaDifferential : public ::testing::Test
 {
   protected:
-    /** Check one cluster at one target length. */
+    void TearDown() override { simd::setLevel(entry_); }
+
+    /** Check one cluster at one target length, on both gathers. */
     void
     check(const std::vector<Strand> &reads, size_t target_len)
     {
@@ -46,19 +52,25 @@ class BmaDifferential : public ::testing::Test
             bma_reference::oneWay(views.data(), n, target_len, true);
         const Strand both =
             bma_reference::twoSided(views.data(), n, target_len);
-        SCOPED_TRACE(::testing::Message()
-                     << n << " reads, target " << target_len);
-        reconstructOneWayInto(views.data(), n, target_len, scratch_.bma,
-                              out_);
-        ASSERT_EQ(out_, fwd);
-        reconstructOneWayReversed(views.data(), n, target_len,
+        for (simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
+            const simd::Level got = simd::setLevel(level);
+            SCOPED_TRACE(::testing::Message()
+                         << n << " reads, target " << target_len
+                         << ", tier " << simd::levelName(got));
+            reconstructOneWayInto(views.data(), n, target_len,
                                   scratch_.bma, out_);
-        ASSERT_EQ(out_, bwd);
-        reconstructTwoSidedInto(views.data(), n, target_len, scratch_,
-                                out_);
-        ASSERT_EQ(out_, both);
+            ASSERT_EQ(out_, fwd);
+            reconstructOneWayReversed(views.data(), n, target_len,
+                                      scratch_.bma, out_);
+            ASSERT_EQ(out_, bwd);
+            reconstructTwoSidedInto(views.data(), n, target_len,
+                                    scratch_, out_);
+            ASSERT_EQ(out_, both);
+        }
+        simd::setLevel(entry_);
     }
 
+    const simd::Level entry_ = simd::activeLevel();
     TwoSidedScratch scratch_;
     Strand out_;
 };
@@ -153,6 +165,44 @@ TEST_F(BmaDifferential, ErrorFreeRunsCrossWordBoundaries)
         check(reads, size_t(rng.nextBelow(len + 1)));
         if (HasFatalFailure())
             return;
+    }
+}
+
+TEST_F(BmaDifferential, ReadCountsAndShortReadsOnBothGathers)
+{
+    // Odd counts leave the byte-compare gather's last lane unpaired;
+    // 1, 16/17 and 64/65 reads sit on the fixed-width limit and on
+    // the runtime width's word edges. Reads shorter than one 8-base
+    // window and empty reads are mixed in.
+    Rng rng(31);
+    const size_t counts[] = {1, 2, 3, 5, 7, 9, 15, 16, 17, 31, 33,
+                             63, 64, 65};
+    for (int iter = 0; iter < fuzzIters(40); ++iter) {
+        for (size_t cov : counts) {
+            const double p = 0.12 * double(rng.nextBelow(101)) / 100.0;
+            IdsChannel ch(ErrorModel::uniform(p));
+            const size_t len = size_t(rng.nextBelow(200));
+            auto reads =
+                ch.transmitCluster(randomStrand(len, rng), cov, rng);
+            for (auto &r : reads) {
+                switch (rng.nextBelow(6)) {
+                case 0:
+                    r.clear();
+                    break;
+                case 1:
+                    r.resize(std::min(r.size(), size_t(rng.nextBelow(8))));
+                    break;
+                default:
+                    break;
+                }
+            }
+            check(reads, len);
+            if (HasFatalFailure())
+                return;
+            check(reads, size_t(rng.nextBelow(len + 9)));
+            if (HasFatalFailure())
+                return;
+        }
     }
 }
 

@@ -21,7 +21,6 @@ TEST(BitWriter, AlignToBytePadsWithZeros)
     BitWriter w;
     w.writeBits(0b101, 3);
     w.alignToByte();
-    EXPECT_EQ(w.bitCount(), 8u);
     auto bytes = w.take();
     ASSERT_EQ(bytes.size(), 1u);
     EXPECT_EQ(bytes[0], 0b10100000);
@@ -77,8 +76,8 @@ TEST(BitIo, RoundTripRandomStreams)
             w.writeBits(value, count);
             total_bits += count;
         }
-        EXPECT_EQ(w.bitCount(), size_t(total_bits));
         auto bytes = w.take();
+        EXPECT_EQ(bytes.size(), size_t((total_bits + 7) / 8));
         BitReader r(bytes);
         for (auto [value, count] : fields)
             EXPECT_EQ(r.readBits(count), value);

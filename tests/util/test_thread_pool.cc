@@ -103,7 +103,6 @@ TEST(ThreadPool, ShrinkingJobsDoNotRaceExcessWorkers)
     // already retired by the time an excess worker gets scheduled.
     ThreadPool &pool = ThreadPool::shared();
     pool.forEach(1024, 8, 0, [](size_t) {});
-    ASSERT_GE(pool.spawnedWorkers(), 1u);
     for (int round = 0; round < 200; ++round) {
         std::atomic<size_t> count{0};
         pool.forEach(2, 2, 1, [&](size_t) { count.fetch_add(1); });

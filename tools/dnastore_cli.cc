@@ -269,10 +269,11 @@ parseArgs(int argc, char **argv, int first)
             opt.scenario = next("--scenario");
         } else if (arg == "--trials") {
             nextSize("--trials", &opt.trials);
-            // Bound the count so typos fail fast instead of running
-            // for days (10M trials is already a multi-hour soak).
+            // At least one trial; bound the count so typos fail fast
+            // instead of running for days (10M trials is already a
+            // multi-hour soak).
             const size_t max_trials = 10000000;
-            if (opt.ok && opt.trials > max_trials) {
+            if (opt.ok && (opt.trials == 0 || opt.trials > max_trials)) {
                 std::fprintf(stderr,
                              "--trials must be in [1, %zu] (got %zu)\n",
                              max_trials, opt.trials);
@@ -756,11 +757,6 @@ cmdSweep(const CliOptions &opt)
                         s.minSuccessRate, s.description.c_str());
         return kExitOk;
     }
-    if (opt.trials == 0) {
-        std::fprintf(stderr, "--trials must be >= 1\n");
-        return kExitUsage;
-    }
-
     std::vector<Scenario> grid;
     if (opt.scenario == "all") {
         grid = allScenarios();
