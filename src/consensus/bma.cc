@@ -208,17 +208,19 @@ scanCore(const StrandView *reads, size_t n, size_t target_len,
     };
     setPadding();
 
-    // Every active read moves by its own step and reads that end drop
-    // out; true when none did.
-    auto advanceAll = [&](auto step) {
+    // Every active read moves by its pending byte plus @p extra, and
+    // reads that end drop out; true when none did.
+    auto flush = [&](size_t extra) {
         size_t kept = 0;
         for (size_t a = 0; a < na; ++a) {
-            const ptrdiff_t s = ptrdiff_t(step(a));
+            const ptrdiff_t s = ptrdiff_t(
+                extra + ((pending[a >> 3] >> (8 * (a & 7))) & 0xff));
             const ptrdiff_t left = rem[a] - s;
             head[kept] = kRev ? head[a] - s : head[a] + s;
             rem[kept] = left;
             kept += size_t(left > 0);
         }
+        std::fill(pending, pending + width, 0);
         if (kept == na)
             return true;
         na = kept;
@@ -233,13 +235,25 @@ scanCore(const StrandView *reads, size_t n, size_t target_len,
     // end before then, so the advances wait in pending.
     bool deferred = false;
     uint64_t w0 = 0; // lane 0's window, for emitting short runs
-    // After a step that moved every read by at most @p s and dropped
-    // none (@p kept), the masks shift down instead, while a vote
-    // step's span stays known: by @p s in every lane, or by each
-    // lane's own advance byte in @p lanes. Positions past known stay
-    // empty.
-    auto afterStep = [&](bool kept, size_t s, const uint64_t *lanes) {
-        if (!kept || known < s + kVoteSpan) {
+    // Ends a step that moved every read by @p s, or each by its own
+    // advance byte in @p lanes (at most s). The advances wait in
+    // pending while deferred and the masks still cover a vote step's
+    // span; otherwise they reach the read cursors now. The masks then
+    // shift down by the same advances, unless a read ended or the span
+    // ran out, which forces a gather. Positions past known stay empty.
+    auto afterStep = [&](size_t s, const uint64_t *lanes) {
+        bool shift = known >= s + kVoteSpan;
+        if (lanes != nullptr)
+            for (size_t h = 0; h < width; ++h)
+                pending[h] += lanes[h];
+        const size_t extra = lanes != nullptr ? 0 : s;
+        if (deferred && shift) {
+            for (size_t h = 0; h < width; ++h)
+                pending[h] += extra * kLanes;
+        } else {
+            shift = flush(extra) && shift;
+        }
+        if (!shift) {
             known = 0;
             return;
         }
@@ -276,16 +290,7 @@ scanCore(const StrandView *reads, size_t n, size_t target_len,
 
         if (known == 0) {
             known = 8;
-            ptrdiff_t shortest = PTRDIFF_MAX;
-            for (size_t a = 0; a < na; ++a) {
-                const ptrdiff_t s =
-                    ptrdiff_t((pending[a >> 3] >> (8 * (a & 7))) & 0xff);
-                head[a] = kRev ? head[a] - s : head[a] + s;
-                rem[a] -= s;
-                shortest = std::min(shortest, rem[a]);
-            }
-            std::fill(pending, pending + width, 0);
-            deferred = shortest > 8;
+            deferred = *std::min_element(rem, rem + na) > 8;
             w0 = loadWindow<kRev>(head[0], rem[0]);
             for (size_t h = 0; h < width; ++h) {
                 // Word h holds reads [8h, end); words past the last
@@ -341,14 +346,7 @@ scanCore(const StrandView *reads, size_t n, size_t target_len,
                 std::reverse_copy(head[0] + 1 - run, head[0] + 1,
                                   reinterpret_cast<uint8_t *>(o + pos));
             pos += run;
-            if (deferred && run <= known) {
-                for (size_t h = 0; h < width; ++h)
-                    pending[h] += run * kLanes;
-                afterStep(true, run, nullptr);
-            } else {
-                afterStep(advanceAll([run](size_t) { return run; }), run,
-                          nullptr);
-            }
+            afterStep(run, nullptr);
             continue;
         }
 
@@ -419,18 +417,11 @@ scanCore(const StrandView *reads, size_t n, size_t target_len,
             uneven |= (adv[h] ^ kLanes) & ~pad[h];
         }
         o[pos++] = Base(c);
-        bool all_active = true;
-        if (deferred) {
-            for (size_t h = 0; h < width; ++h)
-                pending[h] += adv[h];
-        } else {
-            all_active = advanceAll([adv](size_t a) {
-                return (adv[a >> 3] >> (8 * (a & 7))) & 0xff;
-            });
-        }
         // Some lane moved by 2 iff its bit 1 is set in uneven.
-        afterStep(all_active, (uneven & (kLanes << 1)) != 0 ? 2 : 1,
-                  uneven != 0 ? adv : nullptr);
+        if (uneven == 0)
+            afterStep(1, nullptr);
+        else
+            afterStep((uneven & (kLanes << 1)) != 0 ? 2 : 1, adv);
     }
 }
 
