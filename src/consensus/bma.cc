@@ -170,7 +170,7 @@ scanCore(const StrandView *reads, size_t n, size_t target_len,
          BmaScratch &scratch, Strand &out)
 {
     const size_t width = kW ? kW : (n + 7) / 8;
-    // The byte-compare gather is the vector tiers'; Scalar keeps the
+    // The byte-compare gather is the vector tiers'; Scalar takes the
     // portable one, so forced-scalar runs cover it.
     const bool byte_compare = simd::activeLevel() != simd::Level::Scalar;
     // Rows of one word per 8 reads: M[0..3], the per-lane advances,

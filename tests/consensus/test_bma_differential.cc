@@ -38,6 +38,7 @@ randomStrand(size_t len, Rng &rng)
 class BmaDifferential : public ::testing::Test
 {
   protected:
+    /** check() leaves the tier changed; restore the entry tier. */
     void TearDown() override { simd::setLevel(entry_); }
 
     /** Check one cluster at one target length, on both gathers. */
@@ -67,7 +68,6 @@ class BmaDifferential : public ::testing::Test
                                     scratch_, out_);
             ASSERT_EQ(out_, both);
         }
-        simd::setLevel(entry_);
     }
 
     const simd::Level entry_ = simd::activeLevel();
