@@ -13,8 +13,9 @@
  *    is compiled with a per-function target attribute, so the library
  *    stays runnable on any x86-64 (and non-x86 builds use the scalar
  *    path throughout) without -march flags.
- *  - consensus's mask gather (consensus/bma.cc): SSE2 byte compares,
- *    which every x86-64 has, on Avx2; multiplies on Scalar.
+ *  - consensus's mask gather (consensus/bma.cc): SSE2 byte compares
+ *    (baseline on every x86-64) on the Avx2 tier, multiplies on
+ *    Scalar.
  *
  * matchRunForward/Backward serve consensus's unanimity runs. Those
  * runs average a few bases, so they are a portable 8-byte-word loop,
