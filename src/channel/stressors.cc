@@ -102,49 +102,31 @@ applyDropout(const DropoutProfile &dropout, Rng &rng,
     }
 }
 
-namespace {
-
-/**
- * A profile's per-position thresholds for inputs of one length,
- * tabulated once and shared by every read of that length. A flat
- * ramp keeps one constant entry.
- */
-class RampThresholds
+RampTable::RampTable(const ChannelProfile &profile, size_t len)
+    : length_(len), flat_(DrawThresholds::scaled(profile.base, 1.0))
 {
-  public:
-    RampThresholds(const ChannelProfile &profile, size_t len)
-        : flat_(DrawThresholds::scaled(profile.base, 1.0))
-    {
-        if (!profile.ramp.enabled())
-            return;
-        // multiplierAt is exactly 1.0 before the ramp starts and
-        // monotone in i (each of its steps rounds monotonically), so
-        // only the tail up to the first 1.0 differs from flat_.
-        table_.assign(len, flat_);
-        for (size_t i = len; i-- > 0;) {
-            const double mult = profile.ramp.multiplierAt(i, len);
-            if (mult == 1.0)
-                break;
-            table_[i] = DrawThresholds::scaled(profile.base, mult);
-        }
+    if (!profile.ramp.enabled())
+        return;
+    // multiplierAt is exactly 1.0 before the ramp starts and monotone
+    // in i (each of its steps rounds monotonically), so only the tail
+    // up to the first 1.0 differs from flat_.
+    table_.assign(len, flat_);
+    for (size_t i = len; i-- > 0;) {
+        const double mult = profile.ramp.multiplierAt(i, len);
+        if (mult == 1.0)
+            break;
+        table_[i] = DrawThresholds::scaled(profile.base, mult);
     }
+}
 
-    /** Append one read of @p input (of the tabulated length). */
-    void
-    transmit(StrandView input, Rng &rng, StrandArena &out) const
-    {
-        if (table_.empty())
-            transmitWalk(input, rng, flat_, out, nullptr);
-        else
-            transmitWalk(input, rng, table_.data(), out, nullptr);
-    }
-
-  private:
-    DrawThresholds flat_;
-    std::vector<DrawThresholds> table_;
-};
-
-} // namespace
+void
+RampTable::transmit(StrandView input, Rng &rng, StrandArena &out) const
+{
+    if (table_.empty())
+        transmitWalk(input, rng, flat_, out, nullptr);
+    else
+        transmitWalk(input, rng, table_.data(), out, nullptr);
+}
 
 ProfileChannel::ProfileChannel(const ChannelProfile &profile)
     : profile_(profile)
@@ -157,18 +139,28 @@ void
 ProfileChannel::transmitAppend(StrandView input, Rng &rng,
                                StrandArena &out) const
 {
-    RampThresholds(profile_, input.size()).transmit(input, rng, out);
+    RampTable(profile_, input.size()).transmit(input, rng, out);
 }
 
 void
 ProfileChannel::generateCluster(StrandView reference, size_t n, Rng &rng,
                                 StrandArena &out) const
 {
+    generateCluster(reference, n, rng, out,
+                    RampTable(profile_, reference.size()));
+}
+
+void
+ProfileChannel::generateCluster(StrandView reference, size_t n, Rng &rng,
+                                StrandArena &out,
+                                const RampTable &thresholds) const
+{
+    if (thresholds.length() != reference.size())
+        return generateCluster(reference, n, rng, out);
     out.reserve(out.totalBases() + n * (reference.size() + 8),
                 out.strandCount() + n);
     // PCR substitutes in place, so every template keeps the
     // reference's length and shares its thresholds.
-    const RampThresholds thresholds(profile_, reference.size());
     if (!profile_.pcr.enabled()) {
         for (size_t i = 0; i < n; ++i)
             thresholds.transmit(reference, rng, out);

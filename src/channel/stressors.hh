@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "channel/error_model.hh"
+#include "channel/walk.hh"
 #include "dna/packed_strand.hh"
 #include "dna/strand.hh"
 #include "util/rng.hh"
@@ -167,6 +168,28 @@ void applyDropout(const DropoutProfile &dropout, Rng &rng,
                   std::vector<size_t> &counts);
 
 /**
+ * A profile's per-position draw thresholds for inputs of one length,
+ * tabulated once and shared by every read of that length. A flat
+ * ramp keeps one constant entry and allocates nothing.
+ */
+class RampTable
+{
+  public:
+    RampTable(const ChannelProfile &profile, size_t len);
+
+    /** The input length the table was built for. */
+    size_t length() const { return length_; }
+
+    /** Append one read of @p input, which must be length() long. */
+    void transmit(StrandView input, Rng &rng, StrandArena &out) const;
+
+  private:
+    size_t length_;
+    DrawThresholds flat_;
+    std::vector<DrawThresholds> table_;
+};
+
+/**
  * Read generation under a ChannelProfile.
  *
  * Per-position error rates are the base model's scaled by the ramp
@@ -189,6 +212,15 @@ class ProfileChannel
      */
     void generateCluster(StrandView reference, size_t n, Rng &rng,
                          StrandArena &out) const;
+
+    /**
+     * The same reads, drawn through @p thresholds, which a caller
+     * generating many clusters of one length builds once; a table of
+     * another length is ignored.
+     */
+    void generateCluster(StrandView reference, size_t n, Rng &rng,
+                         StrandArena &out,
+                         const RampTable &thresholds) const;
 
     /** Transmit one strand through the ramped per-position channel. */
     void transmitAppend(StrandView input, Rng &rng,

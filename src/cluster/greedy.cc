@@ -146,6 +146,7 @@ GreedyState::reset()
     repArena_.clear();
     representative_.clear();
     members_.clear();
+    history_.fill(0);
 }
 
 void
@@ -265,9 +266,37 @@ GreedyState::candidatesOf(StrandView read)
 }
 
 size_t
+GreedyState::firstBound(size_t limit) const
+{
+    // A pass within b costs about c(b) = 2b + kColumnCost rows per
+    // column (the band, the block it straddles and a column's fixed
+    // work), and a miss adds c(limit): minimize c(b) + P(d > b)
+    // c(limit) over the bin edges, scaled by the history's size. An
+    // empty history costs 0 everywhere and keeps the limit.
+    uint64_t beyond = 0;
+    for (uint64_t count : history_)
+        beyond += count;
+    const uint64_t total = beyond, full = 2 * limit + kColumnCost;
+    uint64_t best_cost = total * full;
+    size_t best = limit;
+    for (size_t i = 0; i + 1 < kBoundBins; ++i) {
+        beyond -= history_[i];
+        const size_t b = ((i + 1) * (limit + 1) - 1) / kBoundBins;
+        const uint64_t cost = total * (2 * b + kColumnCost) + beyond * full;
+        if (cost < best_cost) {
+            best_cost = cost;
+            best = b;
+        }
+    }
+    return best;
+}
+
+size_t
 GreedyState::bestCluster(StrandView read, size_t limit)
 {
     const size_t k = candidates_.size();
+    if (k == 0)
+        return size_t(-1);
     reps_.clear();
     for (size_t cluster : candidates_)
         reps_.push_back(repArena_.view(cluster));
@@ -276,22 +305,34 @@ GreedyState::bestCluster(StrandView read, size_t limit)
     // small distance, and every later group runs bounded by it, so an
     // unrelated representative retires within a few columns. Only
     // the (distance, cluster id) minimum is kept, which is the
-    // smallest distance, earliest cluster on ties, in any order.
-    size_t best_d = limit, best_cluster = size_t(-1);
+    // smallest distance, earliest cluster on ties, in any order. A
+    // first pass gives every candidate within its bound the exact
+    // distance and none beyond can beat those, so a hit is also the
+    // minimum within the limit: only a miss needs the second pass.
+    size_t best_d = firstBound(limit), best_cluster = size_t(-1);
     uint32_t dists[4];
-    for (size_t base = 0; base < k; base += 4) {
-        const size_t n = std::min<size_t>(4, k - base);
-        editDistanceBatch(read.data(), read.size(), reps_.data() + base,
-                          n, best_d, dists);
-        for (size_t i = 0; i < n; ++i) {
-            const size_t cluster = candidates_[base + i];
-            if (dists[i] < best_d ||
-                (dists[i] == best_d && cluster < best_cluster)) {
-                best_d = dists[i];
-                best_cluster = cluster;
+    for (;;) {
+        const size_t bound = best_d;
+        for (size_t base = 0; base < k; base += 4) {
+            const size_t n = std::min<size_t>(4, k - base);
+            editDistanceBatch(read.data(), read.size(),
+                              reps_.data() + base, n, best_d, dists);
+            for (size_t i = 0; i < n; ++i) {
+                const size_t cluster = candidates_[base + i];
+                if (dists[i] < best_d ||
+                    (dists[i] == best_d && cluster < best_cluster)) {
+                    best_d = dists[i];
+                    best_cluster = cluster;
+                }
             }
         }
+        if (best_cluster != size_t(-1) || bound == limit)
+            break;
+        best_d = limit;
     }
+    ++history_[best_cluster == size_t(-1)
+                   ? kBoundBins
+                   : best_d * kBoundBins / (limit + 1)];
     return best_cluster;
 }
 

@@ -53,6 +53,12 @@
  *    hits), each batch bounded by the best distance so far, keeping
  *    the (distance, cluster id) minimum: the smallest distance,
  *    earliest cluster on ties, exactly as in id order.
+ *  - Verification runs within a first bound below the join limit
+ *    and again at the limit only when no candidate lands within it.
+ *    Every candidate within the bound gets its exact distance and
+ *    none beyond can beat those, so the result is the same for any
+ *    bound. firstBound picks the one that minimizes the expected
+ *    band work over the state's history (reset() clears it).
  *
  * Everything here is an internal contract between the cluster/ TUs
  * (and their tests); the public surface stays cluster/clusterer.hh
@@ -62,6 +68,7 @@
 #ifndef DNASTORE_CLUSTER_GREEDY_HH
 #define DNASTORE_CLUSTER_GREEDY_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -216,6 +223,14 @@ class GreedyState
     const std::vector<size_t> &candidatesOf(StrandView read);
 
     /**
+     * The bound bestCluster first verifies candidates within, for a
+     * read whose limit is @p limit: the bin edge that minimizes the
+     * expected band work over this state's history, or @p limit
+     * while the history is empty.
+     */
+    size_t firstBound(size_t limit) const;
+
+    /**
      * Convert into the public Clustering shape: members ascending,
      * clusters ordered by smallest member. Consumes the state.
      */
@@ -250,6 +265,13 @@ class GreedyState
     std::vector<uint32_t> frequentHeads_; //!< Chains that only vote.
     std::vector<size_t> candidates_;
     std::vector<StrandView> reps_;
+
+    // The outcome of every verification since reset(): accepted
+    // distances in kBoundBins bins by their share of the limit, and
+    // one more bin for reads that found no candidate within it.
+    static constexpr size_t kBoundBins = 16;
+    static constexpr uint64_t kColumnCost = 128;
+    std::array<uint64_t, kBoundBins + 1> history_{};
 };
 
 } // namespace cluster_detail

@@ -55,6 +55,14 @@ fail(std::string *error, const char *why)
 
 } // namespace
 
+const char *
+checkTrialCount(uint64_t trials)
+{
+    if (trials == 0 || trials > 100000)
+        return "trial count must be in [1, 100000]";
+    return nullptr;
+}
+
 api::Status
 Response::status() const
 {

@@ -95,6 +95,13 @@ struct Request
     uint64_t trialSeed = 0;
 };
 
+/**
+ * The Trial rule, run by Server::dispatch and by the CLI's
+ * `client trial` before it connects: 1 to 100,000 trials per request.
+ * nullptr when @p trials passes, else the rule text.
+ */
+const char *checkTrialCount(uint64_t trials);
+
 /** One decoded response. */
 struct Response
 {

@@ -396,9 +396,8 @@ Server::dispatch(const Request &request)
         api::Result<Tenant *> tenant = tenants_.find(request.tenant);
         if (!tenant.ok())
             return fromStatus(tenant.status());
-        if (request.trials == 0 || request.trials > 100000)
-            return fromStatus(api::Status::invalidArgument(
-                "trial count must be in [1, 100000]"));
+        if (const char *err = checkTrialCount(request.trials))
+            return fromStatus(api::Status::invalidArgument(err));
         api::Result<api::TrialSeries> series =
             (*tenant)->trial(request.trials, request.trialSeed);
         if (!series.ok())

@@ -218,6 +218,9 @@ StorageSimulator::runTrial(const CoverageModel &coverage,
 
     TrialOutcome out;
     ReadBatch batch;
+    // A unit's strands share one length, so one table serves them all.
+    const RampTable thresholds(profileChannel_.profile(),
+                               unit_.strands[0].size());
     for (size_t c = 0; c < n_clusters; ++c) {
         if (counts[c] == 0) {
             // CoverageModel never samples 0, so a zero count here is
@@ -226,7 +229,7 @@ StorageSimulator::runTrial(const CoverageModel &coverage,
             continue;
         }
         profileChannel_.generateCluster(unit_.strands[c], counts[c],
-                                        rng, batch.scratch);
+                                        rng, batch.scratch, thresholds);
         out.readsGenerated += counts[c];
     }
     // Views are taken only after generation: arena growth relocates.

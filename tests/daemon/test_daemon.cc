@@ -42,6 +42,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1051,6 +1052,51 @@ TEST(DaemonCli, PortFileNeverWritesThroughAPlantedSymlink)
     struct stat st;
     ASSERT_EQ(::lstat(portFile.c_str(), &st), 0);
     EXPECT_TRUE(S_ISREG(st.st_mode)) << portFile << " is not a regular file";
+}
+
+// `client trial` runs the daemon's trial-count rule before it
+// connects: an oversized request is a usage error (exit 2) with the
+// daemon's rule text, even with no server listening.
+TEST(DaemonCli, ClientTrialCountIsCheckedBeforeConnecting)
+{
+    // A bound socket that never listens holds a port nothing accepts
+    // on, so a connection attempt would be refused (exit 1).
+    const int sock = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(sock, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(sock, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    socklen_t addr_len = sizeof(addr);
+    ASSERT_EQ(::getsockname(sock, reinterpret_cast<sockaddr *>(&addr),
+                            &addr_len),
+              0);
+    const std::string port = std::to_string(ntohs(addr.sin_port));
+    const std::string err_path = freshRoot("trialcount") + "/stderr";
+
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        if (std::freopen(err_path.c_str(), "w", stderr) == nullptr)
+            _exit(126);
+        ::execl(DNASTORE_CLI_PATH, DNASTORE_CLI_PATH, "client", "trial",
+                "--trials", "200000", "--connect", port.c_str(),
+                static_cast<char *>(nullptr));
+        _exit(127); // exec failed
+    }
+    int wait_status = 0;
+    ASSERT_EQ(::waitpid(pid, &wait_status, 0), pid);
+    ::close(sock);
+    ASSERT_TRUE(WIFEXITED(wait_status));
+    EXPECT_EQ(WEXITSTATUS(wait_status), 2);
+    std::ifstream err(err_path);
+    const std::string text((std::istreambuf_iterator<char>(err)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("trial count must be in [1, 100000]"),
+              std::string::npos)
+        << text;
 }
 
 #endif // DNASTORE_CLI_PATH

@@ -92,6 +92,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/api.hh"
@@ -1000,13 +1001,20 @@ cmdClient(const CliOptions &opt)
         std::fprintf(stderr, "client needs --connect PORT\n");
         return kExitUsage;
     }
+    const std::string &op = opt.inputs[0];
+    // The daemon's own rule, checked before any request is sent.
+    const char *trial_err =
+        op == "trial" ? daemon::checkTrialCount(opt.trials) : nullptr;
+    if (trial_err != nullptr) {
+        std::fprintf(stderr, "%s\n", trial_err);
+        return kExitUsage;
+    }
     daemon::Client client;
     api::Status status = client.connect(uint16_t(opt.connectPort));
     if (!status.ok()) {
         printStatus(status);
         return kExitRuntime;
     }
-    const std::string &op = opt.inputs[0];
     if (op == "ping") {
         status = client.ping();
         if (!status.ok()) {
@@ -1232,38 +1240,36 @@ main(int argc, char **argv)
         std::printf("dnastore %s\n", api::version());
         return kExitOk;
     }
+    using Command = int (*)(const CliOptions &);
+    static const std::pair<const char *, Command> kCommands[] = {
+        { "encode", cmdEncode },   { "decode", cmdDecode },
+        { "simulate", cmdSimulate }, { "sweep", cmdSweep },
+        { "pack", cmdPack },       { "unpack", cmdUnpack },
+        { "health", cmdHealth },   { "scrub", cmdScrub },
+        { "serve", cmdServe },     { "client", cmdClient },
+    };
+    Command run = nullptr;
+    for (const auto &command : kCommands)
+        if (cmd == command.first)
+            run = command.second;
+    if (run == nullptr) {
+        usage();
+        return kExitUsage;
+    }
+    // A rejected flag has already printed its rule; the full usage
+    // would scroll it away.
     CliOptions opt = parseArgs(argc, argv, 2);
     if (!opt.ok) {
-        usage();
+        std::fprintf(stderr, "run '%s' with no arguments for usage\n",
+                     argv[0]);
         return kExitUsage;
     }
     if (int code = validateFlags(opt))
         return code;
     try {
-        if (cmd == "encode")
-            return cmdEncode(opt);
-        if (cmd == "decode")
-            return cmdDecode(opt);
-        if (cmd == "simulate")
-            return cmdSimulate(opt);
-        if (cmd == "sweep")
-            return cmdSweep(opt);
-        if (cmd == "pack")
-            return cmdPack(opt);
-        if (cmd == "unpack")
-            return cmdUnpack(opt);
-        if (cmd == "health")
-            return cmdHealth(opt);
-        if (cmd == "scrub")
-            return cmdScrub(opt);
-        if (cmd == "serve")
-            return cmdServe(opt);
-        if (cmd == "client")
-            return cmdClient(opt);
+        return run(opt);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return kExitRuntime;
     }
-    usage();
-    return kExitUsage;
 }
