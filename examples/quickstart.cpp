@@ -102,12 +102,10 @@ main()
         std::printf("minimum coverage for error-free decoding: %zu\n",
                     *min_cov);
 
-    // 7. Async batched work: ship the unit text a synthesizer would
-    //    receive, off the calling thread.
-    api::Result<api::EncodedArtifact> artifact =
-        store.submit(api::EncodeJob{}).get();
+    // 7. Ship the unit text a synthesizer would receive.
+    api::Result<api::EncodedArtifact> artifact = store.encode();
     if (artifact.ok())
-        std::printf("async encode: %zu strands, %zu payload bits\n",
+        std::printf("encode: %zu strands, %zu payload bits\n",
                     artifact->strands.size(), artifact->payloadBits);
     return 0;
 }

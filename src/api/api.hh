@@ -4,9 +4,9 @@
  *
  * `#include "api/api.hh"` pulls in the whole façade: Status/Result
  * (status.hh), the builder-validated option types (options.hh), and
- * the Store with its async job API (store.hh). Each header is also
- * self-sufficient on its own — CI compiles every header under
- * `src/api/` standalone to keep it that way.
+ * the Store with its unit-text and trial-job calls (store.hh). Each
+ * header is also self-sufficient on its own — CI compiles every
+ * header under `src/api/` standalone to keep it that way.
  */
 
 #ifndef DNASTORE_API_API_HH

@@ -1,10 +1,10 @@
 #include "api/store.hh"
 
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <utility>
 
 #include "api/pool_file.hh"
@@ -35,14 +35,12 @@ EncodedArtifact::text() const
 
 namespace {
 
-/** A Future that is already resolved (builder errors, bad state). */
-template <typename T>
-Future<Result<T>>
-readyFuture(Status status)
+/** A Future whose get() yields @p status (a rejected job). */
+Future<Result<TrialSeries>>
+failedTrials(Status status)
 {
-    std::promise<Result<T>> promise;
-    promise.set_value(Result<T>(std::move(status)));
-    return Future<Result<T>>(promise.get_future());
+    return Future<Result<TrialSeries>>(
+        [status]() -> Result<TrialSeries> { return status; });
 }
 
 Retrieval
@@ -62,21 +60,7 @@ mapRetrieval(RetrievalResult &&result)
     return out;
 }
 
-/** The caller's view of a scrub pass, shared by scrub() and ScrubJob. */
-Result<ScrubReport>
-scrubResult(ScrubReport report)
-{
-    if (!report.repairable && report.lowMargin > 0)
-        return Status::unavailable(formatMessage(
-            "%zu clusters need repair but %zu codewords failed at the "
-            "current read depth, so the recovered data cannot be "
-            "trusted for rewriting; retry after re-synthesis or at "
-            "deeper coverage",
-            report.lowMargin, report.failedCodewords));
-    return report;
-}
-
-/** What every submit() on a moved-from Store resolves to. */
+/** What encode() and submit() answer on a moved-from Store. */
 Status
 movedFromStore()
 {
@@ -93,7 +77,7 @@ unitHeader(const StorageConfig &cfg, LayoutScheme scheme)
         cfg.symbolBits, cfg.rows, cfg.paritySymbols, cfg.primerLen,
         layoutSchemeName(scheme));
     // The primer pair derives from primerKey; a non-default key must
-    // survive the artifact or DecodeJob would search for the wrong
+    // survive the artifact or decodeUnitText would search for the wrong
     // primers. Omitted for the default so pre-existing unit files
     // (which never carried a key) stay byte-identical.
     if (cfg.primerKey != 1)
@@ -125,17 +109,133 @@ objectFrom(const Retrieval &retrieval, const std::string &name)
     return file->data;
 }
 
-/** Everything behind the façade. Heap-allocated so submitted jobs can
- *  hold a stable pointer across Store moves. */
+Result<DecodedObjects>
+decodeUnitText(const std::string &text, size_t threads)
+{
+    // Parse the self-describing header. Unit files may carry CRLF line
+    // endings (they travel through mail and Windows editors); the
+    // parser strips the '\r' so the trailing field never absorbs it.
+    size_t eol = text.find('\n');
+    std::string header =
+        text.substr(0, eol == std::string::npos ? text.size() : eol);
+    if (!header.empty() && header.back() == '\r')
+        header.pop_back();
+    StorageConfig cfg;
+    char scheme_name[32] = "gini";
+    unsigned m = 0;
+    size_t rows = 0, parity = 0, primer = 0;
+    int consumed = 0;
+    if (std::sscanf(header.c_str(),
+                    "#dnastore m=%u rows=%zu parity=%zu primer=%zu "
+                    "scheme=%31s%n",
+                    &m, &rows, &parity, &primer, scheme_name,
+                    &consumed) != 5)
+        return Status::failedPrecondition("bad unit header");
+    cfg.symbolBits = m;
+    cfg.rows = rows;
+    cfg.paritySymbols = parity;
+    cfg.primerLen = primer;
+    cfg.numThreads = threads;
+    // Optional key= field (written only for non-default primer keys;
+    // older unit files never carry it). The primer pair derives from
+    // this key, so a value that does not parse exactly must be an
+    // error — silently decoding with key 0 would search for the wrong
+    // primers and mis-frame every strand.
+    // Editors and copy-paste leave stray blanks around the header; any
+    // run of spaces/tabs before the field or at end of line is
+    // framing, not a trailing field.
+    std::string rest = header.substr(size_t(consumed));
+    const size_t first = rest.find_first_not_of(" \t");
+    const size_t last = rest.find_last_not_of(" \t");
+    rest = first == std::string::npos
+        ? std::string()
+        : rest.substr(first, last - first + 1);
+    if (!rest.empty()) {
+        if (rest.compare(0, 4, "key=") != 0)
+            return Status::failedPrecondition(formatMessage(
+                "unrecognized trailing field in unit header: '%s'",
+                rest.c_str()));
+        const char *digits = rest.c_str() + 4;
+        if (!std::isdigit(static_cast<unsigned char>(*digits)))
+            return Status::failedPrecondition(formatMessage(
+                "malformed key= field in unit header: '%s' "
+                "is not an unsigned integer",
+                digits));
+        errno = 0;
+        char *end = nullptr;
+        unsigned long long key = std::strtoull(digits, &end, 10);
+        if (errno == ERANGE || *end != '\0')
+            return Status::failedPrecondition(formatMessage(
+                "malformed key= field in unit header: '%s' "
+                "is not an unsigned 64-bit integer",
+                digits));
+        cfg.primerKey = key;
+    }
+    bool scheme_ok = true;
+    LayoutScheme scheme = layoutSchemeFromName(scheme_name, &scheme_ok);
+    if (!scheme_ok)
+        return Status::failedPrecondition(formatMessage(
+            "unknown scheme '%s' in unit header", scheme_name));
+    if (const char *err = cfg.check())
+        return Status::failedPrecondition(err);
+
+    try {
+        // Each line is one read; a noiseless unit file makes each line
+        // its own single-read cluster.
+        std::vector<std::vector<Strand>> clusters;
+        size_t line_no = 1;
+        size_t pos = eol == std::string::npos ? text.size() : eol + 1;
+        while (pos < text.size()) {
+            size_t next = text.find('\n', pos);
+            if (next == std::string::npos)
+                next = text.size();
+            ++line_no;
+            size_t len = next - pos;
+            // Tolerate CRLF: the '\r' is line framing, not a (bogus)
+            // base.
+            if (len > 0 && text[pos + len - 1] == '\r')
+                --len;
+            if (len > 0 && text[pos] != '#') {
+                try {
+                    clusters.push_back(
+                        { strandFromString(text.substr(pos, len)) });
+                } catch (const std::invalid_argument &) {
+                    // A non-ACGT character is a malformed artifact,
+                    // not an internal failure.
+                    return Status::failedPrecondition(formatMessage(
+                        "unit file line %zu is not a DNA strand "
+                        "(non-ACGT character)",
+                        line_no));
+                }
+            }
+            pos = next + 1;
+        }
+        UnitDecoder decoder(cfg, scheme);
+        DecodedUnit unit = decoder.decode(clusters);
+        if (!unit.bundleOk)
+            return Status::dataLoss("decoding failed (unrecoverable unit)");
+        DecodedObjects out;
+        out.files = unit.bundle.files();
+        out.exact = unit.exact;
+        out.correctedErrors = unit.stats.totalCorrected();
+        out.erasedColumns = unit.stats.erasedColumns;
+        out.failedCodewords = unit.stats.failedCodewords;
+        return out;
+    } catch (const std::exception &e) {
+        return Status::internal(e.what());
+    }
+}
+
+/** Everything behind the façade. */
 struct Store::Rep
 {
     StoreOptions options;
     ChannelOptions channel;
     FileBundle bundle;
     /**
-     * Shared so an in-flight async job keeps its simulator snapshot
+     * Shared so a pending trial Future keeps its simulator snapshot
      * alive even when a later put()+retrieve rebuilds the unit: the
-     * job captures the shared_ptr, the Rep just swaps in a new one.
+     * Future captures the shared_ptr, the Rep just swaps in a new one.
      */
     std::shared_ptr<StorageSimulator> sim;
 
@@ -154,23 +254,10 @@ struct Store::Rep
     /**
      * Memoized configured-coverage retrieval: deterministic for a
      * fixed channel while the unit is clean, so N get() calls cost
-     * one decode pass, not N. Invalidated by put() and rebuilds.
+     * one decode pass, not N. Invalidated by put(), rebuilds, and
+     * every pool mutation (age(), a repairing scrub()).
      */
     std::shared_ptr<const Retrieval> lastRetrieval;
-
-    /**
-     * Pool mutation counter, bumped by every repair that lands (sync
-     * age()/scrub() and — on their own thread — in-flight ScrubJobs).
-     * retrieveShared() serves the memo only when the generation it
-     * was decoded at still matches, so a stale memo can never serve
-     * pre-repair bytes. Shared so a ScrubJob outliving a Store move
-     * still invalidates through it.
-     */
-    std::shared_ptr<std::atomic<uint64_t>> poolGeneration =
-        std::make_shared<std::atomic<uint64_t>>(0);
-
-    /** Value of *poolGeneration when lastRetrieval was decoded. */
-    uint64_t memoGeneration = 0;
 
     /** openFile(OpenMode::ReadOnly): put() is FailedPrecondition. */
     bool readOnly = false;
@@ -490,16 +577,10 @@ Store::retrieveShared()
     if (!status.ok())
         return status;
     // Clean store + fixed channel = deterministic result; serve the
-    // memoized pass (ensureSynthesized left it in place) — unless a
-    // repair landed since it was decoded (age(), scrub(), or an
-    // async ScrubJob bump the pool generation).
-    if (rep_->lastRetrieval &&
-        rep_->memoGeneration == rep_->poolGeneration->load())
+    // memoized pass (ensureSynthesized left it in place; age() and
+    // a repairing scrub() drop it).
+    if (rep_->lastRetrieval)
         return rep_->lastRetrieval;
-    rep_->lastRetrieval.reset();
-    // Sampled BEFORE the decode: a repair landing mid-pass leaves the
-    // memo stamped stale, so the next call decodes again.
-    const uint64_t generation = rep_->poolGeneration->load();
     const ChannelOptions &chan = rep_->channel;
     try {
         Retrieval out;
@@ -520,7 +601,6 @@ Store::retrieveShared()
             out = mapRetrieval(
                 rep_->sim->retrieve(chan.fixedCoverage()));
         }
-        rep_->memoGeneration = generation;
         rep_->lastRetrieval =
             std::make_shared<const Retrieval>(std::move(out));
         return rep_->lastRetrieval;
@@ -625,7 +705,6 @@ Store::age(size_t epochs)
         return status;
     try {
         size_t lost = rep_->sim->age(epochs);
-        rep_->poolGeneration->fetch_add(1);
         rep_->lastRetrieval.reset();
         return lost;
     } catch (const std::exception &e) {
@@ -647,193 +726,58 @@ Store::scrub(const ScrubOptions &options)
         return status;
     try {
         ScrubReport report = rep_->sim->scrub(options);
-        if (report.repaired > 0) {
-            rep_->poolGeneration->fetch_add(1);
+        if (report.repaired > 0)
             rep_->lastRetrieval.reset();
-        }
-        return scrubResult(std::move(report));
+        if (!report.repairable && report.lowMargin > 0)
+            return Status::unavailable(formatMessage(
+                "%zu clusters need repair but %zu codewords failed at "
+                "the current read depth, so the recovered data cannot "
+                "be trusted for rewriting; retry after re-synthesis or "
+                "at deeper coverage",
+                report.lowMargin, report.failedCodewords));
+        return report;
     } catch (const std::exception &e) {
         return Status::internal(e.what());
     }
 }
 
-Future<Result<EncodedArtifact>>
-Store::submit(const EncodeJob &)
+Result<EncodedArtifact>
+Store::encode() const
 {
     if (!rep_)
-        return readyFuture<EncodedArtifact>(movedFromStore());
+        return movedFromStore();
     Result<StorageConfig> cfg = rep_->resolveConfig();
     if (!cfg.ok())
-        return readyFuture<EncodedArtifact>(cfg.status());
-    // Snapshot the objects now: later put() calls must not race the
-    // running job.
-    return Future<Result<EncodedArtifact>>(std::async(
-        std::launch::async,
-        [cfg = *cfg, scheme = rep_->options.layout(),
-         bundle = rep_->bundle]() -> Result<EncodedArtifact> {
-            try {
-                UnitEncoder encoder(cfg, scheme);
-                EncodedUnit unit = encoder.encode(bundle);
-                EncodedArtifact artifact;
-                artifact.header = unitHeader(cfg, scheme);
-                artifact.strands.reserve(unit.strands.size());
-                for (const auto &strand : unit.strands)
-                    artifact.strands.push_back(strandToString(strand));
-                artifact.payloadBits = unit.payloadBits;
-                artifact.config = cfg;
-                artifact.scheme = scheme;
-                return artifact;
-            } catch (const std::exception &e) {
-                return Status::internal(e.what());
-            }
-        }));
-}
-
-Future<Result<DecodedObjects>>
-Store::submit(const DecodeJob &job)
-{
-    if (!rep_)
-        return readyFuture<DecodedObjects>(movedFromStore());
-    return Future<Result<DecodedObjects>>(std::async(
-        std::launch::async,
-        [text = job.text,
-         threads = rep_->options.config().numThreads]()
-            -> Result<DecodedObjects> {
-            // Parse the self-describing header. Unit files may carry
-            // CRLF line endings (they travel through mail and
-            // Windows editors); the parser strips the '\r' so the
-            // trailing field never absorbs it.
-            size_t eol = text.find('\n');
-            std::string header = text.substr(
-                0, eol == std::string::npos ? text.size() : eol);
-            if (!header.empty() && header.back() == '\r')
-                header.pop_back();
-            StorageConfig cfg;
-            char scheme_name[32] = "gini";
-            unsigned m = 0;
-            size_t rows = 0, parity = 0, primer = 0;
-            int consumed = 0;
-            if (std::sscanf(header.c_str(),
-                            "#dnastore m=%u rows=%zu parity=%zu "
-                            "primer=%zu scheme=%31s%n",
-                            &m, &rows, &parity, &primer, scheme_name,
-                            &consumed) != 5)
-                return Status::failedPrecondition("bad unit header");
-            cfg.symbolBits = m;
-            cfg.rows = rows;
-            cfg.paritySymbols = parity;
-            cfg.primerLen = primer;
-            cfg.numThreads = threads;
-            // Optional key= field (written only for non-default
-            // primer keys; older unit files never carry it). The
-            // primer pair derives from this key, so a value that
-            // does not parse exactly must be an error — silently
-            // decoding with key 0 would search for the wrong primers
-            // and mis-frame every strand.
-            // Editors and copy-paste leave stray blanks around the
-            // header; any run of spaces/tabs before the field or at
-            // end of line is framing, not a trailing field.
-            std::string rest = header.substr(size_t(consumed));
-            const size_t first = rest.find_first_not_of(" \t");
-            const size_t last = rest.find_last_not_of(" \t");
-            rest = first == std::string::npos
-                ? std::string()
-                : rest.substr(first, last - first + 1);
-            if (!rest.empty()) {
-                if (rest.compare(0, 4, "key=") != 0)
-                    return Status::failedPrecondition(formatMessage(
-                        "unrecognized trailing field in unit header: "
-                        "'%s'",
-                        rest.c_str()));
-                const char *digits = rest.c_str() + 4;
-                if (!std::isdigit(
-                        static_cast<unsigned char>(*digits)))
-                    return Status::failedPrecondition(formatMessage(
-                        "malformed key= field in unit header: '%s' "
-                        "is not an unsigned integer",
-                        digits));
-                errno = 0;
-                char *end = nullptr;
-                unsigned long long key =
-                    std::strtoull(digits, &end, 10);
-                if (errno == ERANGE || *end != '\0')
-                    return Status::failedPrecondition(formatMessage(
-                        "malformed key= field in unit header: '%s' "
-                        "is not an unsigned 64-bit integer",
-                        digits));
-                cfg.primerKey = key;
-            }
-            bool scheme_ok = true;
-            LayoutScheme scheme =
-                layoutSchemeFromName(scheme_name, &scheme_ok);
-            if (!scheme_ok)
-                return Status::failedPrecondition(formatMessage(
-                    "unknown scheme '%s' in unit header", scheme_name));
-            if (const char *err = cfg.check())
-                return Status::failedPrecondition(err);
-
-            try {
-                // Each line is one read; a noiseless unit file makes
-                // each line its own single-read cluster.
-                std::vector<std::vector<Strand>> clusters;
-                size_t line_no = 1;
-                size_t pos =
-                    eol == std::string::npos ? text.size() : eol + 1;
-                while (pos < text.size()) {
-                    size_t next = text.find('\n', pos);
-                    if (next == std::string::npos)
-                        next = text.size();
-                    ++line_no;
-                    size_t len = next - pos;
-                    // Tolerate CRLF: the '\r' is line framing, not a
-                    // (bogus) base.
-                    if (len > 0 && text[pos + len - 1] == '\r')
-                        --len;
-                    if (len > 0 && text[pos] != '#') {
-                        try {
-                            clusters.push_back({ strandFromString(
-                                text.substr(pos, len)) });
-                        } catch (const std::invalid_argument &) {
-                            // A non-ACGT character is a malformed
-                            // artifact, not an internal failure.
-                            return Status::failedPrecondition(
-                                formatMessage(
-                                    "unit file line %zu is not a DNA "
-                                    "strand (non-ACGT character)",
-                                    line_no));
-                        }
-                    }
-                    pos = next + 1;
-                }
-                UnitDecoder decoder(cfg, scheme);
-                DecodedUnit unit = decoder.decode(clusters);
-                if (!unit.bundleOk)
-                    return Status::dataLoss(
-                        "decoding failed (unrecoverable unit)");
-                DecodedObjects out;
-                out.files = unit.bundle.files();
-                out.exact = unit.exact;
-                out.correctedErrors = unit.stats.totalCorrected();
-                out.erasedColumns = unit.stats.erasedColumns;
-                out.failedCodewords = unit.stats.failedCodewords;
-                return out;
-            } catch (const std::exception &e) {
-                return Status::internal(e.what());
-            }
-        }));
+        return cfg.status();
+    const LayoutScheme scheme = rep_->options.layout();
+    try {
+        UnitEncoder encoder(*cfg, scheme);
+        EncodedUnit unit = encoder.encode(rep_->bundle);
+        EncodedArtifact artifact;
+        artifact.header = unitHeader(*cfg, scheme);
+        artifact.strands.reserve(unit.strands.size());
+        for (const auto &strand : unit.strands)
+            artifact.strands.push_back(strandToString(strand));
+        artifact.payloadBits = unit.payloadBits;
+        artifact.config = *cfg;
+        artifact.scheme = scheme;
+        return artifact;
+    } catch (const std::exception &e) {
+        return Status::internal(e.what());
+    }
 }
 
 Future<Result<TrialSeries>>
 Store::submit(const TrialJob &job)
 {
     if (!rep_)
-        return readyFuture<TrialSeries>(movedFromStore());
+        return failedTrials(movedFromStore());
     if (job.scrubEachEpoch) {
         if (const char *err = job.scrub.check())
-            return readyFuture<TrialSeries>(Status::invalidArgument(err));
+            return failedTrials(Status::invalidArgument(err));
     }
     if (job.useClusterer && !rep_->channel.hasCluster())
-        return readyFuture<TrialSeries>(Status::failedPrecondition(
+        return failedTrials(Status::failedPrecondition(
             "TrialJob.useClusterer needs ClusterOptions on the "
             "store's channel"));
     if (job.agingEpochs > 0) {
@@ -841,52 +785,48 @@ Store::submit(const TrialJob &job)
         // per-trial gamma/clusterer machinery does not compose with
         // epoch-wise decay (and has no pool for scrub to rewrite).
         if (job.useClusterer || rep_->channel.hasGamma())
-            return readyFuture<TrialSeries>(Status::failedPrecondition(
+            return failedTrials(Status::failedPrecondition(
                 "TrialJob.agingEpochs needs fixed coverage without "
                 "the clusterer (gamma coverage and useClusterer do "
                 "not compose with the aging loop)"));
         if (!rep_->channel.hasAging())
-            return readyFuture<TrialSeries>(Status::failedPrecondition(
+            return failedTrials(Status::failedPrecondition(
                 "TrialJob.agingEpochs needs an aging profile on the "
                 "store's channel (ChannelOptions::aging)"));
     }
-    // Encoding happens on the submitting thread so concurrent jobs
-    // only ever touch the simulator through const trial paths.
+    // Encoding happens at submit(), so the deferred batch only ever
+    // touches the simulator through const trial paths.
     Status status = rep_->ensurePrepared();
     if (!status.ok())
-        return readyFuture<TrialSeries>(std::move(status));
+        return failedTrials(std::move(status));
 
-    // The shared_ptr keeps this simulator snapshot alive for the
-    // job's whole run, even if a later put()+retrieve rebuilds the
-    // store's unit. The cluster params are copied for the same
-    // reason.
+    // The shared_ptr keeps this simulator snapshot alive until the
+    // batch runs, even if a later put()+retrieve rebuilds the store's
+    // unit or the Store is gone. The job and channel settings are
+    // copied for the same reason.
     std::shared_ptr<const StorageSimulator> sim = rep_->sim;
-    CoverageModel coverage = rep_->channel.coverageModel();
     std::shared_ptr<const ClusterParams> cluster;
     if (job.useClusterer)
         cluster = std::make_shared<const ClusterParams>(
             rep_->channel.clusterParams());
-    const size_t aging_epochs = job.agingEpochs;
-    const bool scrub_each_epoch = job.scrubEachEpoch;
-    const size_t fixed_coverage = rep_->channel.fixedCoverage();
-    return Future<Result<TrialSeries>>(std::async(
-        std::launch::async,
-        [sim, coverage, cluster, seeds = job.trialSeeds,
-         threads = job.threads, aging_epochs, scrub_each_epoch,
-         policy = job.scrub, fixed_coverage]() -> Result<TrialSeries> {
+    return Future<Result<TrialSeries>>(
+        [sim, cluster, job, coverage = rep_->channel.coverageModel(),
+         fixed_coverage =
+             rep_->channel.fixedCoverage()]() -> Result<TrialSeries> {
             try {
+                const std::vector<uint64_t> &seeds = job.trialSeeds;
                 TrialSeries series;
                 series.trials.resize(seeds.size());
                 // Per-trial seeds were pre-drawn serially by the
                 // caller and every trial writes its own slot, so the
                 // series is bit-identical for every thread count and
                 // steal schedule (the Scenario Lab contract).
-                parallelFor(seeds.size(), threads, [&](size_t t) {
+                parallelFor(seeds.size(), job.threads, [&](size_t t) {
                     TrialResult &rec = series.trials[t];
-                    if (aging_epochs > 0) {
+                    if (job.agingEpochs > 0) {
                         AgingTrialOutcome outcome = sim->runAgingTrial(
-                            fixed_coverage, seeds[t], aging_epochs,
-                            scrub_each_epoch, policy);
+                            fixed_coverage, seeds[t], job.agingEpochs,
+                            job.scrubEachEpoch, job.scrub);
                         rec.success = !outcome.epochSuccess.empty() &&
                             outcome.epochSuccess.back() != 0;
                         rec.epochSuccess =
@@ -916,42 +856,7 @@ Store::submit(const TrialJob &job)
             } catch (const std::exception &e) {
                 return Status::internal(e.what());
             }
-        }));
-}
-
-Future<Result<ScrubReport>>
-Store::submit(const ScrubJob &job)
-{
-    if (!rep_)
-        return readyFuture<ScrubReport>(movedFromStore());
-    if (rep_->readOnly)
-        return readyFuture<ScrubReport>(Status::failedPrecondition(
-            "the store was opened read-only; scrub is not available"));
-    if (const char *err = job.options.check())
-        return readyFuture<ScrubReport>(Status::invalidArgument(err));
-    Status status = rep_->ensureSynthesized();
-    if (!status.ok())
-        return readyFuture<ScrubReport>(std::move(status));
-
-    // Unlike the other jobs this one MUTATES the shared simulator
-    // (that is its purpose: the repairs must land in the store's
-    // pool). The generation counter travels as a shared_ptr so the
-    // memo is invalidated even if the Store moves while the job runs.
-    std::shared_ptr<StorageSimulator> sim = rep_->sim;
-    std::shared_ptr<std::atomic<uint64_t>> generation =
-        rep_->poolGeneration;
-    return Future<Result<ScrubReport>>(std::async(
-        std::launch::async,
-        [sim, generation, policy = job.options]() -> Result<ScrubReport> {
-            try {
-                ScrubReport report = sim->scrub(policy);
-                if (report.repaired > 0)
-                    generation->fetch_add(1);
-                return scrubResult(std::move(report));
-            } catch (const std::exception &e) {
-                return Status::internal(e.what());
-            }
-        }));
+        });
 }
 
 const StoreOptions &

@@ -11,38 +11,35 @@
  * surface throws: every fallible operation returns Status or
  * Result<T> (api/status.hh).
  *
- * Batched asynchronous work goes through submit(), which returns a
- * Future backed by one dispatcher thread per job. EncodeJob and
- * DecodeJob run serially on that thread; a TrialJob additionally
- * fans its trial batch out over the process-wide work-stealing
+ * Every operation runs on the calling thread. The one deferred call
+ * is submit(TrialJob): it validates the job and snapshots the
+ * simulator at submit(), and the trial batch runs when the returned
+ * Future is read, fanned out over the process-wide work-stealing
  * ThreadPool (TrialJob::threads wide) with the Scenario Lab's
  * determinism contract: the series is bit-identical for every
  * thread count, because all per-trial randomness derives from
  * pre-drawn seeds and results land in per-trial slots aggregated
- * serially.
+ * serially. The daemon submits under its tenant lock and reads the
+ * Future after releasing it.
  *
- *  - EncodeJob:  snapshot the store's objects and produce the
- *                synthesizable unit text (header + one ACGT strand
- *                per line, the CLI's `encode` format).
- *  - DecodeJob:  parse unit text (self-describing header) and decode
- *                it back into named objects.
- *  - TrialJob:   run N Monte-Carlo channel trials (one per pre-drawn
- *                seed), the Scenario Lab's unit of work.
+ * Unit text (header + one ACGT strand per line, the CLI's `encode`
+ * format) comes from encode() and goes back to named objects through
+ * the free function decodeUnitText().
  *
- * Threading contract: submitted job bodies hold their own snapshots
- * (a shared reference to the simulator they were submitted against,
- * copies of the objects/params they need), so in-flight jobs run
- * safely alongside later put()/retrieve calls on the owning thread —
- * a rebuild just swaps in a new simulator while the job finishes on
- * the old one. The Store's own methods are not internally
- * synchronized: call them from one thread at a time.
+ * Threading contract: a pending Future holds its own snapshot (a
+ * shared reference to the simulator it was submitted against, copies
+ * of the seeds and params it needs), so it can be read after later
+ * put()/retrieve calls, or after the Store is gone — a rebuild just
+ * swaps in a new simulator while the Future keeps the old one. The
+ * Store's own methods are not internally synchronized: call them
+ * from one thread at a time.
  */
 
 #ifndef DNASTORE_API_STORE_HH
 #define DNASTORE_API_STORE_HH
 
 #include <cstdint>
-#include <future>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -112,7 +109,7 @@ struct Retrieval
 Result<std::vector<uint8_t>> objectFrom(const Retrieval &retrieval,
                                         const std::string &name);
 
-/** Synthesizable unit text: the EncodeJob artifact. */
+/** Synthesizable unit text: what Store::encode() produces. */
 struct EncodedArtifact
 {
     std::string header;                //!< "#dnastore m=... scheme=..."
@@ -125,7 +122,7 @@ struct EncodedArtifact
     std::string text() const;
 };
 
-/** Decoded unit text: the DecodeJob artifact. */
+/** Decoded unit text: what decodeUnitText() produces. */
 struct DecodedObjects
 {
     std::vector<NamedFile> files;
@@ -161,17 +158,6 @@ struct TrialSeries
     std::vector<TrialResult> trials;
 };
 
-/** Encode the store's current objects into unit text. */
-struct EncodeJob
-{
-};
-
-/** Decode unit text (produced by EncodeJob / `dnastore encode`). */
-struct DecodeJob
-{
-    std::string text;
-};
-
 /**
  * Run one Monte-Carlo channel trial per seed. Seeds are pre-drawn by
  * the caller (serially, from its own stream) so the fan-out schedule
@@ -202,19 +188,6 @@ struct TrialJob
 
     /** Per-epoch scrub policy (checked when scrubEachEpoch is set). */
     ScrubOptions scrub;
-};
-
-/**
- * Scrub the store's pool asynchronously: the probe decode, policy
- * selection, and any rewrites run on the job's dispatcher thread
- * against the store's own pool (this job mutates the store — the
- * retrieveAll() memo is invalidated when repairs land). Do not run
- * pool-backed retrievals on the owning thread while a ScrubJob is in
- * flight; queue them after Future::get().
- */
-struct ScrubJob
-{
-    ScrubOptions options;
 };
 
 /** How openFile() treats the opened store. */
@@ -248,41 +221,45 @@ struct OpenOptions
 };
 
 /**
- * Handle to an asynchronously running job. get() blocks until the
- * job finishes and yields its Result exactly once; calling get() on
- * a consumed or default-constructed Future yields a
- * FailedPrecondition Result instead of throwing (the boundary's
- * no-throw rule applies to Futures too). Destroying a Future waits
- * for the job (no detached work outlives the caller).
+ * Handle to a deferred job. The job runs on the thread that calls
+ * get(), which yields its Result exactly once; a Future that is never
+ * read never runs. get() on a consumed or default-constructed Future
+ * yields a FailedPrecondition Result instead of throwing (the
+ * boundary's no-throw rule applies to Futures too).
  */
 template <typename T>
 class Future
 {
   public:
     Future() = default;
-    explicit Future(std::future<T> fut) : fut_(std::move(fut)) {}
+    explicit Future(std::function<T()> job) : job_(std::move(job)) {}
 
-    bool valid() const { return fut_.valid(); }
-
-    void
-    wait() const
-    {
-        if (fut_.valid())
-            fut_.wait();
-    }
+    bool valid() const { return static_cast<bool>(job_); }
 
     T
     get()
     {
-        if (!fut_.valid())
+        if (!job_)
             return T(Status::failedPrecondition(
                 "Future already consumed (or never bound to a job)"));
-        return fut_.get();
+        std::function<T()> job = std::move(job_);
+        job_ = nullptr;
+        return job();
     }
 
   private:
-    std::future<T> fut_;
+    std::function<T()> job_;
 };
+
+/**
+ * Decode unit text (Store::encode() / `dnastore encode` output; the
+ * header is self-describing) back into named objects on @p threads
+ * decode threads (1 serial, 0 = all). FailedPrecondition for a
+ * malformed header or a non-ACGT strand line, DataLoss when the unit
+ * does not decode.
+ */
+Result<DecodedObjects> decodeUnitText(const std::string &text,
+                                      size_t threads = 1);
 
 /** The public storage façade. One Store = one encoding unit. */
 class Store
@@ -458,14 +435,21 @@ class Store
     Result<ScrubReport> scrub(const ScrubOptions &options
                               = ScrubOptions());
 
-    // ----------------------------------------------------- async jobs
-    // Every submit() on a moved-from (or torn-down) Store yields a
-    // ready Unavailable Future instead of dereferencing the dead
-    // handle — the one state in which the façade cannot serve at all.
-    Future<Result<EncodedArtifact>> submit(const EncodeJob &job);
-    Future<Result<DecodedObjects>> submit(const DecodeJob &job);
+    // ------------------------------------------------------ unit text
+    /**
+     * Encode the current objects into synthesizable unit text.
+     * Unavailable on a moved-from (or torn-down) Store, as for
+     * submit(): the one state in which the façade cannot serve.
+     */
+    Result<EncodedArtifact> encode() const;
+
+    // ------------------------------------------------------ trial jobs
+    /**
+     * Check @p job and snapshot the simulator now; the batch runs at
+     * Future::get(). A rejected job, or a moved-from Store
+     * (Unavailable), yields a Future that returns the error.
+     */
     Future<Result<TrialSeries>> submit(const TrialJob &job);
-    Future<Result<ScrubReport>> submit(const ScrubJob &job);
 
     // ----------------------------------------------------- inspection
     const StoreOptions &options() const;

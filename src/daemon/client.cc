@@ -14,26 +14,6 @@
 namespace dnastore {
 namespace daemon {
 
-namespace {
-
-bool
-writeAll(int fd, const uint8_t *data, size_t n)
-{
-    size_t done = 0;
-    while (done < n) {
-        ssize_t w = ::write(fd, data + done, n - done);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        done += size_t(w);
-    }
-    return true;
-}
-
-} // namespace
-
 Client::~Client()
 {
     close();
@@ -78,9 +58,9 @@ Client::sendRaw(const std::vector<uint8_t> &bytes)
 {
     if (fd_ < 0)
         return api::Status::failedPrecondition("client not connected");
-    if (!writeAll(fd_, bytes.data(), bytes.size()))
+    if (!sendAll(fd_, bytes))
         return api::Status::unavailable(api::formatMessage(
-            "write failed: %s", errnoText(errno).c_str()));
+            "send failed: %s", errnoText(errno).c_str()));
     return api::Status();
 }
 

@@ -1,5 +1,8 @@
 #include "daemon/protocol.hh"
 
+#include <sys/socket.h>
+
+#include <cerrno>
 #include <cstring>
 
 #include "api/wire.hh"
@@ -78,6 +81,23 @@ frame(const std::vector<uint8_t> &payload)
     w.u32(crc32(payload));
     w.bytes(payload);
     return w.take();
+}
+
+bool
+sendAll(int fd, const std::vector<uint8_t> &bytes)
+{
+    size_t done = 0;
+    while (done < bytes.size()) {
+        ssize_t w = ::send(fd, bytes.data() + done, bytes.size() - done,
+                           MSG_NOSIGNAL);
+        if (w < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        done += size_t(w);
+    }
+    return true;
 }
 
 FrameStatus

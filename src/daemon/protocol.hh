@@ -117,6 +117,14 @@ struct Response
 /** Wrap @p payload in a CRC-32 frame. */
 std::vector<uint8_t> frame(const std::vector<uint8_t> &payload);
 
+/**
+ * Write all of @p bytes to socket @p fd, retrying short writes and
+ * EINTR; false (errno set) on failure. Sends with MSG_NOSIGNAL, so a
+ * peer that already closed costs this one write an EPIPE instead of
+ * raising SIGPIPE, whose default action would kill the process.
+ */
+bool sendAll(int fd, const std::vector<uint8_t> &bytes);
+
 /** extractFrame outcome. */
 enum class FrameStatus
 {

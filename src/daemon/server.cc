@@ -25,28 +25,10 @@ namespace {
 /** How long the acceptor waits after accept() runs out of fds. */
 constexpr int kAcceptBackoffMs = 100;
 
-/** write() the whole buffer, retrying short writes and EINTR. */
-bool
-writeAll(int fd, const uint8_t *data, size_t n)
-{
-    size_t done = 0;
-    while (done < n) {
-        ssize_t w = ::write(fd, data + done, n - done);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        done += size_t(w);
-    }
-    return true;
-}
-
 bool
 sendResponse(int fd, const Response &response)
 {
-    std::vector<uint8_t> bytes = frame(encodeResponse(response));
-    return writeAll(fd, bytes.data(), bytes.size());
+    return sendAll(fd, frame(encodeResponse(response)));
 }
 
 /** poll() for readability; 0 on timeout, <0 on error, >0 ready. */

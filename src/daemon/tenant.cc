@@ -224,8 +224,9 @@ Tenant::trial(uint32_t trials, uint64_t seed)
     api::Future<api::Result<api::TrialSeries>> fut;
     {
         // Submission needs the lock (Store methods are not internally
-        // synchronized); the batch itself runs against the job's own
-        // simulator snapshot, so the lock is released while it runs.
+        // synchronized); the batch runs at get(), below, against the
+        // job's own simulator snapshot, so no lock is held while it
+        // runs.
         std::lock_guard<std::mutex> lock(mu_);
         api::TrialJob job;
         job.trialSeeds = drawTrialSeeds(seed, trials);

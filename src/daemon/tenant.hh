@@ -145,9 +145,9 @@ class Tenant
 
     /**
      * Run a Monte-Carlo trial batch. Submission serializes through
-     * the writer lock; the fan-out itself runs on the job's
-     * dispatcher thread against its own simulator snapshot, so
-     * readers proceed while trials run.
+     * the writer lock; the batch itself runs on the calling thread
+     * after the lock is released, against the job's own simulator
+     * snapshot, so readers and writers proceed while trials run.
      */
     api::Result<api::TrialSeries> trial(uint32_t trials, uint64_t seed);
 

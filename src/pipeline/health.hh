@@ -109,9 +109,9 @@ struct ScrubOptions
     bool repairAll = false;
 
     /**
-     * The scrub rule, run by Store::scrub, ScrubJob and a scrubbing
-     * TrialJob: minAgreement finite (a NaN selects nothing). The
-     * first broken constraint, or nullptr.
+     * The scrub rule, run by Store::scrub and a scrubbing TrialJob:
+     * minAgreement finite (a NaN selects nothing). The first broken
+     * constraint, or nullptr.
      */
     const char *check() const;
 };

@@ -1,9 +1,9 @@
 /**
- * Unit-text artifact parsing (EncodeJob -> DecodeJob): CRLF line
- * endings must decode byte-identically, a malformed `key=` header
- * field must be FailedPrecondition (never a silent primerKey=0
- * decode), trailing junk in the header is rejected, and a non-ACGT
- * strand line is a parse error, not an internal one.
+ * Unit-text artifact parsing (Store::encode -> decodeUnitText): CRLF
+ * line endings must decode byte-identically, a malformed `key=`
+ * header field must be FailedPrecondition (never a silent
+ * primerKey=0 decode), trailing junk in the header is rejected, and a
+ * non-ACGT strand line is a parse error, not an internal one.
  */
 
 #include <gtest/gtest.h>
@@ -38,20 +38,9 @@ sampleArtifact(uint64_t primer_key = 1)
     Result<Store> store = Store::open(options);
     EXPECT_TRUE(store.ok()) << store.status().toString();
     EXPECT_TRUE(store->put("obj.bin", patternBytes(400, 3)).ok());
-    Result<EncodedArtifact> artifact =
-        store->submit(EncodeJob{}).get();
+    Result<EncodedArtifact> artifact = store->encode();
     EXPECT_TRUE(artifact.ok()) << artifact.status().toString();
     return std::move(*artifact);
-}
-
-Result<DecodedObjects>
-decodeText(std::string text)
-{
-    Result<Store> store = Store::open(StoreOptions::tiny());
-    EXPECT_TRUE(store.ok()) << store.status().toString();
-    DecodeJob job;
-    job.text = std::move(text);
-    return store->submit(job).get();
 }
 
 std::string
@@ -81,7 +70,7 @@ withHeader(const EncodedArtifact &artifact, const std::string &header)
 TEST(ArtifactParsing, PlainUnitTextDecodesExactly)
 {
     const EncodedArtifact artifact = sampleArtifact();
-    Result<DecodedObjects> decoded = decodeText(artifact.text());
+    Result<DecodedObjects> decoded = decodeUnitText(artifact.text());
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
     EXPECT_TRUE(decoded->exact);
     ASSERT_EQ(decoded->files.size(), 1u);
@@ -96,7 +85,7 @@ TEST(ArtifactParsing, CrlfUnitTextDecodesExactly)
 {
     const EncodedArtifact artifact = sampleArtifact();
     Result<DecodedObjects> decoded =
-        decodeText(withCrlf(artifact.text()));
+        decodeUnitText(withCrlf(artifact.text()));
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
     EXPECT_TRUE(decoded->exact);
     ASSERT_EQ(decoded->files.size(), 1u);
@@ -110,7 +99,7 @@ TEST(ArtifactParsing, CrlfWithNonDefaultKeyDecodesExactly)
     const EncodedArtifact artifact = sampleArtifact(77);
     EXPECT_NE(artifact.header.find(" key=77"), std::string::npos);
     Result<DecodedObjects> decoded =
-        decodeText(withCrlf(artifact.text()));
+        decodeUnitText(withCrlf(artifact.text()));
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
     EXPECT_TRUE(decoded->exact);
 }
@@ -131,7 +120,7 @@ TEST(ArtifactParsing, MalformedKeyFieldIsFailedPrecondition)
     };
     for (const std::string &header : malformed) {
         Result<DecodedObjects> decoded =
-            decodeText(withHeader(artifact, header));
+            decodeUnitText(withHeader(artifact, header));
         ASSERT_FALSE(decoded.ok()) << header;
         EXPECT_EQ(decoded.status().code(),
                   StatusCode::FailedPrecondition)
@@ -145,7 +134,7 @@ TEST(ArtifactParsing, MalformedKeyFieldIsFailedPrecondition)
 TEST(ArtifactParsing, ValidKeyFieldRoundTrips)
 {
     const EncodedArtifact artifact = sampleArtifact(77);
-    Result<DecodedObjects> decoded = decodeText(artifact.text());
+    Result<DecodedObjects> decoded = decodeUnitText(artifact.text());
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
     EXPECT_TRUE(decoded->exact);
     EXPECT_EQ(decoded->files[0].data, patternBytes(400, 3));
@@ -155,7 +144,7 @@ TEST(ArtifactParsing, TrailingHeaderJunkIsFailedPrecondition)
 {
     const EncodedArtifact artifact = sampleArtifact();
     for (const char *junk : { " bogus=1", " extra", " key =7" }) {
-        Result<DecodedObjects> decoded = decodeText(
+        Result<DecodedObjects> decoded = decodeUnitText(
             withHeader(artifact, artifact.header + junk));
         ASSERT_FALSE(decoded.ok()) << junk;
         EXPECT_EQ(decoded.status().code(),
@@ -172,7 +161,7 @@ TEST(ArtifactParsing, StrayHeaderWhitespaceIsTolerated)
     const EncodedArtifact plain = sampleArtifact();
     for (const char *pad : { " ", "\t", "  \t " }) {
         Result<DecodedObjects> decoded =
-            decodeText(withHeader(plain, plain.header + pad));
+            decodeUnitText(withHeader(plain, plain.header + pad));
         ASSERT_TRUE(decoded.ok())
             << "pad '" << pad << "': " << decoded.status().toString();
         EXPECT_TRUE(decoded->exact);
@@ -184,14 +173,14 @@ TEST(ArtifactParsing, StrayHeaderWhitespaceIsTolerated)
     ASSERT_NE(at, std::string::npos);
     header.replace(at, 1, "\t  "); // tab + blanks before key=
     Result<DecodedObjects> decoded =
-        decodeText(withHeader(keyed, header + " \t"));
+        decodeUnitText(withHeader(keyed, header + " \t"));
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
     EXPECT_TRUE(decoded->exact);
 }
 
 TEST(ArtifactParsing, MissingHeaderIsFailedPrecondition)
 {
-    Result<DecodedObjects> decoded = decodeText("ACGTACGT\nACGT\n");
+    Result<DecodedObjects> decoded = decodeUnitText("ACGTACGT\nACGT\n");
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().code(), StatusCode::FailedPrecondition);
 }
@@ -204,7 +193,7 @@ TEST(ArtifactParsing, NonAcgtStrandLineIsFailedPrecondition)
     const size_t first_strand = text.find('\n') + 1;
     ASSERT_LT(first_strand, text.size());
     text[first_strand] = 'X';
-    Result<DecodedObjects> decoded = decodeText(std::move(text));
+    Result<DecodedObjects> decoded = decodeUnitText(text);
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().code(), StatusCode::FailedPrecondition)
         << decoded.status().toString();

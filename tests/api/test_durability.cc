@@ -1,6 +1,6 @@
 /**
  * The durability loop through the api::Store façade: health
- * telemetry, the aging fault injector, sync and async scrubbing, the
+ * telemetry, the aging fault injector, scrubbing, the
  * retrieveAll memo-invalidation contract (a stale memo must never
  * serve pre-mutation results), and the StatusCode producing-path
  * audit (every code is reachable through the public API or is
@@ -59,6 +59,26 @@ openPlain(uint64_t seed = 4242)
     Result<Store> store = Store::open(options, channel);
     EXPECT_TRUE(store.ok()) << store.status().toString();
     return std::move(*store);
+}
+
+/**
+ * Age @p store one epoch at a time until the full-depth probe says
+ * the unit no longer decodes exactly (deterministic for a fixed seed;
+ * the epoch cap is a safety net). True once degraded.
+ */
+bool
+decayUntilInexact(Store &store)
+{
+    for (int epoch = 0; epoch < 12; ++epoch) {
+        if (!store.age(1).ok())
+            return false;
+        Result<HealthReport> health = store.health();
+        if (!health.ok())
+            return false;
+        if (!health->exact)
+            return true;
+    }
+    return false;
 }
 
 } // namespace
@@ -169,13 +189,6 @@ TEST(StoreScrub, RejectsNonFiniteMinAgreement)
     EXPECT_NE(report.status().message().find("min-agreement"),
               std::string::npos)
         << report.status().message();
-
-    // The async job path rejects identically.
-    ScrubJob job;
-    job.options = policy;
-    Result<ScrubReport> async = store.submit(job).get();
-    ASSERT_FALSE(async.ok());
-    EXPECT_EQ(async.status().code(), StatusCode::InvalidArgument);
 }
 
 TEST(StoreScrub, RepairsAgedPoolBackToExact)
@@ -220,17 +233,9 @@ TEST(StoreMemo, AgingInvalidatesTheRetrieveAllMemo)
     ASSERT_TRUE(first.ok());
     EXPECT_TRUE(first->exact);
 
-    // Decay hard until the full-depth probe says the unit no longer
-    // decodes exactly (deterministic for the fixed seed; the cap is
-    // just a safety net).
-    bool degraded = false;
-    for (int epoch = 0; epoch < 12 && !degraded; ++epoch) {
-        ASSERT_TRUE(store.age(1).ok());
-        Result<HealthReport> health = store.health();
-        ASSERT_TRUE(health.ok());
-        degraded = !health->exact;
-    }
-    ASSERT_TRUE(degraded) << "aging never degraded the pool";
+    // Decay hard until the unit no longer decodes exactly.
+    ASSERT_TRUE(decayUntilInexact(store))
+        << "aging never degraded the pool";
 
     // A stale memo would still answer exact=true here.
     Result<Retrieval> second = store.retrieveAll();
@@ -241,9 +246,9 @@ TEST(StoreMemo, AgingInvalidatesTheRetrieveAllMemo)
     // an error Status instead — also proof the memo was dropped.)
 }
 
-// The same contract for scrub repairs, including through the async
-// ScrubJob path: after a repair the next retrieveAll must re-decode
-// against the rewritten pool instead of serving pre-repair results.
+// The same contract for scrub repairs: after a repair the next
+// retrieveAll must re-decode against the rewritten pool instead of
+// serving pre-repair results.
 TEST(StoreMemo, ScrubRepairInvalidatesTheRetrieveAllMemo)
 {
     Store store = openAging(decayProfile());
@@ -257,9 +262,9 @@ TEST(StoreMemo, ScrubRepairInvalidatesTheRetrieveAllMemo)
     const size_t aged_cost =
         2 * before->erasedColumns + before->correctedErrors;
 
-    ScrubJob job;
-    job.options.repairAll = true;
-    Result<ScrubReport> report = store.submit(job).get();
+    ScrubOptions policy;
+    policy.repairAll = true;
+    Result<ScrubReport> report = store.scrub(policy);
     ASSERT_TRUE(report.ok()) << report.status().toString();
     EXPECT_GT(report->repaired, 0u);
 
@@ -280,51 +285,30 @@ TEST(StoreScrub, UnrepairablePoolIsUnavailable)
 
     // Decay until the full-depth decode fails; a scrub that selects
     // clusters now cannot trust the recovered data to rewrite them.
-    bool degraded = false;
-    for (int epoch = 0; epoch < 12 && !degraded; ++epoch) {
-        ASSERT_TRUE(store.age(1).ok());
-        Result<HealthReport> health = store.health();
-        ASSERT_TRUE(health.ok());
-        degraded = !health->exact;
-    }
-    ASSERT_TRUE(degraded);
+    ASSERT_TRUE(decayUntilInexact(store));
 
     ScrubOptions policy;
     policy.minReads = 6;
-    Result<ScrubReport> sync = store.scrub(policy);
-    ASSERT_FALSE(sync.ok());
-    EXPECT_EQ(sync.status().code(), StatusCode::Unavailable);
-
-    ScrubJob job;
-    job.options = policy;
-    Result<ScrubReport> async = store.submit(job).get();
-    ASSERT_FALSE(async.ok());
-    EXPECT_EQ(async.status().code(), StatusCode::Unavailable);
+    Result<ScrubReport> report = store.scrub(policy);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::Unavailable);
 }
 
-// Satellite: every submit() on a moved-from (torn-down) Store must
-// yield a ready Unavailable future — for all four job types.
+// encode() and submit() on a moved-from (torn-down) Store answer
+// Unavailable instead of dereferencing the dead handle.
 TEST(StoreSubmit, MovedFromStoreIsUnavailable)
 {
     Store store = openPlain();
     ASSERT_TRUE(store.put("a.bin", patternBytes(600, 10)).ok());
     Store taken = std::move(store);
 
-    Result<EncodedArtifact> encode = store.submit(EncodeJob{}).get();
+    Result<EncodedArtifact> encode = store.encode();
     ASSERT_FALSE(encode.ok());
     EXPECT_EQ(encode.status().code(), StatusCode::Unavailable);
-
-    Result<DecodedObjects> decode = store.submit(DecodeJob{}).get();
-    ASSERT_FALSE(decode.ok());
-    EXPECT_EQ(decode.status().code(), StatusCode::Unavailable);
 
     Result<TrialSeries> trials = store.submit(TrialJob{}).get();
     ASSERT_FALSE(trials.ok());
     EXPECT_EQ(trials.status().code(), StatusCode::Unavailable);
-
-    Result<ScrubReport> scrub = store.submit(ScrubJob{}).get();
-    ASSERT_FALSE(scrub.ok());
-    EXPECT_EQ(scrub.status().code(), StatusCode::Unavailable);
 
     // The moved-to store still works.
     EXPECT_TRUE(taken.health().ok());
@@ -381,13 +365,15 @@ TEST(StatusCodes, EveryCodeHasAProducingPathOrIsReserved)
               StatusCode::DataLoss);
     std::remove(path.c_str());
 
-    // Unavailable: submitting against a torn-down store (also: a
-    // scrub that cannot trust its repairs — see
-    // StoreScrub.UnrepairablePoolIsUnavailable).
-    Store gone = std::move(store);
-    EXPECT_EQ(gone.put("b.bin", patternBytes(10, 14)).code(),
-              StatusCode::Ok);
-    EXPECT_EQ(store.submit(ScrubJob{}).get().status().code(),
+    // Unavailable: a scrub that cannot trust its repairs (also:
+    // encode() or submit() on a torn-down store — see
+    // StoreSubmit.MovedFromStoreIsUnavailable).
+    Store aged = openAging(decayProfile(0.5, 0.01));
+    ASSERT_TRUE(aged.put("a.bin", patternBytes(900, 9)).ok());
+    ASSERT_TRUE(decayUntilInexact(aged));
+    ScrubOptions policy;
+    policy.minReads = 6;
+    EXPECT_EQ(aged.scrub(policy).status().code(),
               StatusCode::Unavailable);
 
     // Internal: reserved for the no-throw boundary's catch-all (an

@@ -1,8 +1,10 @@
 /**
- * Async batched jobs: EncodeJob/DecodeJob artifact round trips,
- * TrialJob equivalence with the raw simulator, and the Scenario Lab
- * determinism contract (bit-identical series for every thread
- * count).
+ * Unit-text round trips (Store::encode -> decodeUnitText), TrialJob
+ * equivalence with the raw simulator, the Scenario Lab determinism
+ * contract (bit-identical series for every thread count), and the
+ * deferred Future's snapshot: a pending trial batch runs on the
+ * simulator it was submitted against, after rebuilds and after its
+ * Store is gone.
  */
 
 #include <gtest/gtest.h>
@@ -39,7 +41,7 @@ openTiny(const ChannelOptions &channel)
 
 } // namespace
 
-TEST(EncodeJob, ArtifactRoundTripsThroughDecodeJob)
+TEST(UnitText, EncodeRoundTripsThroughDecodeUnitText)
 {
     ChannelOptions channel;
     channel.errorRate(0.03).coverage(8);
@@ -49,8 +51,7 @@ TEST(EncodeJob, ArtifactRoundTripsThroughDecodeJob)
     ASSERT_TRUE(store.put("a.bin", a).ok());
     ASSERT_TRUE(store.put("b.bin", b).ok());
 
-    Result<EncodedArtifact> artifact =
-        store.submit(EncodeJob{}).get();
+    Result<EncodedArtifact> artifact = store.encode();
     ASSERT_TRUE(artifact.ok()) << artifact.status().toString();
     EXPECT_EQ(artifact->strands.size(),
               StorageConfig::tinyTest().codewordLen());
@@ -58,9 +59,7 @@ TEST(EncodeJob, ArtifactRoundTripsThroughDecodeJob)
     // The header is self-describing.
     EXPECT_EQ(artifact->header.rfind("#dnastore ", 0), 0u);
 
-    DecodeJob decode;
-    decode.text = artifact->text();
-    Result<DecodedObjects> decoded = store.submit(decode).get();
+    Result<DecodedObjects> decoded = decodeUnitText(artifact->text());
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
     EXPECT_TRUE(decoded->exact);
     ASSERT_EQ(decoded->files.size(), 2u);
@@ -70,27 +69,23 @@ TEST(EncodeJob, ArtifactRoundTripsThroughDecodeJob)
     EXPECT_EQ(decoded->files[1].data, b);
 }
 
-TEST(DecodeJob, BadHeaderIsFailedPrecondition)
+TEST(UnitText, BadHeaderIsFailedPrecondition)
 {
-    Store store = openTiny(ChannelOptions());
-    DecodeJob job;
-    job.text = "not a unit file\nACGT\n";
-    Result<DecodedObjects> decoded = store.submit(job).get();
+    Result<DecodedObjects> decoded =
+        decodeUnitText("not a unit file\nACGT\n");
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().code(),
               StatusCode::FailedPrecondition);
 
-    job.text = "#dnastore m=8 rows=12 parity=47 primer=10 "
-               "scheme=nonsense\n";
-    decoded = store.submit(job).get();
+    decoded = decodeUnitText("#dnastore m=8 rows=12 parity=47 primer=10 "
+                             "scheme=nonsense\n");
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().code(),
               StatusCode::FailedPrecondition);
 
     // A parsable header with an impossible geometry.
-    job.text = "#dnastore m=1 rows=12 parity=47 primer=10 "
-               "scheme=gini\n";
-    decoded = store.submit(job).get();
+    decoded = decodeUnitText("#dnastore m=1 rows=12 parity=47 primer=10 "
+                             "scheme=gini\n");
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().code(),
               StatusCode::FailedPrecondition);
@@ -192,10 +187,10 @@ TEST(TrialJob, SeriesIsThreadCountInvariant)
     }
 }
 
-TEST(TrialJob, ConcurrentSubmitsShareTheStore)
+TEST(TrialJob, TwoPendingJobsShareTheStore)
 {
-    // Two batches in flight at once: job bodies only touch const
-    // simulator paths, so interleaving must not change either.
+    // Two batches pending at once, read in reverse submit order: job
+    // bodies only touch const simulator paths, so neither changes.
     ChannelOptions channel;
     channel.errorRate(0.04).coverage(6);
     Store store = openTiny(channel);
@@ -207,8 +202,8 @@ TEST(TrialJob, ConcurrentSubmitsShareTheStore)
     job_b.trialSeeds = { 55, 66, 77, 88 };
     auto fut_a = store.submit(job_a);
     auto fut_b = store.submit(job_b);
-    Result<TrialSeries> a = fut_a.get();
     Result<TrialSeries> b = fut_b.get();
+    Result<TrialSeries> a = fut_a.get();
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
 
@@ -222,12 +217,12 @@ TEST(TrialJob, ConcurrentSubmitsShareTheStore)
     }
 }
 
-TEST(TrialJob, SurvivesConcurrentRebuild)
+TEST(TrialJob, SurvivesRebuildBeforeGet)
 {
-    // Regression: a synchronous retrieval (or put + retrieval) while
-    // a TrialJob is in flight rebuilds the store's simulator; the
-    // job must keep its own snapshot alive instead of dereferencing
-    // the freed one. (ASan-guarded in the sanitizer CI job.)
+    // Regression: a retrieval (or put + retrieval) while a TrialJob
+    // is pending rebuilds the store's simulator; the job must keep
+    // its own snapshot alive instead of dereferencing the freed one.
+    // (ASan-guarded in the sanitizer CI job.)
     ChannelOptions channel;
     channel.errorRate(0.04).coverage(6);
     Store store = openTiny(channel);
@@ -239,7 +234,7 @@ TEST(TrialJob, SurvivesConcurrentRebuild)
         job.trialSeeds.push_back(seed_stream.next());
     auto future = store.submit(job);
 
-    // Force a rebuild mid-flight: a new object dirties the unit and
+    // Force a rebuild before get(): a new object dirties the unit and
     // the retrieval re-synthesizes it.
     ASSERT_TRUE(store.put("q", patternBytes(300, 9)).ok());
     ASSERT_TRUE(store.retrieveAll().ok());
@@ -248,8 +243,8 @@ TEST(TrialJob, SurvivesConcurrentRebuild)
     ASSERT_TRUE(series.ok()) << series.status().toString();
     ASSERT_EQ(series->trials.size(), 12u);
 
-    // The in-flight job saw the pre-rebuild unit: identical to a
-    // fresh single-object store run serially.
+    // The pending job saw the pre-rebuild unit: identical to a fresh
+    // single-object store.
     Store reference = openTiny(channel);
     ASSERT_TRUE(reference.put("p", patternBytes(900, 2)).ok());
     Result<TrialSeries> expected = reference.submit(job).get();
@@ -264,11 +259,50 @@ TEST(TrialJob, SurvivesConcurrentRebuild)
     }
 }
 
-TEST(EncodeJob, PrimerKeySurvivesTheArtifact)
+TEST(TrialJob, FutureOutlivesItsStore)
+{
+    // The Future owns its snapshot: reading it after the Store is
+    // destroyed runs the batch on the submitted unit. (ASan-guarded
+    // in the sanitizer CI job.)
+    ChannelOptions channel;
+    channel.errorRate(0.04).coverage(6);
+    TrialJob job;
+    job.trialSeeds = { 3, 1, 4, 1, 5 };
+    job.threads = 2;
+    Future<Result<TrialSeries>> future;
+    {
+        Store store = openTiny(channel);
+        ASSERT_TRUE(store.put("p", patternBytes(900, 2)).ok());
+        future = store.submit(job);
+    }
+    Result<TrialSeries> series = future.get();
+    ASSERT_TRUE(series.ok()) << series.status().toString();
+    ASSERT_EQ(series->trials.size(), job.trialSeeds.size());
+
+    Store reference = openTiny(channel);
+    ASSERT_TRUE(reference.put("p", patternBytes(900, 2)).ok());
+    Result<TrialSeries> expected = reference.submit(job).get();
+    ASSERT_TRUE(expected.ok());
+    for (size_t t = 0; t < series->trials.size(); ++t) {
+        EXPECT_EQ(series->trials[t].success,
+                  expected->trials[t].success);
+        EXPECT_EQ(series->trials[t].byteErrorRate,
+                  expected->trials[t].byteErrorRate);
+        EXPECT_EQ(series->trials[t].readsGenerated,
+                  expected->trials[t].readsGenerated);
+    }
+
+    // The Result is yielded exactly once.
+    EXPECT_FALSE(future.valid());
+    EXPECT_EQ(future.get().status().code(),
+              StatusCode::FailedPrecondition);
+}
+
+TEST(UnitText, PrimerKeySurvivesTheArtifact)
 {
     // Regression: a non-default primerKey derives a different primer
-    // pair; the artifact header must carry it or DecodeJob searches
-    // for the wrong primers in perfectly clean text.
+    // pair; the artifact header must carry it or decodeUnitText
+    // searches for the wrong primers in perfectly clean text.
     StoreOptions options = StoreOptions::tiny();
     options.primerKey(0xABC).unitSeed(7);
     ChannelOptions channel;
@@ -278,14 +312,11 @@ TEST(EncodeJob, PrimerKeySurvivesTheArtifact)
     auto payload = patternBytes(400, 3);
     ASSERT_TRUE(opened->put("k.bin", payload).ok());
 
-    Result<EncodedArtifact> artifact =
-        opened->submit(EncodeJob{}).get();
+    Result<EncodedArtifact> artifact = opened->encode();
     ASSERT_TRUE(artifact.ok());
     EXPECT_NE(artifact->header.find(" key="), std::string::npos);
 
-    DecodeJob decode;
-    decode.text = artifact->text();
-    Result<DecodedObjects> decoded = opened->submit(decode).get();
+    Result<DecodedObjects> decoded = decodeUnitText(artifact->text());
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
     EXPECT_TRUE(decoded->exact);
     ASSERT_EQ(decoded->files.size(), 1u);
@@ -309,8 +340,8 @@ TEST(TrialJob, ClustererWithoutOptionsIsFailedPrecondition)
 
 TEST(TrialJob, NonFiniteScrubPolicyIsInvalidArgument)
 {
-    // Store::scrub and ScrubJob reject this policy; a scrubbing
-    // TrialJob runs the same rule instead of scrubbing nothing.
+    // Store::scrub rejects this policy; a scrubbing TrialJob runs the
+    // same rule instead of scrubbing nothing.
     AgingProfile aging;
     aging.strandLossRate = 0.2;
     ChannelOptions channel;

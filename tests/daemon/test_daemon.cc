@@ -19,8 +19,9 @@
  *  - bounded resources: finished connections release their
  *    descriptors, so short connections never exhaust the fd limit;
  *  - drain durability: drain() persists every dirty tenant pool as a
- *    loadable .dnapool, and (subprocess test) SIGTERM mid-load exits
- *    0 with every acked put durable.
+ *    loadable .dnapool, and (subprocess tests) SIGTERM mid-load, or
+ *    after a client closed on pipelined requests, exits 0 with every
+ *    acked put durable.
  */
 
 #include <gtest/gtest.h>
@@ -921,31 +922,59 @@ TEST(DaemonE2E, DrainSavesDirtyPoolsAsLoadableFiles)
 
 #ifdef DNASTORE_CLI_PATH
 
-TEST(DaemonCli, SigtermMidLoadDrainsCleanAndDurable)
-{
-    const std::string root = freshRoot("sigterm");
-    const std::string portFile = root + "/port.txt";
+namespace {
 
-    pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        ::execl(DNASTORE_CLI_PATH, DNASTORE_CLI_PATH, "serve",
-                "--root", root.c_str(), "--port-file",
-                portFile.c_str(), static_cast<char *>(nullptr));
+/**
+ * Fork and exec the real binary as `serve --root @p root --port-file
+ * @p portFile`; @p pid receives the child (negative when fork
+ * failed). The published port, or 0 when none appears within 30 s.
+ */
+uint16_t
+spawnServe(const std::string &root, const std::string &portFile,
+           pid_t *pid)
+{
+    *pid = ::fork();
+    if (*pid == 0) {
+        ::execl(DNASTORE_CLI_PATH, DNASTORE_CLI_PATH, "serve", "--root",
+                root.c_str(), "--port-file", portFile.c_str(),
+                static_cast<char *>(nullptr));
         _exit(127); // exec failed
     }
-
-    // Wait for the daemon to publish its port.
-    uint16_t port = 0;
-    for (int i = 0; i < 300 && port == 0; ++i) {
+    if (*pid < 0)
+        return 0;
+    for (int i = 0; i < 300; ++i) {
         std::ifstream f(portFile);
         unsigned p = 0;
         if (f >> p && p != 0)
-            port = uint16_t(p);
-        else
-            ::usleep(100 * 1000);
+            return uint16_t(p);
+        ::usleep(100 * 1000);
     }
-    ASSERT_NE(port, 0) << "daemon never wrote " << portFile;
+    return 0;
+}
+
+/** Reopen @p pool read-only under the default tenant channel. */
+api::Result<api::Store>
+openSavedPool(const std::string &pool)
+{
+    api::OpenOptions open_opt;
+    open_opt.mode = api::OpenMode::ReadOnly;
+    TenantConfig defaults;
+    return api::Store::openFile(pool,
+                                api::ChannelOptions()
+                                    .errorRate(defaults.errorRate)
+                                    .coverage(defaults.coverage),
+                                open_opt);
+}
+
+} // namespace
+
+TEST(DaemonCli, SigtermMidLoadDrainsCleanAndDurable)
+{
+    const std::string root = freshRoot("sigterm");
+    pid_t pid = -1;
+    const uint16_t port = spawnServe(root, root + "/port.txt", &pid);
+    ASSERT_GT(pid, 0);
+    ASSERT_NE(port, 0) << "daemon never published its port";
 
     // Hammer with concurrent clients while SIGTERM lands mid-load.
     // Puts acked before the connection dies MUST survive the drain.
@@ -991,15 +1020,7 @@ TEST(DaemonCli, SigtermMidLoadDrainsCleanAndDurable)
             continue;
         const std::string pool =
             root + "/load" + std::to_string(t) + ".dnapool";
-        api::OpenOptions open_opt;
-        open_opt.mode = api::OpenMode::ReadOnly;
-        TenantConfig defaults;
-        api::Result<api::Store> store = api::Store::openFile(
-            pool,
-            api::ChannelOptions()
-                .errorRate(defaults.errorRate)
-                .coverage(defaults.coverage),
-            open_opt);
+        api::Result<api::Store> store = openSavedPool(pool);
         ASSERT_TRUE(store.ok())
             << pool << ": " << store.status().toString();
         for (size_t o = 0; o < acked[size_t(t)].size(); ++o) {
@@ -1027,20 +1048,9 @@ TEST(DaemonCli, PortFileNeverWritesThroughAPlantedSymlink)
     std::ofstream(victim) << "precious";
     ASSERT_EQ(::symlink(victim.c_str(), (portFile + ".tmp").c_str()), 0);
 
-    pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        ::execl(DNASTORE_CLI_PATH, DNASTORE_CLI_PATH, "serve", "--root",
-                root.c_str(), "--port-file", portFile.c_str(),
-                static_cast<char *>(nullptr));
-        _exit(127); // exec failed
-    }
-    unsigned port = 0;
-    for (int i = 0; i < 300 && port == 0; ++i) {
-        std::ifstream f(portFile);
-        if (!(f >> port))
-            ::usleep(100 * 1000);
-    }
+    pid_t pid = -1;
+    const uint16_t port = spawnServe(root, portFile, &pid);
+    ASSERT_GT(pid, 0);
     ::kill(pid, SIGTERM);
     int wait_status = 0;
     ASSERT_EQ(::waitpid(pid, &wait_status, 0), pid);
@@ -1052,6 +1062,60 @@ TEST(DaemonCli, PortFileNeverWritesThroughAPlantedSymlink)
     struct stat st;
     ASSERT_EQ(::lstat(portFile.c_str(), &st), 0);
     EXPECT_TRUE(S_ISREG(st.st_mode)) << portFile << " is not a regular file";
+}
+
+// Regression: a client that pipelines two requests and closes before
+// reading any answer used to kill dnastored. The first response drew
+// a reset from the closed peer, and the second write raised SIGPIPE,
+// so the process died by signal before its drain could save the
+// acknowledged put. Now only that connection's write fails.
+TEST(DaemonCli, EarlyCloseOnPipelinedRequestsLeavesTheDaemonUp)
+{
+    const std::string root = freshRoot("earlyclose");
+    pid_t pid = -1;
+    const uint16_t port = spawnServe(root, root + "/port.txt", &pid);
+    ASSERT_GT(pid, 0);
+    ASSERT_NE(port, 0) << "daemon never published its port";
+
+    const std::vector<uint8_t> payload = patternBytes(300, 7);
+    {
+        Client client;
+        ASSERT_TRUE(client.connect(port).ok());
+        ASSERT_TRUE(client.put("t0", "obj.bin", payload).ok());
+    }
+
+    // Two Trial frames in one write, then a normal close. Each batch
+    // runs far longer than the reset takes to come back.
+    Request trial;
+    trial.op = Op::Trial;
+    trial.tenant = "t0";
+    trial.trials = 50;
+    trial.trialSeed = 1;
+    std::vector<uint8_t> wire = frame(encodeRequest(trial));
+    const std::vector<uint8_t> one = wire;
+    wire.insert(wire.end(), one.begin(), one.end());
+    {
+        Client rude;
+        ASSERT_TRUE(rude.connect(port).ok());
+        ASSERT_TRUE(rude.sendRaw(wire).ok());
+    }
+
+    // The drain waits for both batches, so both writes happen before
+    // the daemon exits.
+    EXPECT_TRUE(pingOnFreshConnection(port, 5000));
+    ASSERT_EQ(::kill(pid, SIGTERM), 0);
+    int wait_status = 0;
+    ASSERT_EQ(::waitpid(pid, &wait_status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(wait_status))
+        << "daemon died by signal "
+        << (WIFSIGNALED(wait_status) ? WTERMSIG(wait_status) : 0);
+    EXPECT_EQ(WEXITSTATUS(wait_status), 0);
+
+    api::Result<api::Store> store = openSavedPool(root + "/t0.dnapool");
+    ASSERT_TRUE(store.ok()) << store.status().toString();
+    api::Result<std::vector<uint8_t>> got = store->get("obj.bin");
+    ASSERT_TRUE(got.ok()) << got.status().toString();
+    EXPECT_EQ(*got, payload);
 }
 
 // `client trial` runs the daemon's trial-count rule before it

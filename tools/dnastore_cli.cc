@@ -467,8 +467,7 @@ cmdEncode(const CliOptions &opt)
     if (!putInputs(*store, opt, &exit_code))
         return exit_code;
 
-    api::Result<api::EncodedArtifact> artifact =
-        store->submit(api::EncodeJob{}).get();
+    api::Result<api::EncodedArtifact> artifact = store->encode();
     if (!artifact.ok()) {
         printStatus(artifact.status());
         return statusExit(artifact.status());
@@ -530,18 +529,9 @@ cmdDecode(const CliOptions &opt)
     std::stringstream buffer;
     buffer << in.rdbuf();
 
-    // The unit header is self-describing; the store only hosts the
-    // job (and its thread knob).
-    api::Result<api::Store> store = api::Store::open(
-        api::StoreOptions().threads(opt.threads));
-    if (!store.ok()) {
-        printStatus(store.status());
-        return statusExit(store.status());
-    }
-    api::DecodeJob job;
-    job.text = buffer.str();
+    // The unit header is self-describing: no store is needed.
     api::Result<api::DecodedObjects> decoded =
-        store->submit(job).get();
+        api::decodeUnitText(buffer.str(), opt.threads);
     if (!decoded.ok()) {
         printStatus(decoded.status());
         return statusExit(decoded.status());

@@ -10,7 +10,8 @@ to police by hand:
      facade and the daemon built on it report errors exclusively
      through api::Status / api::Result<T> (see api/status.hh). A throw
      that escapes either directory would tear down a daemon connection
-     thread instead of producing a wire status.
+     thread instead of producing a wire status. `std::async` is banned
+     there too: it throws std::system_error when no thread can start.
 
   2. statuscode-wire-mapping
      Every enumerator of api::StatusCode (parsed from api/status.hh)
@@ -174,9 +175,22 @@ class Violation:
 
 
 # --------------------------------------------------------------------------
-# Check 1: no throw under src/api/ or src/daemon/.
+# Check 1: no throw (and no throwing std::async) under src/api/ or
+# src/daemon/.
 
-THROW_RE = re.compile(r"(?<![A-Za-z0-9_])throw(?![A-Za-z0-9_])")
+NO_THROW_BANS = (
+    (
+        re.compile(r"(?<![A-Za-z0-9_])throw(?![A-Za-z0-9_])"),
+        "`throw` inside the no-throw Status boundary "
+        "(return api::Status / api::Result instead)",
+    ),
+    (
+        re.compile(r"\bstd\s*::\s*async\b"),
+        "`std::async` inside the no-throw Status boundary: it throws "
+        "std::system_error when no thread can start (run the work on "
+        "the caller's thread)",
+    ),
+)
 
 
 def check_no_throw(root):
@@ -184,17 +198,12 @@ def check_no_throw(root):
     for path in iter_source_files(root, NO_THROW_DIRS):
         stripped = strip_comments_and_strings(read_text(path))
         for lineno, line in enumerate(stripped.splitlines(), 1):
-            if THROW_RE.search(line):
-                rel = os.path.relpath(path, root)
-                violations.append(
-                    Violation(
-                        "no-throw-boundary",
-                        rel,
-                        lineno,
-                        "`throw` inside the no-throw Status boundary "
-                        "(return api::Status / api::Result instead)",
+            for pattern, detail in NO_THROW_BANS:
+                if pattern.search(line):
+                    rel = os.path.relpath(path, root)
+                    violations.append(
+                        Violation("no-throw-boundary", rel, lineno, detail)
                     )
-                )
     return violations
 
 
@@ -525,7 +534,8 @@ def clean_tree_files():
         # any check.
         "src/api/store.cc": (
             "// may throw? no: @throws is only documentation\n"
-            'const char *msg = "throw time() rand()";\n'
+            "// std::async in a comment is fine\n"
+            'const char *msg = "throw time() rand() std::async";\n'
         ),
         "src/daemon/server.cc": "int serve() { return 0; }\n",
         "src/cluster/greedy.cc": (
@@ -591,6 +601,23 @@ def self_test():
             write_tree(root, seeded)
             got = [v for v in run_checks(root) if v.check == "no-throw-boundary"]
             expect(len(got) == 1, "seeded throw-in-daemon not caught", failures)
+
+            # Seed 1c: std::async (throws when no thread starts) in
+            # api/ and in daemon/.
+            for rel in ("src/api/store.cc", "src/daemon/server.cc"):
+                seeded = dict(clean_tree_files())
+                seeded[rel] += (
+                    "auto f = std::async(std::launch::async, [] {});\n"
+                )
+                write_tree(root, seeded)
+                got = [
+                    v for v in run_checks(root) if v.check == "no-throw-boundary"
+                ]
+                expect(
+                    len(got) == 1 and "std::async" in got[0].detail,
+                    "seeded std::async in %s not caught exactly once" % rel,
+                    failures,
+                )
 
             # Seed 2: a StatusCode enumerator with no wire mapping.
             seeded = dict(clean_tree_files())
