@@ -60,13 +60,13 @@ mapRetrieval(RetrievalResult &&result)
     return out;
 }
 
-/** What encode() and submit() answer on a moved-from Store. */
+/** What every Status or Result method answers on a moved-from Store. */
 Status
 movedFromStore()
 {
     return Status::unavailable(
         "the store was moved from or torn down; nothing can be "
-        "submitted against it");
+        "served from it");
 }
 
 std::string
@@ -464,6 +464,8 @@ Store::openContents(PoolFileContents file, const ChannelOptions &channel,
 Status
 Store::save(const std::string &path, bool with_pools)
 {
+    if (!rep_)
+        return movedFromStore();
     Status status = with_pools ? rep_->ensureSynthesized()
                                : rep_->ensurePrepared();
     if (!status.ok())
@@ -490,12 +492,14 @@ Store::save(const std::string &path, bool with_pools)
 bool
 Store::readOnly() const
 {
-    return rep_->readOnly;
+    return rep_ && rep_->readOnly;
 }
 
 Status
 Store::put(const std::string &name, std::vector<uint8_t> data)
 {
+    if (!rep_)
+        return movedFromStore();
     if (rep_->readOnly)
         return Status::failedPrecondition(
             "the store was opened read-only; put() is not available");
@@ -534,6 +538,8 @@ std::vector<ObjectInfo>
 Store::list() const
 {
     std::vector<ObjectInfo> out;
+    if (!rep_)
+        return out;
     out.reserve(rep_->bundle.fileCount());
     for (const auto &file : rep_->bundle.files())
         out.push_back({ file.name, file.data.size() });
@@ -543,30 +549,34 @@ Store::list() const
 bool
 Store::contains(const std::string &name) const
 {
-    return rep_->bundle.find(name) != nullptr;
+    return rep_ && rep_->bundle.find(name) != nullptr;
 }
 
 size_t
 Store::objectCount() const
 {
-    return rep_->bundle.fileCount();
+    return rep_ ? rep_->bundle.fileCount() : 0;
 }
 
 size_t
 Store::totalBytes() const
 {
-    return rep_->bundle.totalBytes();
+    return rep_ ? rep_->bundle.totalBytes() : 0;
 }
 
 Status
 Store::synthesize()
 {
+    if (!rep_)
+        return movedFromStore();
     return rep_->build(/*with_pools=*/true);
 }
 
 Result<std::shared_ptr<const Retrieval>>
 Store::retrieveShared()
 {
+    if (!rep_)
+        return movedFromStore();
     // The pool-backed retrieval cannot combine gamma coverage with
     // the real clusterer (retrieveClustered reads fixed pool
     // prefixes); per-trial read generation (TrialJob) can.
@@ -621,6 +631,8 @@ Store::retrieveAll()
 Result<Retrieval>
 Store::retrieveAt(size_t coverage)
 {
+    if (!rep_)
+        return movedFromStore();
     if (const char *err = CoverageModel::checkFixed(coverage))
         return Status::invalidArgument(err);
     if (coverage > rep_->channel.maxCoverage())
@@ -640,6 +652,8 @@ Store::retrieveAt(size_t coverage)
 Result<std::vector<uint8_t>>
 Store::get(const std::string &name)
 {
+    if (!rep_)
+        return movedFromStore();
     if (!rep_->bundle.find(name))
         return Status::notFound(
             formatMessage("no object named '%s'", name.c_str()));
@@ -654,6 +668,8 @@ Store::get(const std::string &name)
 Result<size_t>
 Store::minExactCoverage(size_t lo, size_t hi)
 {
+    if (!rep_)
+        return movedFromStore();
     if (lo == 0 || hi < lo)
         return Status::invalidArgument(formatMessage(
             "coverage range [%zu, %zu] is empty or starts at 0", lo,
@@ -680,6 +696,8 @@ Store::minExactCoverage(size_t lo, size_t hi)
 Result<HealthReport>
 Store::health()
 {
+    if (!rep_)
+        return movedFromStore();
     Status status = rep_->ensureSynthesized();
     if (!status.ok())
         return status;
@@ -693,6 +711,8 @@ Store::health()
 Result<size_t>
 Store::age(size_t epochs)
 {
+    if (!rep_)
+        return movedFromStore();
     if (rep_->readOnly)
         return Status::failedPrecondition(
             "the store was opened read-only; age() is not available");
@@ -715,6 +735,8 @@ Store::age(size_t epochs)
 Result<ScrubReport>
 Store::scrub(const ScrubOptions &options)
 {
+    if (!rep_)
+        return movedFromStore();
     if (rep_->readOnly)
         return Status::failedPrecondition(
             "the store was opened read-only; scrub() is not "
@@ -862,12 +884,15 @@ Store::submit(const TrialJob &job)
 const StoreOptions &
 Store::options() const
 {
-    return rep_->options;
+    static const StoreOptions kDefaults;
+    return rep_ ? rep_->options : kDefaults;
 }
 
 StorageConfig
 Store::unitConfig() const
 {
+    if (!rep_)
+        return options().config();
     Result<StorageConfig> cfg = rep_->resolveConfig();
     return cfg.ok() ? *cfg : rep_->options.config();
 }
@@ -875,13 +900,13 @@ Store::unitConfig() const
 size_t
 Store::capacityBytes() const
 {
-    return unitConfig().capacityBytes();
+    return rep_ ? unitConfig().capacityBytes() : 0;
 }
 
 size_t
 Store::strandCount() const
 {
-    return rep_->prepared && !rep_->dirty
+    return rep_ && rep_->prepared && !rep_->dirty
         ? rep_->sim->unit().strands.size()
         : 0;
 }

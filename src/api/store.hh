@@ -261,7 +261,14 @@ class Future
 Result<DecodedObjects> decodeUnitText(const std::string &text,
                                       size_t threads = 1);
 
-/** The public storage façade. One Store = one encoding unit. */
+/**
+ * The public storage façade. One Store = one encoding unit.
+ *
+ * A moved-from Store holds nothing: every Status- or Result-returning
+ * method answers Unavailable, list() is empty, contains() false,
+ * readOnly() false, objectCount(), totalBytes(), capacityBytes() and
+ * strandCount() 0, and options() / unitConfig() are the defaults.
+ */
 class Store
 {
   public:
@@ -438,8 +445,8 @@ class Store
     // ------------------------------------------------------ unit text
     /**
      * Encode the current objects into synthesizable unit text.
-     * Unavailable on a moved-from (or torn-down) Store, as for
-     * submit(): the one state in which the façade cannot serve.
+     * Unavailable on a moved-from (or torn-down) Store, as for every
+     * other Status or Result method.
      */
     Result<EncodedArtifact> encode() const;
 

@@ -311,12 +311,12 @@ GreedyState::bestCluster(StrandView read, size_t limit)
     // minimum within the limit: only a miss needs the second pass.
     size_t best_d = firstBound(limit), best_cluster = size_t(-1);
     uint32_t dists[4];
+    readMasks_.assign(read.data(), read.size());
     for (;;) {
         const size_t bound = best_d;
         for (size_t base = 0; base < k; base += 4) {
             const size_t n = std::min<size_t>(4, k - base);
-            editDistanceBatch(read.data(), read.size(),
-                              reps_.data() + base, n, best_d, dists);
+            readMasks_.batch(reps_.data() + base, n, best_d, dists);
             for (size_t i = 0; i < n; ++i) {
                 const size_t cluster = candidates_[base + i];
                 if (dists[i] < best_d ||

@@ -76,6 +76,7 @@
 #include "cluster/clusterer.hh"
 #include "cluster/gram_index.hh"
 #include "dna/packed_strand.hh"
+#include "dna/strand.hh"
 
 namespace dnastore {
 namespace cluster_detail {
@@ -265,6 +266,7 @@ class GreedyState
     std::vector<uint32_t> frequentHeads_; //!< Chains that only vote.
     std::vector<size_t> candidates_;
     std::vector<StrandView> reps_;
+    MyersPattern readMasks_; //!< The verified read's, once per read.
 
     // The outcome of every verification since reset(): accepted
     // distances in kBoundBins bins by their share of the limit, and

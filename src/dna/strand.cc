@@ -70,25 +70,6 @@ maxHomopolymerRun(const Strand &s)
     return best;
 }
 
-namespace {
-
-/**
- * Myers match masks of @p pattern into @p peq, laid out
- * [base * blocks + block]; returns the 64-row block count.
- */
-size_t
-buildPeq(const Base *pattern, size_t m, std::vector<uint64_t> &peq)
-{
-    const size_t blocks = (m + 63) / 64;
-    peq.assign(size_t(kNumBases) * blocks, 0);
-    for (size_t i = 0; i < m; ++i)
-        peq[size_t(bitsFromBase(pattern[i])) * blocks + (i >> 6)] |=
-            uint64_t(1) << (i & 63);
-    return blocks;
-}
-
-} // namespace
-
 size_t
 editDistanceRange(const Base *a, size_t na, const Base *b, size_t nb)
 {
@@ -101,11 +82,11 @@ editDistanceRange(const Base *a, size_t na, const Base *b, size_t nb)
     }
     if (nb == 0)
         return na;
-    static thread_local std::vector<uint64_t> peq;
-    const size_t blocks = buildPeq(b, nb, peq);
-    const uint8_t *text = reinterpret_cast<const uint8_t *>(a);
+    static thread_local MyersPattern masks;
+    masks.assign(b, nb);
+    const StrandView text(a, na);
     uint32_t dist = 0;
-    simd::myersBatch(peq.data(), nb, blocks, &text, &na, 1, na, &dist);
+    masks.batch(&text, 1, na, &dist);
     return dist;
 }
 
@@ -120,20 +101,35 @@ editDistanceBatch(const Base *pattern, size_t m,
                   const StrandView *texts, size_t k, size_t limit,
                   uint32_t *dists)
 {
-    if (m == 0) {
+    static thread_local MyersPattern masks;
+    masks.assign(pattern, m);
+    masks.batch(texts, k, limit, dists);
+}
+
+void
+MyersPattern::assign(const Base *pattern, size_t m)
+{
+    // Masks laid out [base * blocks + block]: Myers blocks advance 64
+    // DP rows per word (or per vector lane) operation.
+    m_ = m;
+    blocks_ = (m + 63) / 64;
+    peq_.assign(size_t(kNumBases) * blocks_, 0);
+    for (size_t i = 0; i < m; ++i)
+        peq_[size_t(bitsFromBase(pattern[i])) * blocks_ + (i >> 6)] |=
+            uint64_t(1) << (i & 63);
+}
+
+void
+MyersPattern::batch(const StrandView *texts, size_t k, size_t limit,
+                    uint32_t *dists) const
+{
+    if (m_ == 0) {
         for (size_t i = 0; i < k; ++i) {
             const size_t n = texts[i].size();
             dists[i] = uint32_t(n <= limit ? n : limit + 1);
         }
         return;
     }
-
-    // Build the pattern's match masks once; every text comparison
-    // reuses them. Myers blocks advance 64 DP rows per word (or per
-    // vector lane) operation.
-    static thread_local std::vector<uint64_t> peq;
-    const size_t blocks = buildPeq(pattern, m, peq);
-
     static thread_local std::vector<const uint8_t *> ptrs;
     static thread_local std::vector<size_t> lens;
     ptrs.resize(k);
@@ -142,7 +138,7 @@ editDistanceBatch(const Base *pattern, size_t m,
         ptrs[i] = reinterpret_cast<const uint8_t *>(texts[i].data());
         lens[i] = texts[i].size();
     }
-    simd::myersBatch(peq.data(), m, blocks, ptrs.data(), lens.data(),
+    simd::myersBatch(peq_.data(), m_, blocks_, ptrs.data(), lens.data(),
                      k, limit, dists);
 }
 

@@ -74,6 +74,28 @@ void editDistanceBatch(const Base *pattern, size_t m,
                        const StrandView *texts, size_t k, size_t limit,
                        uint32_t *dists);
 
+/**
+ * A pattern's Myers match masks, built once by assign() and shared by
+ * every batch() against it, so a read verified in several groups of
+ * four, or at two bounds, builds them once. batch() answers exactly
+ * what editDistanceBatch does for the assigned pattern.
+ */
+class MyersPattern
+{
+  public:
+    /** Build the masks of the @p m bases at @p pattern. */
+    void assign(const Base *pattern, size_t m);
+
+    /** editDistanceBatch of the assigned pattern against @p texts. */
+    void batch(const StrandView *texts, size_t k, size_t limit,
+               uint32_t *dists) const;
+
+  private:
+    std::vector<uint64_t> peq_;
+    size_t m_ = 0;
+    size_t blocks_ = 0;
+};
+
 /** Number of positions where equal-length prefixes differ. */
 size_t hammingDistance(const Strand &a, const Strand &b);
 

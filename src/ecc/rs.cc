@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "util/simd.hh"
+
 namespace dnastore {
 
 namespace {
@@ -53,31 +55,80 @@ constexpr unsigned kMaxSliceBits = 5;
  * with S slices per feedback symbol. acc[d] accumulates the
  * coefficient of x^d: the feedback at degree i + E is
  * f = data[i] ^ acc[i + E], and f g(x) x^i minus its leading term is
- * the XOR of S table rows over acc[i, i + E).
+ * the XOR of S table rows over acc[i, i + E). The next feedback is
+ * XORed first, from the rows' top symbol, so the serial chain never
+ * waits on the other E - 1 stores.
  */
 template <unsigned S>
-void
+[[gnu::always_inline]] inline void
 divideBySlices(const uint32_t *data, size_t k, size_t e,
                const uint16_t *table, unsigned bits, uint16_t *acc)
 {
     const uint32_t mask = (uint32_t(1) << bits) - 1;
+    uint32_t f = data[k - 1] ^ acc[k - 1 + e];
     for (size_t i = k; i-- > 0;) {
-        const uint32_t f = data[i] ^ acc[i + e];
-        if (f == 0)
+        if (f == 0) {
+            f = i > 0 ? data[i - 1] ^ acc[i - 1 + e] : 0;
             continue;
+        }
         const uint16_t *row[S];
         for (unsigned s = 0; s < S; ++s) {
             const size_t v = (f >> (s * bits)) & mask;
             row[s] = table + ((size_t(s) << bits) + v) * e;
         }
         uint16_t *w = acc + i;
-        for (size_t j = 0; j < e; ++j) {
+        uint16_t top = w[e - 1];
+        for (unsigned s = 0; s < S; ++s)
+            top ^= row[s][e - 1];
+        w[e - 1] = top;
+        f = i > 0 ? data[i - 1] ^ top : 0;
+        for (size_t j = 0; j + 1 < e; ++j) {
             uint16_t x = w[j];
             for (unsigned s = 0; s < S; ++s)
                 x ^= row[s][j];
             w[j] = x;
         }
     }
+}
+
+/** divideBySlices compiled for AVX2: rows XOR sixteen symbols a step. */
+template <unsigned S>
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((target("avx2")))
+#endif
+void
+divideAvx2(const uint32_t *data, size_t k, size_t e, const uint16_t *table,
+           unsigned bits, uint16_t *acc)
+{
+    divideBySlices<S>(data, k, e, table, bits, acc);
+}
+
+/**
+ * syn[j] ^= sum_t alpha^(exp_t + (j + 1) step_t), j < E, over @p s's
+ * terms from @p t on, B at a time with their running exponents in
+ * registers while j runs; returns the first term left over.
+ */
+template <size_t B>
+size_t
+addTerms(const GaloisField &gf, RsScratch &s, size_t t)
+{
+    const uint16_t *ex = gf.expData();
+    const uint32_t n = gf.order();
+    for (; t + B <= s.termExp.size(); t += B) {
+        uint32_t x[B], step[B];
+        std::copy_n(&s.termExp[t], B, x);
+        std::copy_n(&s.termStep[t], B, step);
+        for (size_t j = 0; j < s.syn.size(); ++j) {
+            uint32_t acc = 0;
+            for (size_t b = 0; b < B; ++b) {
+                x[b] += step[b];
+                x[b] -= x[b] >= n ? n : 0;
+                acc ^= ex[x[b]];
+            }
+            s.syn[j] ^= acc;
+        }
+    }
+    return t;
 }
 
 /** True if every one of the @p n symbols at @p p is below 2^m. */
@@ -129,67 +180,40 @@ void
 ReedSolomon::dataRemainder(const uint32_t *data,
                            std::vector<uint16_t> &rem) const
 {
-    static constexpr decltype(&divideBySlices<1>) kDivide[] = {
-        divideBySlices<1>, divideBySlices<2>, divideBySlices<3>,
-        divideBySlices<4>
+    static constexpr decltype(&divideAvx2<1>) kDivide[2][4] = {
+        { divideBySlices<1>, divideBySlices<2>, divideBySlices<3>,
+          divideBySlices<4> },
+        { divideAvx2<1>, divideAvx2<2>, divideAvx2<3>, divideAvx2<4> }
     };
     rem.assign(n_, 0);
-    kDivide[slices_ - 1](data, k(), nPar_, table_.data(), sliceBits_,
-                         rem.data());
+    kDivide[simd::activeLevel() == simd::Level::Avx2][slices_ - 1](
+        data, k(), nPar_, table_.data(), sliceBits_, rem.data());
 }
 
 std::vector<uint32_t>
 ReedSolomon::encode(const std::vector<uint32_t> &data) const
 {
-    if (data.size() != k())
+    std::vector<uint32_t> codeword;
+    codeword.reserve(n_);
+    codeword.assign(data.begin(), data.end());
+    appendParity(codeword);
+    return codeword;
+}
+
+void
+ReedSolomon::appendParity(std::vector<uint32_t> &word) const
+{
+    if (word.size() != k())
         throw std::invalid_argument("ReedSolomon: data size != k");
-    if (!inField(data.data(), data.size(), gf_.degree()))
+    if (!inField(word.data(), word.size(), gf_.degree()))
         throw std::invalid_argument(
             "ReedSolomon: data symbol outside GF(2^m)");
 
     // Systematic encoding: the parity is d(x) x^E mod g(x), stored at
     // codeword positions k..n-1.
-    dataRemainder(data.data(), tlsRemainder);
-    std::vector<uint32_t> codeword;
-    codeword.reserve(n_);
-    codeword.insert(codeword.end(), data.begin(), data.end());
-    codeword.insert(codeword.end(), tlsRemainder.begin(),
-                    tlsRemainder.begin() + std::ptrdiff_t(nPar_));
-    return codeword;
-}
-
-void
-ReedSolomon::syndromesInto(const uint16_t *r, RsScratch &s) const
-{
-    // S_j = r(alpha^j) = sum_i r_i alpha^(i j). Each nonzero term
-    // keeps its running exponent log(r_i) + i j mod n, so a syndrome
-    // is a sum of independent antilog lookups instead of a dependent
-    // Horner chain.
-    const uint16_t *lg = gf_.logData();
-    const uint16_t *ex = gf_.expData();
-    s.termExp.clear();
-    s.termDeg.clear();
-    for (size_t i = 0; i < nPar_; ++i) {
-        if (r[i]) {
-            s.termExp.push_back(lg[r[i]]);
-            s.termDeg.push_back(uint32_t(i));
-        }
-    }
-    const uint32_t n = uint32_t(n_);
-    const size_t terms = s.termExp.size();
-    uint32_t *term = s.termExp.data();
-    const uint32_t *deg = s.termDeg.data();
-    s.syn.resize(nPar_);
-    for (size_t j = 0; j < nPar_; ++j) {
-        uint32_t acc = 0;
-        for (size_t t = 0; t < terms; ++t) {
-            uint32_t e = term[t] + deg[t];
-            e -= e >= n ? n : 0;
-            term[t] = e;
-            acc ^= ex[e];
-        }
-        s.syn[j] = acc;
-    }
+    dataRemainder(word.data(), tlsRemainder);
+    word.insert(word.end(), tlsRemainder.begin(),
+                tlsRemainder.begin() + std::ptrdiff_t(nPar_));
 }
 
 RsDecodeResult
@@ -263,7 +287,21 @@ ReedSolomon::decode(std::vector<uint32_t> &codeword,
     }
     if (erasures.empty())
         s.work = codeword;
-    syndromesInto(s.rem.data(), s);
+    // S_j = r(alpha^j) = sum_i r_i alpha^(i j), j = 1..E: each nonzero
+    // r_i adds antilogs of log(r_i) + i j, independent lookups instead
+    // of a dependent Horner chain.
+    auto add_term = [&](uint32_t v, uint32_t step) {
+        if (v != 0) {
+            s.termExp.push_back(lg[v]);
+            s.termStep.push_back(step);
+        }
+    };
+    s.termExp.clear();
+    s.termStep.clear();
+    for (size_t i = 0; i < nPar_; ++i)
+        add_term(s.rem[i], uint32_t(i));
+    s.syn.assign(nPar_, 0);
+    addTerms<1>(gf_, s, addTerms<8>(gf_, s, 0));
 
     // Erasure locator Gamma(x) = prod (1 - X_k x), built in place.
     s.gamma.assign(1, 1);
@@ -340,14 +378,21 @@ ReedSolomon::decode(std::vector<uint32_t> &codeword,
     } else {
         s.badPositions.clear();
         // Chien search over coefficient degrees: degree d is bad iff
-        // Psi(alpha^{-d}) == 0. Evaluated incrementally — term i is
-        // multiplied by alpha^{-i} per step — and cut short once all
+        // Psi(alpha^{-d}) == 0, a sum of one antilog per nonzero term
+        // psi_i, whose exponent steps by n - i; it stops once all
         // deg(Psi) roots are found.
-        s.chien.assign(psi.begin(), psi.end());
+        s.termExp.clear();
+        s.termStep.clear();
+        for (size_t i = 1; i <= psi_deg; ++i)
+            add_term(psi[i], uint32_t(n_ - i));
         for (size_t d = 0; d < n_; ++d) {
-            uint32_t eval = 0;
-            for (size_t i = 0; i <= psi_deg; ++i)
-                eval ^= s.chien[i];
+            uint32_t eval = psi[0];
+            for (size_t t = 0; t < s.termExp.size(); ++t) {
+                uint32_t &x = s.termExp[t];
+                eval ^= ex[x];
+                x += s.termStep[t];
+                x -= x >= n_ ? uint32_t(n_) : 0;
+            }
             if (eval == 0) {
                 size_t pos =
                     d < nPar_ ? k() + d : d - nPar_;
@@ -356,19 +401,16 @@ ReedSolomon::decode(std::vector<uint32_t> &codeword,
                 if (s.badPositions.size() == psi_deg)
                     break;
             }
-            for (size_t i = 1; i <= psi_deg; ++i) {
-                uint32_t t = s.chien[i];
-                if (t)
-                    s.chien[i] = ex[lg[t] + n_ - uint32_t(i)];
-            }
         }
     }
     if (s.badPositions.size() != psi_deg)
         return result; // locator degree mismatch: decoding failure
 
-    // Error evaluator Omega(x) = S(x) * Psi(x) mod x^E.
-    s.omega.assign(nPar_, 0);
-    for (size_t i = 0; i < nPar_; ++i) {
+    // Error evaluator Omega(x) = S(x) * Psi(x) mod x^E, below degree
+    // deg(Psi) only; the higher coefficients are zero whenever the
+    // check below can pass (see rs.hh).
+    s.omega.assign(psi_deg, 0);
+    for (size_t i = 0; i < psi_deg; ++i) {
         uint32_t acc = 0;
         for (size_t j = 0; j <= i && j < psi.size(); ++j)
             acc ^= gf_.mul(psi[j], s.syn[i - j]);
@@ -379,8 +421,11 @@ ReedSolomon::decode(std::vector<uint32_t> &codeword,
     for (size_t i = 1; i < psi.size(); ++i)
         s.psiDeriv[i - 1] = (i & 1) ? psi[i] : 0;
 
-    // Forney: e_k = Omega(X_k^{-1}) / Psi'(X_k^{-1})  (fcr = 1).
-    s.evals.resize(s.badPositions.size());
+    // Forney: e_k = Omega(X_k^{-1}) / Psi'(X_k^{-1})  (fcr = 1). Each
+    // value e at X also becomes a term for the check below: it moves
+    // S_j by e X^j, the antilog of log e + j log X.
+    s.termExp.clear();
+    s.termStep.clear();
     for (size_t idx = 0; idx < s.badPositions.size(); ++idx) {
         uint32_t x_inv = gf_.inverse(s.badX[idx]);
         uint32_t num =
@@ -390,25 +435,13 @@ ReedSolomon::decode(std::vector<uint32_t> &codeword,
         if (den == 0)
             return result;
         uint32_t e = gf_.div(num, den);
-        s.evals[idx] = e;
+        add_term(e, lg[s.badX[idx]]);
         s.work[s.badPositions[idx]] ^= e;
     }
 
-    // Verify the correction produced a codeword: update the syndromes
-    // incrementally with the applied error values — correcting e at
-    // codeword degree d changes syndrome j by e * alpha^{(j+1) d} =
-    // e * X^(j+1) — instead of recomputing all n symbols.
-    for (size_t idx = 0; idx < s.badPositions.size(); ++idx) {
-        const uint32_t e = s.evals[idx];
-        if (e == 0)
-            continue;
-        const uint32_t x = s.badX[idx];
-        uint32_t p = x;
-        for (size_t j = 0; j < nPar_; ++j) {
-            s.syn[j] ^= gf_.mul(e, p);
-            p = gf_.mul(p, x);
-        }
-    }
+    // Verify the correction produced a codeword: the applied values'
+    // terms must cancel every syndrome (no pass over all n symbols).
+    addTerms<1>(gf_, s, addTerms<8>(gf_, s, 0));
     if (!std::all_of(s.syn.begin(), s.syn.end(),
                      [](uint32_t v) { return v == 0; })) {
         return result;

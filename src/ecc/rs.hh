@@ -8,31 +8,33 @@
  * symbols; the decoder corrects up to E erasures, or up to E/2 errors,
  * or any mix with (2 * errors + erasures) <= E.
  *
- * One kernel does the heavy lifting: the remainder of the data part
- * d(x) x^E modulo the generator g(x), by long division on split
- * tables (Plank, Greenan and Miller, FAST'13). The constructor splits
- * a feedback symbol into ceil(m / 5) slices of b <= 5 bits and
- * precomputes T[s][v] = (v << s b) g(x) mod x^E for every slice value,
- * so each data symbol costs ceil(m / b) XORed E-symbol rows in a plain
- * loop the compiler vectorizes. XOR is exact, so every SIMD tier gives
- * the same bits. The kernel serves three callers:
- *
- *  - encode(): the parity is the remainder itself;
- *  - isCodeword(): c(x) = d(x) x^E + p(x) is a codeword iff the
- *    remainder equals the received parity;
- *  - decode(): r(x) = remainder XOR parity is c(x) mod g(x), and since
- *    g(alpha^j) = 0 the syndromes are S_j = c(alpha^j) = r(alpha^j),
- *    an E-coefficient evaluation instead of an n-coefficient one
- *    (Lin and Costello, Error Control Coding). r = 0 is the clean
- *    early-out, before any buffer copy.
- *
- * The rest of decoding is classical: erasure-modified Berlekamp-
- * Massey, Chien search, Forney's algorithm. Erasure-only decodes skip
- * the Chien search (the bad positions are the erasures); the
- * post-correction check updates the syndromes incrementally from the
- * applied error values, O(bad * E); all working buffers live in an
- * RsScratch that callers (or a thread-local default) reuse, so
- * steady-state decodes perform no heap allocation.
+ * The remainder of d(x) x^E modulo the generator g(x) is long
+ * division on split tables (Plank, Greenan and Miller, FAST'13): a
+ * feedback symbol splits into ceil(m / 5) slices of b <= 5 bits, with
+ * T[s][v] = (v << s b) g(x) mod x^E precomputed, so each data symbol
+ * XORs ceil(m / b) E-symbol rows. The next feedback is taken before
+ * the rows are stored; XOR is exact, so the AVX2 build of the loop
+ * (simd::activeLevel()) and the baseline one give the same bits. It
+ * gives encode() its parity, isCodeword() its check, and decode() the
+ * remainder r(x) = c(x) mod g(x): g(alpha^j) = 0, so S_j = r(alpha^j),
+ * an E-term sum (Lin and Costello, Error Control Coding). r = 0 is the
+ * clean early-out, before any buffer copy. The other phases:
+ *  - syndromes: a nonzero r_i adds alpha^(log r_i + i j) to S_j, an
+ *    antilog of a running exponent, eight terms at a time with j inner;
+ *  - erasure-modified Berlekamp-Massey gives the error locator, and
+ *    Psi = locator * erasure locator;
+ *  - Chien search for Psi's roots in the log domain, one antilog per
+ *    nonzero term per degree (skipped when there are only erasures);
+ *  - Forney with Omega = S Psi mod x^E computed below deg Psi only;
+ *  - a check that updates the syndromes with the applied values
+ *    (again one antilog per term) and needs them all zero.
+ * The Omega bound is exact. Psi = prod (1 - X_k x) over its v located
+ * X_k; if values e_k there pass the check, S_j = sum e_k X_k^j for
+ * j = 1..E, so S Psi = sum e_k X_k prod_{l != k} (1 - X_l x) mod x^E
+ * has degree < v. So a full Omega of degree < v equals the truncated
+ * one, and with a higher coefficient no values pass: both fail.
+ * Working buffers live in an RsScratch that callers (or a thread-local
+ * default) reuse, so steady-state decodes perform no heap allocation.
  */
 
 #ifndef DNASTORE_ECC_RS_HH
@@ -64,7 +66,7 @@ struct RsScratch
 {
     std::vector<uint16_t> rem;
     std::vector<uint32_t> syn, work, gamma, modified, lambda, prev, tmp,
-        psi, omega, psiDeriv, chien, evals, termExp, termDeg;
+        psi, omega, psiDeriv, termExp, termStep;
     std::vector<size_t> badPositions;
     std::vector<uint32_t> badX;
 };
@@ -98,6 +100,13 @@ class ReedSolomon
      *         symbol is outside the field (>= 2^m).
      */
     std::vector<uint32_t> encode(const std::vector<uint32_t> &data) const;
+
+    /**
+     * Encode in place: @p word holds the k data symbols and gets the
+     * E parity symbols appended, so a buffer reused across codewords
+     * (capacity n) encodes without allocating. Throws as encode().
+     */
+    void appendParity(std::vector<uint32_t> &word) const;
 
     /**
      * Decode a codeword in place.
@@ -135,9 +144,6 @@ class ReedSolomon
      */
     void dataRemainder(const uint32_t *data,
                        std::vector<uint16_t> &rem) const;
-
-    /** Syndromes S_j = r(alpha^j), j = 1..E, of a remainder r. */
-    void syndromesInto(const uint16_t *r, RsScratch &s) const;
 
     const GaloisField &gf_;
     size_t n_;

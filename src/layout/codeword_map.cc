@@ -1,5 +1,7 @@
 #include "layout/codeword_map.hh"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace dnastore {
@@ -21,36 +23,40 @@ CodewordMap::gather(const SymbolMatrix &m, size_t j) const
 
 void
 CodewordMap::gatherInto(const SymbolMatrix &m, size_t j,
-                        std::vector<uint32_t> &out) const
+                        std::vector<uint32_t> &out, size_t count) const
 {
-    out.resize(cols_);
-    for (size_t t = 0; t < cols_; ++t) {
-        MatrixPos p = position(j, t);
-        out[t] = m.at(p.row, p.col);
+    out.resize(std::min(count, cols_));
+    const RowCycle c = rowCycle(j);
+    for (size_t t = 0, r = c.start; t < out.size(); ++t) {
+        out[t] = m.at(c.rows[r], t);
+        r = r + 1 == c.size ? 0 : r + 1;
     }
 }
 
 void
 CodewordMap::scatter(SymbolMatrix &m, size_t j,
-                     const std::vector<uint32_t> &symbols) const
+                     const std::vector<uint32_t> &symbols,
+                     size_t from) const
 {
     if (symbols.size() != cols_)
         throw std::invalid_argument("CodewordMap: bad codeword length");
-    for (size_t t = 0; t < cols_; ++t) {
-        MatrixPos p = position(j, t);
-        m.at(p.row, p.col) = symbols[t];
+    const RowCycle c = rowCycle(j);
+    for (size_t t = from, r = (c.start + from) % c.size; t < cols_; ++t) {
+        m.at(c.rows[r], t) = symbols[t];
+        r = r + 1 == c.size ? 0 : r + 1;
     }
 }
 
 BaselineMap::BaselineMap(size_t rows, size_t cols)
-    : CodewordMap(rows, cols)
+    : CodewordMap(rows, cols), row_(rows)
 {
+    std::iota(row_.begin(), row_.end(), size_t(0));
 }
 
-MatrixPos
-BaselineMap::position(size_t j, size_t t) const
+CodewordMap::RowCycle
+BaselineMap::rowCycle(size_t j) const
 {
-    return { j, t };
+    return { &row_[j], 1, 0 };
 }
 
 CodewordPos
@@ -60,20 +66,8 @@ BaselineMap::locate(size_t row, size_t col) const
 }
 
 GiniMap::GiniMap(size_t rows, size_t cols)
-    : CodewordMap(rows, cols)
+    : GiniClassMap(rows, cols, {})
 {
-}
-
-MatrixPos
-GiniMap::position(size_t j, size_t t) const
-{
-    return { (j + t) % rows_, t };
-}
-
-CodewordPos
-GiniMap::locate(size_t row, size_t col) const
-{
-    return { (row + rows_ - (col % rows_)) % rows_, col };
 }
 
 GiniClassMap::GiniClassMap(size_t rows, size_t cols,
@@ -102,14 +96,12 @@ GiniClassMap::GiniClassMap(size_t rows, size_t cols,
     }
 }
 
-MatrixPos
-GiniClassMap::position(size_t j, size_t t) const
+CodewordMap::RowCycle
+GiniClassMap::rowCycle(size_t j) const
 {
     if (j < reserved_.size())
-        return { reserved_[j], t };
-    size_t jj = j - reserved_.size();
-    size_t n_inter = interleaved_.size();
-    return { interleaved_[(jj + t) % n_inter], t };
+        return { &reserved_[j], 1, 0 };
+    return { interleaved_.data(), interleaved_.size(), j - reserved_.size() };
 }
 
 CodewordPos

@@ -16,6 +16,7 @@
 #define DNASTORE_LAYOUT_CODEWORD_MAP_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -50,6 +51,10 @@ struct CodewordPos
  *  - there are exactly `rows` codewords of `cols` symbols each;
  *  - position() is a bijection onto the rows x cols cell grid;
  *  - every codeword visits every column exactly once (erasure safety).
+ *
+ * Every layout here puts symbol t in column t, so a map is defined by
+ * the cycle of rows each codeword walks; gather and scatter step
+ * along it with no per-symbol call or division.
  */
 class CodewordMap
 {
@@ -63,7 +68,12 @@ class CodewordMap
     size_t length() const { return cols_; }
 
     /** Matrix cell storing symbol @p t of codeword @p j. */
-    virtual MatrixPos position(size_t j, size_t t) const = 0;
+    MatrixPos
+    position(size_t j, size_t t) const
+    {
+        const RowCycle c = rowCycle(j);
+        return { c.rows[(c.start + t) % c.size], t };
+    }
 
     /** Inverse of position(). */
     virtual CodewordPos locate(size_t row, size_t col) const = 0;
@@ -71,16 +81,35 @@ class CodewordMap
     /** Collect codeword @p j from the matrix. */
     std::vector<uint32_t> gather(const SymbolMatrix &m, size_t j) const;
 
-    /** Collect codeword @p j into a reusable buffer (resized to fit). */
+    /**
+     * Collect the first @p count symbols of codeword @p j (all of them
+     * by default) into a reusable buffer, resized to fit.
+     */
     void gatherInto(const SymbolMatrix &m, size_t j,
-                    std::vector<uint32_t> &out) const;
+                    std::vector<uint32_t> &out,
+                    size_t count = SIZE_MAX) const;
 
-    /** Write codeword @p j back into the matrix. */
+    /**
+     * Write symbols [@p from, length()) of codeword @p j (all of them
+     * by default) back into the matrix.
+     */
     void scatter(SymbolMatrix &m, size_t j,
-                 const std::vector<uint32_t> &symbols) const;
+                 const std::vector<uint32_t> &symbols,
+                 size_t from = 0) const;
 
   protected:
     CodewordMap(size_t rows, size_t cols);
+
+    /** Symbol t of a codeword lies in row rows[(start + t) mod size]. */
+    struct RowCycle
+    {
+        const size_t *rows;
+        size_t size;
+        size_t start;
+    };
+
+    /** The row cycle of codeword @p j. */
+    virtual RowCycle rowCycle(size_t j) const = 0;
 
     size_t rows_;
     size_t cols_;
@@ -92,23 +121,13 @@ class BaselineMap : public CodewordMap
   public:
     BaselineMap(size_t rows, size_t cols);
 
-    MatrixPos position(size_t j, size_t t) const override;
     CodewordPos locate(size_t row, size_t col) const override;
-};
 
-/**
- * Gini layout: codeword j occupies cell ((j + t) mod rows, t) for
- * symbol t — a diagonal stripe that wraps through all rows, advancing
- * one column per symbol (Figure 8a). Every codeword sees every column
- * once and every row position essentially cols/rows times.
- */
-class GiniMap : public CodewordMap
-{
-  public:
-    GiniMap(size_t rows, size_t cols);
+  protected:
+    RowCycle rowCycle(size_t j) const override;
 
-    MatrixPos position(size_t j, size_t t) const override;
-    CodewordPos locate(size_t row, size_t col) const override;
+  private:
+    std::vector<size_t> row_; // row_[j] = j
 };
 
 /**
@@ -131,17 +150,32 @@ class GiniClassMap : public CodewordMap
     GiniClassMap(size_t rows, size_t cols,
                  const std::vector<size_t> &reserved_rows);
 
-    MatrixPos position(size_t j, size_t t) const override;
     CodewordPos locate(size_t row, size_t col) const override;
 
     /** Number of reserved (non-interleaved) codewords. */
     size_t reservedCount() const { return reserved_.size(); }
+
+  protected:
+    RowCycle rowCycle(size_t j) const override;
 
   private:
     std::vector<size_t> reserved_;     // codeword index -> row
     std::vector<size_t> interleaved_;  // class-local index -> row
     std::vector<size_t> classOfRow_;   // row -> position in its class
     std::vector<bool> isReserved_;     // row -> reserved?
+};
+
+/**
+ * Gini layout: codeword j occupies cell ((j + t) mod rows, t) for
+ * symbol t — a diagonal stripe that wraps through all rows, advancing
+ * one column per symbol (Figure 8a). Every codeword sees every column
+ * once and every row position essentially cols/rows times. It is the
+ * two-class layout with no reserved rows.
+ */
+class GiniMap : public GiniClassMap
+{
+  public:
+    GiniMap(size_t rows, size_t cols);
 };
 
 } // namespace dnastore

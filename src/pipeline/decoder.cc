@@ -189,29 +189,21 @@ UnitDecoder::decode(const ReadBatch &batch,
 
     // Reed-Solomon decode each codeword along the layout. A codeword's
     // erasure positions are the symbol slots that fall in erased
-    // columns; every layout touches each column exactly once, so each
-    // erased column costs one symbol per codeword.
-    std::vector<bool> col_erased(n_cols, false);
-    for (size_t col : erased_cols)
-        col_erased[col] = true;
+    // columns; every layout puts symbol t in column t, so each erased
+    // column costs every codeword the same one symbol, and the erased
+    // columns are every codeword's erasure list.
 
     // Codewords occupy disjoint matrix cells (position() is a
     // bijection), so gather/decode/scatter parallelizes with no
     // shared writes; only the failure count is merged serially. The
-    // gather buffer, erasure list, and RS working set are all
-    // per-thread scratch reused across codewords.
+    // gather buffer and RS working set are per-thread scratch reused
+    // across codewords.
     std::vector<uint8_t> codeword_ok(map_->codewords(), 0);
     parallelFor(map_->codewords(), cfg_.numThreads, [&](size_t j) {
         static thread_local std::vector<uint32_t> codeword;
-        static thread_local std::vector<size_t> erasures;
         static thread_local RsScratch rs_scratch;
         map_->gatherInto(received, j, codeword);
-        erasures.clear();
-        for (size_t t = 0; t < map_->length(); ++t) {
-            if (col_erased[map_->position(j, t).col])
-                erasures.push_back(t);
-        }
-        RsDecodeResult result = rs_.decode(codeword, erasures,
+        RsDecodeResult result = rs_.decode(codeword, erased_cols,
                                            rs_scratch);
         if (result.success) {
             map_->scatter(received, j, codeword);

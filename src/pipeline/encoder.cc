@@ -69,14 +69,14 @@ UnitEncoder::encode(const FileBundle &bundle) const
 
     // 3. Reed-Solomon encode each codeword along the layout map; the
     // first M symbol slots of every codeword are data (columns < M by
-    // the CodewordMap contract), the rest parity, so the gathered
-    // codeword truncated to M is the data, and scattering the
-    // systematic codeword rewrites those slots with themselves.
-    std::vector<uint32_t> data;
+    // the CodewordMap contract), the rest parity, so only the data
+    // slots are gathered and only the parity slots scattered back.
+    std::vector<uint32_t> word;
+    word.reserve(cfg_.codewordLen());
     for (size_t j = 0; j < map_->codewords(); ++j) {
-        map_->gatherInto(unit.matrix, j, data);
-        data.resize(cfg_.dataCols());
-        map_->scatter(unit.matrix, j, rs_.encode(data));
+        map_->gatherInto(unit.matrix, j, word, cfg_.dataCols());
+        rs_.appendParity(word);
+        map_->scatter(unit.matrix, j, word, cfg_.dataCols());
     }
 
     // 4. Emit strands: primer + index + payload bases + primer. The

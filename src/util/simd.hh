@@ -6,7 +6,7 @@
  * The tier is chosen once at startup from CPUID, and every path it
  * picks returns bit-identical results, so the choice never changes an
  * output (the determinism suites run with DNASTORE_FORCE_SCALAR=1 to
- * prove it). Two steps follow it:
+ * prove it). Three steps follow it:
  *  - myersBatch, bounded Myers bit-parallel edit distance for cluster
  *    candidate verification: an AVX2 path that runs four texts in the
  *    lanes of one register, or a portable scalar path. The AVX2 path
@@ -15,6 +15,9 @@
  *    path throughout) without -march flags.
  *  - consensus's mask gather (consensus/bma.cc): SSE2 byte compares
  *    (baseline on every x86-64) on the Avx2 tier, multiplies on
+ *    Scalar;
+ *  - the Reed-Solomon remainder kernel (ecc/rs.cc): the same loop
+ *    compiled for AVX2 on the Avx2 tier, for the baseline ISA on
  *    Scalar.
  *
  * matchRunForward/Backward serve consensus's unanimity runs. Those
@@ -31,7 +34,7 @@
 namespace dnastore {
 namespace simd {
 
-/** Instruction-set tiers myersBatch and the BMA gather dispatch over. */
+/** Instruction-set tiers the steps above dispatch over. */
 enum class Level
 {
     Scalar = 0, //!< Portable C++ (also the DNASTORE_FORCE_SCALAR path).

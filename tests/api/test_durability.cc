@@ -302,15 +302,39 @@ TEST(StoreSubmit, MovedFromStoreIsUnavailable)
     ASSERT_TRUE(store.put("a.bin", patternBytes(600, 10)).ok());
     Store taken = std::move(store);
 
-    Result<EncodedArtifact> encode = store.encode();
-    ASSERT_FALSE(encode.ok());
-    EXPECT_EQ(encode.status().code(), StatusCode::Unavailable);
+    // Every Status- or Result-returning method answers Unavailable.
+    auto unavailable = [](const Status &status, const char *call) {
+        EXPECT_EQ(status.code(), StatusCode::Unavailable) << call;
+    };
+    const std::string path = testing::TempDir() + "moved_from.dnapool";
+    unavailable(store.save(path), "save");
+    EXPECT_FALSE(std::ifstream(path).good());
+    unavailable(store.put("b.bin", patternBytes(10, 1)), "put");
+    unavailable(store.synthesize(), "synthesize");
+    unavailable(store.get("a.bin").status(), "get");
+    unavailable(store.retrieveAll().status(), "retrieveAll");
+    unavailable(store.retrieveShared().status(), "retrieveShared");
+    unavailable(store.retrieveAt(1).status(), "retrieveAt");
+    unavailable(store.minExactCoverage(1, 2).status(), "minExactCoverage");
+    unavailable(store.health().status(), "health");
+    unavailable(store.age(1).status(), "age");
+    unavailable(store.scrub().status(), "scrub");
+    unavailable(store.encode().status(), "encode");
+    unavailable(store.submit(TrialJob{}).get().status(), "submit");
 
-    Result<TrialSeries> trials = store.submit(TrialJob{}).get();
-    ASSERT_FALSE(trials.ok());
-    EXPECT_EQ(trials.status().code(), StatusCode::Unavailable);
+    // The plain accessors return their documented empty values.
+    EXPECT_TRUE(store.list().empty());
+    EXPECT_FALSE(store.contains("a.bin"));
+    EXPECT_EQ(store.objectCount(), 0u);
+    EXPECT_EQ(store.totalBytes(), 0u);
+    EXPECT_FALSE(store.readOnly());
+    EXPECT_EQ(store.capacityBytes(), 0u);
+    EXPECT_EQ(store.strandCount(), 0u);
+    EXPECT_EQ(store.unitConfig().rows, StoreOptions().config().rows);
+    EXPECT_EQ(store.options().layout(), StoreOptions().layout());
 
     // The moved-to store still works.
+    EXPECT_TRUE(taken.contains("a.bin"));
     EXPECT_TRUE(taken.health().ok());
 }
 
