@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "cluster/stream.hh"
@@ -44,6 +46,10 @@ scoreClustering(const Clustering &clustering,
     // O(n log n), exactly equal to the old all-pairs loop.
     const auto &pred = clustering.clusterOf;
     const size_t n = pred.size();
+    if (truth.size() != n)
+        throw std::invalid_argument(
+            "scoreClustering: " + std::to_string(truth.size()) +
+            " truth labels for " + std::to_string(n) + " reads");
 
     auto pairsWithin = [](auto &sorted) {
         size_t pairs = 0;

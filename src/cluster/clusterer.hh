@@ -132,17 +132,20 @@ struct Clustering
 Clustering clusterReads(const std::vector<Strand> &reads,
                         const ClusterParams &params = {});
 
-/**
- * Score a clustering against ground truth (pairwise precision/recall).
- *
- * @param truth truth[i] = true cluster of read i.
- */
+/** Pairwise precision and recall of a clustering. */
 struct ClusterQuality
 {
     double precision = 0.0; //!< P(same true cluster | same predicted).
     double recall = 0.0;    //!< P(same predicted | same true cluster).
 };
 
+/**
+ * Score a clustering against ground truth (pairwise precision/recall).
+ *
+ * @param truth truth[i] = true cluster of read i.
+ * @throws std::invalid_argument unless truth labels exactly the
+ *         clustering's reads (truth.size() == clusterOf.size()).
+ */
 ClusterQuality scoreClustering(const Clustering &clustering,
                                const std::vector<size_t> &truth);
 

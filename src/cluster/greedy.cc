@@ -268,11 +268,15 @@ GreedyState::candidatesOf(StrandView read)
 size_t
 GreedyState::firstBound(size_t limit) const
 {
-    // A pass within b costs about c(b) = 2b + kColumnCost rows per
-    // column (the band, the block it straddles and a column's fixed
-    // work), and a miss adds c(limit): minimize c(b) + P(d > b)
-    // c(limit) over the bin edges, scaled by the history's size. An
-    // empty history costs 0 everywhere and keeps the limit.
+    // A pass within b costs about c(b) = 2b + kColumnCost per column,
+    // and a miss adds c(limit): minimize c(b) + P(d > b) c(limit)
+    // over the bin edges, scaled by the history's size. An empty
+    // history costs 0 everywhere and keeps the limit. c is a relative
+    // price, not a row count: Ukkonen's band at b is about b + 1 rows,
+    // one sliding word up to 64 of them and 64-row blocks past that,
+    // so a pass costs a column's fixed work plus a term that grows
+    // with b, and a miss pays the wide block pass at the limit on top.
+    // Any bound gives the same clustering; only the work moves.
     uint64_t beyond = 0;
     for (uint64_t count : history_)
         beyond += count;
@@ -300,7 +304,7 @@ GreedyState::bestCluster(StrandView read, size_t limit)
     reps_.clear();
     for (size_t cluster : candidates_)
         reps_.push_back(repArena_.view(cluster));
-    // Verify in groups of four (one AVX2 batch each), likeliest
+    // Verify in groups of four (one kernel batch each), likeliest
     // first: the first group usually holds the true cluster at a
     // small distance, and every later group runs bounded by it, so an
     // unrelated representative retires within a few columns. Only

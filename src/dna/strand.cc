@@ -109,14 +109,10 @@ editDistanceBatch(const Base *pattern, size_t m,
 void
 MyersPattern::assign(const Base *pattern, size_t m)
 {
-    // Masks laid out [base * blocks + block]: Myers blocks advance 64
-    // DP rows per word (or per vector lane) operation.
     m_ = m;
-    blocks_ = (m + 63) / 64;
-    peq_.assign(size_t(kNumBases) * blocks_, 0);
-    for (size_t i = 0; i < m; ++i)
-        peq_[size_t(bitsFromBase(pattern[i])) * blocks_ + (i >> 6)] |=
-            uint64_t(1) << (i & 63);
+    peq_.resize(simd::myersMaskWords(m));
+    simd::myersMasks(reinterpret_cast<const uint8_t *>(pattern), m,
+                     peq_.data());
 }
 
 void
@@ -138,8 +134,8 @@ MyersPattern::batch(const StrandView *texts, size_t k, size_t limit,
         ptrs[i] = reinterpret_cast<const uint8_t *>(texts[i].data());
         lens[i] = texts[i].size();
     }
-    simd::myersBatch(peq_.data(), m_, blocks_, ptrs.data(), lens.data(),
-                     k, limit, dists);
+    simd::myersBatch(peq_.data(), m_, ptrs.data(), lens.data(), k, limit,
+                     dists);
 }
 
 size_t

@@ -60,11 +60,12 @@ size_t editDistanceRange(const Base *a, size_t na, const Base *b,
  * max(m, n) makes every result exact.
  *
  * The pattern's Myers match masks are built once and shared by every
- * comparison, and texts are verified four at a time in the 64-bit
- * lanes of the SIMD kernel (util/simd.hh) when available. The kernel
- * computes only the diagonal band the limit allows and retires a text
- * as soon as its distance provably exceeds the limit, so a rejection
- * costs a fraction of a full table. Results are bit-identical on
+ * comparison. The kernel (util/simd.hh) computes only Ukkonen's
+ * diagonal band for the limit, in one sliding word when it fits 64
+ * rows, and retires a text as soon as its distance provably exceeds
+ * the limit, so a rejection costs a fraction of a full table. Wider
+ * bands run four texts at a time in the 64-bit lanes of an AVX2
+ * register when available. Results are bit-identical on
  * every dispatch tier; this is the candidate-verification primitive
  * behind read clustering, where one read is checked against several
  * cluster representatives at once.
@@ -93,7 +94,6 @@ class MyersPattern
   private:
     std::vector<uint64_t> peq_;
     size_t m_ = 0;
-    size_t blocks_ = 0;
 };
 
 /** Number of positions where equal-length prefixes differ. */

@@ -26,28 +26,39 @@ popcount64(uint64_t x)
 }
 
 /*
- * Bounded Myers (Hyyrö's block formulation of global edit distance).
- * Pattern row i (1-based) is bit (i - 1) & 63 of block (i - 1) / 64;
- * text column j (1-based) is the DP column after text[j - 1]. The
- * score is D at the bottom row of the last active block (row m once
- * the last block is active).
+ * Bounded Myers (Hyyrö's formulation of global edit distance). Pattern
+ * row i (1-based) is bit (i - 1) & 63 of mask word 1 + (i - 1) / 64;
+ * text column j (1-based) is the DP column after text[j - 1].
  *
- * Only a cell with |i - j| <= limit can hold a value <= limit, and
- * such a cell's optimal path never leaves that band, so column j
- * steps only the blocks that meet rows [j - limit, j + limit]. A
- * block entering at the bottom starts with all vertical deltas +1,
- * so the score grows by its height; the first active block takes
- * horizontal carry +1. These fabricated inputs never undercut the
- * true values, so every computed value is >= the true one and exact
- * wherever the true value is <= limit.
+ * With t the limit and delta = m - n, a path of cost <= t through a
+ * cell on diagonal d = i - j costs at least |d| to reach it and
+ * |delta - d| to leave it (Ukkonen 1985), so it only visits the
+ * diagonals [lo, hi] = [ceil((delta - t) / 2), floor((delta + t) / 2)].
+ * Column j steps the rows [j + lo, j + hi] and fabricates what the band
+ * cuts off: the row entering at the bottom takes vertical delta +1,
+ * the row above the top horizontal delta +1. Neither undercuts the
+ * true value, so every computed value is >= the true one, and a
+ * path of cost <= t stays inside the band, so D(m, n) is exact
+ * whenever it is <= t.
  *
- * D never decreases along a diagonal, so D(j + m - n, j) bounds the
- * final distance from below; a lane whose cell there exceeds the
- * limit stops early. Every tier runs this same recurrence, which is
- * what makes the tiers bit-identical.
+ * The computed deltas stay in {-1, 0, +1}, so D never decreases
+ * along a diagonal: D(j + delta, j), the cell on the final cell's
+ * diagonal, bounds the result from below, and a text whose cell there
+ * exceeds the limit stops early. Every tier runs these recurrences, so
+ * the tiers are bit-identical.
+ *
+ * Two kernels step the band:
+ *  - diagonalSingle, when it spans at most 64 rows: one word whose
+ *    bit k is row j + lo + k slides down a row per column, so the
+ *    final diagonal is the fixed bit delta - lo and the abort is one
+ *    compare per column;
+ *  - the block kernel (blockSingle, myersBatch4Avx2) otherwise: the
+ *    64-row blocks that meet the band, with the score at the bottom
+ *    row of the last active block, and the abort every kAbortStride
+ *    columns.
  */
 
-/** Every column multiple of this checks the abort diagonal. */
+/** Every column multiple of this checks the block kernel's abort. */
 constexpr size_t kAbortStride = 8;
 
 /** The bounded result: @p d when d <= limit, else limit + 1. */
@@ -55,6 +66,13 @@ inline uint32_t
 boundedDist(size_t d, size_t limit)
 {
     return uint32_t(d <= limit ? d : limit + 1);
+}
+
+/** Mask words per base: a zero word, the blocks, a zero word. */
+inline size_t
+maskStride(size_t blocks)
+{
+    return blocks + 2;
 }
 
 /** Rows from block b - 1's bottom row to block b's. */
@@ -72,13 +90,90 @@ bottomBit(size_t b, size_t m, size_t blocks)
 }
 
 /**
+ * Ukkonen's diagonals [lo, hi] for the length gaps delta = m - n in
+ * [dmin, dmax] at limit t, where every gap is within t. Then
+ * -t <= lo <= dmin and dmax <= hi <= t.
+ */
+struct Diagonals
+{
+    ptrdiff_t lo, hi;
+
+    Diagonals(ptrdiff_t dmin, ptrdiff_t dmax, size_t t)
+        : lo(-ptrdiff_t((ptrdiff_t(t) - dmin) / 2)),
+          hi((dmax + ptrdiff_t(t)) / 2)
+    {
+    }
+
+    /** Whether the band fits one word: at most 64 rows. */
+    bool oneWord() const { return hi - lo < 64; }
+};
+
+/** delta = m - n. */
+inline ptrdiff_t
+lengthGap(size_t m, size_t n)
+{
+    return ptrdiff_t(m) - ptrdiff_t(n);
+}
+
+/**
+ * One text whose band fits one word; |m - n| <= limit, n >= 1.
+ *
+ * Bit k of the word is row j + lo + k at column j, so moving to the
+ * next column shifts the vertical deltas down a bit and lets the
+ * fabricated row in at bit 63. Rows above row 1 are virtual: they
+ * read zero masks, and start with vertical delta -1 down to row 0,
+ * which makes D(i, j) = j - i there, so the horizontal delta +1 the
+ * top always takes is exact until row 1 is the top. The masks' zero
+ * words hold those rows and the rows past m (no row at or above m
+ * depends on them), so the window is two words and a shift.
+ */
+uint32_t
+diagonalSingle(const uint64_t *peq, size_t stride, size_t m,
+               const uint8_t *text, size_t n, size_t limit, ptrdiff_t lo)
+{
+    const ptrdiff_t delta = lengthGap(m, n);
+    const unsigned tap = unsigned(delta - lo);
+    // Column 0: D(i, 0) = |i|, deltas -1 for rows lo..0 (lo >= -63).
+    uint64_t vn = ~uint64_t(0) >> (63 + lo);
+    uint64_t vp = ~vn;
+    uint64_t score = uint64_t(delta < 0 ? -delta : delta);
+    // Row i is bit i + 63 of a base's masks; the window starts at row
+    // j + lo.
+    size_t at = size_t(lo + 63);
+    for (size_t j = 1; j <= n; ++j) {
+        ++at;
+        const uint64_t *w = peq + size_t(text[j - 1]) * stride + (at >> 6);
+        const unsigned sh = unsigned(at & 63);
+        const uint64_t eq = (w[0] >> sh) | ((w[1] << 1) << (63 - sh));
+        vp = (vp >> 1) | (uint64_t(1) << 63);
+        vn >>= 1;
+        // D(j + delta, j) - D(j - 1 + delta, j - 1): the vertical
+        // delta into the tap row, then its horizontal delta.
+        score += ((vp >> tap) & 1) - ((vn >> tap) & 1);
+        const uint64_t x = eq | vn;
+        const uint64_t d0 = (((x & vp) + vp) ^ vp) | x;
+        uint64_t hp = vn | ~(d0 | vp);
+        uint64_t hn = vp & d0;
+        score += ((hp >> tap) & 1) - ((hn >> tap) & 1);
+        hp = (hp << 1) | 1;
+        hn <<= 1;
+        vp = hn | ~(d0 | hp);
+        vn = hp & d0;
+        if (score > limit)
+            return uint32_t(limit + 1);
+    }
+    return uint32_t(score);
+}
+
+/**
  * The active blocks [first, last]: those meeting rows
- * [j - limit, j + limit] at column j. Past column 1 both edges move
- * down at most one row per column, so advancing is a compare or two.
+ * [j + lo, j + hi] at column j. Past column 1 both edges move down
+ * one row per column, so advancing is a compare or two.
  */
 struct Band
 {
-    size_t m, blocks, limit;
+    size_t m, blocks;
+    Diagonals diagonals;
     size_t first = 0, last = 0;
     unsigned shift = bottomBit(0, m, blocks); //!< Bottom bit of last.
 
@@ -88,23 +183,25 @@ struct Band
     {
         uint64_t entered = 0;
         // Block last + 1 starts at row 64 * (last + 1) + 1 <= m.
-        while (last + 1 < blocks && 64 * (last + 1) < j + limit) {
+        while (last + 1 < blocks &&
+               ptrdiff_t(64 * (last + 1)) < ptrdiff_t(j) + diagonals.hi) {
             entered += blockHeight(++last, m);
             shift = bottomBit(last, m, blocks);
         }
         // Block first ends at row 64 * (first + 1).
-        if (j > limit + 64 * (first + 1))
+        if (ptrdiff_t(64 * (first + 1)) < ptrdiff_t(j) + diagonals.lo)
             ++first;
         return entered;
     }
 };
 
 /**
- * Whether the abort fires at column @p j against a text of length
- * @p n: every kAbortStride columns, D(j + m - n, j) -- the cell on
- * the final cell's diagonal -- is the score minus the vertical deltas
- * of the rows below it, down to the last active block's bottom row.
- * Per-block words lie @p stride apart (one per lane).
+ * Whether the block kernel's abort fires at column @p j against a
+ * text of length @p n: every kAbortStride columns, D(j + m - n, j) --
+ * the cell on the final cell's diagonal -- is the score minus the
+ * vertical deltas of the rows below it, down to the last active
+ * block's bottom row. Per-block words lie @p stride apart (one per
+ * lane).
  */
 inline bool
 diagonalPastLimit(size_t j, size_t m, size_t n, size_t blocks,
@@ -129,22 +226,24 @@ diagonalPastLimit(size_t j, size_t m, size_t n, size_t blocks,
     return cell > limit;
 }
 
-/** One text against the pattern; |n - m| <= limit, n >= 1. */
+/** The block kernel on one text; |n - m| <= limit, n >= 1. */
 uint32_t
-myersSingle(const uint64_t *peq, size_t m, size_t blocks,
+blockSingle(const uint64_t *peq, size_t m, size_t blocks,
             const uint8_t *text, size_t n, size_t limit)
 {
     static thread_local std::vector<uint64_t> vp, vn;
     vp.assign(blocks, ~uint64_t(0));
     vn.assign(blocks, 0);
 
-    Band band{ m, blocks, limit };
+    const size_t stride = maskStride(blocks);
+    const ptrdiff_t delta = lengthGap(m, n);
+    Band band{ m, blocks, Diagonals(delta, delta, limit) };
     uint64_t score = blockHeight(0, m);
     for (size_t j = 1; j <= n; ++j) {
         score += band.advance(j);
         const size_t last = band.last;
         const unsigned shift = band.shift;
-        const uint64_t *eq_row = peq + size_t(text[j - 1]) * blocks;
+        const uint64_t *eq_row = peq + size_t(text[j - 1]) * stride + 1;
         // Horizontal carries in as two 0/1 words: branch-free.
         uint64_t hp = 1, hn = 0;
         for (size_t blk = band.first; blk <= last; ++blk) {
@@ -186,59 +285,43 @@ settledWithoutDp(size_t m, size_t n, size_t limit, uint32_t *dist)
     return false;
 }
 
-void
-myersBatchScalar(const uint64_t *peq, size_t m, size_t blocks,
-                 const uint8_t *const *texts, const size_t *lens,
-                 size_t k, size_t limit, uint32_t *dists)
-{
-    for (size_t l = 0; l < k; ++l) {
-        if (settledWithoutDp(m, lens[l], limit, &dists[l]))
-            continue;
-        // Past max(m, n) the limit changes nothing; clamping keeps
-        // j + limit from overflowing.
-        dists[l] = myersSingle(
-            peq, m, blocks, texts[l], lens[l],
-            std::min(limit, std::max(m, lens[l])));
-    }
-}
-
 #ifdef DNASTORE_SIMD_X86
 
 // -------------------------------------------------------------- AVX2 tier
 
+/**
+ * The block kernel on 2..4 texts, none settled without DP. Lane l
+ * runs pattern-vs-texts[l], column-lockstep over the union of the
+ * lanes' bands; a lane past its end, or aborted, reads an all-zero
+ * match row so its state keeps stepping without branching.
+ */
 __attribute__((target("avx2,popcnt"))) void
 myersBatch4Avx2(const uint64_t *peq, size_t m, size_t blocks,
                 const uint8_t *const *texts, const size_t *lens,
                 size_t k, size_t limit, uint32_t *dists)
 {
-    // Lane l runs pattern-vs-texts[l], column-lockstep over the shared
-    // band; a lane past its end, or aborted, reads an all-zero match
-    // row so its state keeps stepping without branching.
     static thread_local std::vector<uint64_t> vp, vn, zero_row;
     vp.assign(4 * blocks, ~uint64_t(0));
     vn.assign(4 * blocks, 0);
     zero_row.assign(blocks, 0);
 
-    const uint8_t *text[4];
-    size_t end[4]; // last column of a live lane; 0 once retired
-    size_t max_len = 0, open = 0;
-    for (size_t l = 0; l < 4; ++l) {
-        text[l] = l < k ? texts[l] : nullptr;
-        end[l] = 0;
-        if (l >= k || settledWithoutDp(m, lens[l], limit, &dists[l]))
-            continue;
+    size_t end[4] = {}; // last column of a live lane; 0 once retired
+    size_t min_len = lens[0], max_len = lens[0];
+    for (size_t l = 0; l < k; ++l) {
         end[l] = lens[l];
-        ++open;
+        min_len = std::min(min_len, lens[l]);
         max_len = std::max(max_len, lens[l]);
     }
-    if (open == 0)
-        return;
-    // As in myersBatchScalar: past max(m, n) the limit changes nothing.
+    size_t open = k;
+    // As in the scalar tier: past max(m, n) the limit changes nothing.
     limit = std::min(limit, std::max(m, max_len));
 
+    const size_t stride = maskStride(blocks);
     const __m256i one = _mm256_set1_epi64x(1);
     const __m256i ones = _mm256_set1_epi64x(-1);
-    Band band{ m, blocks, limit };
+    Band band{ m, blocks,
+               Diagonals(lengthGap(m, max_len), lengthGap(m, min_len),
+                         limit) };
     __m256i score = _mm256_set1_epi64x(int64_t(blockHeight(0, m)));
     for (size_t j = 1; j <= max_len; ++j) {
         if (const uint64_t entered = band.advance(j))
@@ -248,8 +331,9 @@ myersBatch4Avx2(const uint64_t *peq, size_t m, size_t blocks,
         const int shift = int(band.shift);
         const uint64_t *row[4];
         for (size_t l = 0; l < 4; ++l) {
-            row[l] = j <= end[l] ? peq + size_t(text[l][j - 1]) * blocks
-                                 : zero_row.data();
+            row[l] = j <= end[l]
+                ? peq + size_t(texts[l][j - 1]) * stride + 1
+                : zero_row.data();
         }
         __m256i hp = one;                    // horizontal carry +1 in
         __m256i hn = _mm256_setzero_si256(); // horizontal carry -1 in
@@ -373,28 +457,86 @@ setLevel(Level level)
     return level;
 }
 
-void
-myersBatch(const uint64_t *peq, size_t m, size_t blocks,
-           const uint8_t *const *texts, const size_t *lens, size_t k,
-           size_t limit, uint32_t *dists)
+size_t
+myersMaskWords(size_t m)
 {
-#ifdef DNASTORE_SIMD_X86
-    if (activeLevel() == Level::Avx2 && k > 1) {
-        // The AVX2 kernel drives at most 4 lanes; chunk larger
-        // batches so every tier fills all of dists[0..k).
-        for (size_t base = 0; base < k; base += 4) {
-            size_t lanes = std::min<size_t>(4, k - base);
-            if (lanes > 1)
-                myersBatch4Avx2(peq, m, blocks, texts + base,
-                                lens + base, lanes, limit, dists + base);
-            else
-                myersBatchScalar(peq, m, blocks, texts + base,
-                                 lens + base, lanes, limit, dists + base);
+    return size_t(4) * maskStride((m + 63) / 64);
+}
+
+void
+myersMasks(const uint8_t *pattern, size_t m, uint64_t *peq)
+{
+    const size_t stride = maskStride((m + 63) / 64);
+    std::fill(peq, peq + 4 * stride, 0);
+    uint64_t *const rows = peq + 1; // row 1's word of base 0
+    size_t i = 0;
+#ifdef __SSE2__
+    // 16 rows per compare; a 16-row run never straddles a word.
+    if (activeLevel() != Level::Scalar) {
+        for (; i + 16 <= m; i += 16) {
+            const __m128i v = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(pattern + i));
+            for (unsigned b = 0; b < 4; ++b) {
+                const unsigned bits = unsigned(_mm_movemask_epi8(
+                    _mm_cmpeq_epi8(v, _mm_set1_epi8(char(b)))));
+                rows[b * stride + (i >> 6)] |= uint64_t(bits) << (i & 63);
+            }
         }
-        return;
     }
 #endif
-    myersBatchScalar(peq, m, blocks, texts, lens, k, limit, dists);
+    for (; i < m; ++i)
+        rows[size_t(pattern[i]) * stride + (i >> 6)] |= uint64_t(1)
+                                                       << (i & 63);
+}
+
+void
+myersBatch(const uint64_t *peq, size_t m, const uint8_t *const *texts,
+           const size_t *lens, size_t k, size_t limit, uint32_t *dists)
+{
+    const size_t blocks = (m + 63) / 64;
+    const size_t stride = maskStride(blocks);
+#ifdef DNASTORE_SIMD_X86
+    const bool avx2 = activeLevel() == Level::Avx2;
+#endif
+    // Each group of four settles what it can alone: the length
+    // checks, then every band that fits one word. The wide rest runs
+    // the block kernel, in the lanes of one register where there are
+    // two or more on the AVX2 tier.
+    for (size_t base = 0; base < k; base += 4) {
+        const uint8_t *wide_text[4];
+        size_t wide_len[4], wide_at[4], wide = 0;
+        for (size_t l = base; l < std::min(k, base + 4); ++l) {
+            const size_t n = lens[l];
+            if (settledWithoutDp(m, n, limit, &dists[l]))
+                continue;
+            // Past max(m, n) the limit changes nothing; clamping
+            // keeps the band within the table.
+            const size_t t = std::min(limit, std::max(m, n));
+            const Diagonals band(lengthGap(m, n), lengthGap(m, n), t);
+            if (band.oneWord()) {
+                dists[l] = diagonalSingle(peq, stride, m, texts[l], n, t,
+                                          band.lo);
+                continue;
+            }
+            wide_text[wide] = texts[l];
+            wide_len[wide] = n;
+            wide_at[wide++] = l;
+        }
+        uint32_t out[4];
+        size_t vector_done = 0;
+#ifdef DNASTORE_SIMD_X86
+        if (avx2 && wide > 1) {
+            myersBatch4Avx2(peq, m, blocks, wide_text, wide_len, wide,
+                            limit, out);
+            vector_done = wide;
+        }
+#endif
+        for (size_t w = vector_done; w < wide; ++w)
+            out[w] = blockSingle(peq, m, blocks, wide_text[w], wide_len[w],
+                                 std::min(limit, std::max(m, wide_len[w])));
+        for (size_t w = 0; w < wide; ++w)
+            dists[wide_at[w]] = out[w];
+    }
 }
 
 } // namespace simd

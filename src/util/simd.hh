@@ -8,11 +8,13 @@
  * output (the determinism suites run with DNASTORE_FORCE_SCALAR=1 to
  * prove it). Three steps follow it:
  *  - myersBatch, bounded Myers bit-parallel edit distance for cluster
- *    candidate verification: an AVX2 path that runs four texts in the
- *    lanes of one register, or a portable scalar path. The AVX2 path
- *    is compiled with a per-function target attribute, so the library
- *    stays runnable on any x86-64 (and non-x86 builds use the scalar
- *    path throughout) without -march flags.
+ *    candidate verification: wide bands run four texts in the lanes
+ *    of one AVX2 register, or one at a time on the portable scalar
+ *    path, and the pattern masks are built with SSE2 byte compares
+ *    or with the portable loop. The AVX2 path is compiled with a
+ *    per-function target attribute, so the library stays runnable on
+ *    any x86-64 (and non-x86 builds use the scalar path throughout)
+ *    without -march flags.
  *  - consensus's mask gather (consensus/bma.cc): SSE2 byte compares
  *    (baseline on every x86-64) on the Avx2 tier, multiplies on
  *    Scalar;
@@ -102,16 +104,28 @@ matchRunBackward(const uint8_t *a, const uint8_t *b, size_t n)
 }
 
 /**
- * Advance k independent bounded Myers global-edit-distance automata
- * that share one pattern.
+ * Words of the match-mask table myersMasks builds for an m-base
+ * pattern: per base, one zero word (rows -63..0), ceil(m / 64) mask
+ * words (row i is bit (i - 1) & 63 of word 1 + (i - 1) / 64), and
+ * one zero word (rows past m).
+ */
+size_t myersMaskWords(size_t m);
+
+/**
+ * Fill @p peq (myersMaskWords(m) words) with the match masks of the
+ * @p m bases at @p pattern (2-bit codes, one byte per base). The
+ * vector tier builds 16 rows per byte compare and movemask per base;
+ * Scalar sets one bit per row. Both give the same words.
+ */
+void myersMasks(const uint8_t *pattern, size_t m, uint64_t *peq);
+
+/**
+ * Bounded Myers global edit distance of one pattern against k texts.
  *
- * @param peq    Pattern match masks, laid out [base * blocks + block]
- *               (4 * blocks words), as built by editDistanceBatch.
+ * @param peq    The pattern's match masks, as built by myersMasks.
  * @param m      Pattern length in bases (>= 1).
- * @param blocks ceil(m / 64) 64-row blocks.
  * @param texts  k text base pointers (2-bit codes, one byte per
- *               base). Any k; the vector tier internally chunks the
- *               batch into groups of 4.
+ *               base). Any k.
  * @param lens   Text lengths.
  * @param limit  Distance bound; limit >= max(m, n) is unbounded.
  * @param dists  Out, for all k texts on every tier: the exact
@@ -119,16 +133,24 @@ matchRunBackward(const uint8_t *a, const uint8_t *b, size_t n)
  *               <= limit, else limit + 1.
  *
  * The bound is what makes it cheap. A length gap over the limit
- * settles a text without any DP; each column steps only the 64-row
- * blocks that meet the diagonal band |row - column| <= limit; and
- * every 8 columns a text whose diagonal toward the final cell already
- * exceeds the limit retires. The AVX2 path runs four automata at a
- * time in the four 64-bit lanes of a vector register,
- * column-lockstep, and returns once every lane has retired or ended.
- * The scalar tier runs the same recurrence one text at a time;
- * results are bit-identical.
+ * settles a text without any DP. Past that, only Ukkonen's band is
+ * computed: with t the limit and delta = m - n, a path of cost <= t
+ * only visits the diagonals d = row - column with
+ * |d| + |d - delta| <= t, that is the rows
+ * [j + ceil((delta - t) / 2), j + floor((delta + t) / 2)] of column
+ * j, about t + 1 of them. When those fit one 64-bit word, one word
+ * slides down the diagonal a row per column (Hyyro's banded
+ * formulation), and the text retires in the first column where its
+ * cell on the final diagonal exceeds the limit. Wider bands (the
+ * unbounded editDistance, the clusterer's retry at its join limit)
+ * step the 64-row blocks that meet the band, and check the final
+ * diagonal every 8 columns. The AVX2 tier runs those wide texts four
+ * at a time in the 64-bit lanes of a vector register,
+ * column-lockstep over the union of their bands; every other text
+ * takes the same scalar code on both tiers. Results are bit-identical
+ * on every tier.
  */
-void myersBatch(const uint64_t *peq, size_t m, size_t blocks,
+void myersBatch(const uint64_t *peq, size_t m,
                 const uint8_t *const *texts, const size_t *lens,
                 size_t k, size_t limit, uint32_t *dists);
 

@@ -582,5 +582,21 @@ TEST(ScoreClustering, PerfectAndDegenerate)
     EXPECT_DOUBLE_EQ(q.recall, 1.0);
 }
 
+TEST(ScoreClustering, RejectsTruthOfAnotherSize)
+{
+    // Every read needs exactly one truth label: a shorter truth was
+    // read past its end, a longer one silently ignored.
+    Clustering five;
+    five.clusterOf = { 0, 1, 2, 3, 4 };
+    five.members = { { 0 }, { 1 }, { 2 }, { 3 }, { 4 } };
+    EXPECT_THROW(scoreClustering(five, { 0, 1 }), std::invalid_argument);
+    EXPECT_THROW(scoreClustering(five, { 0, 1, 2, 3, 4, 5 }),
+                 std::invalid_argument);
+    EXPECT_THROW(scoreClustering(five, {}), std::invalid_argument);
+    const ClusterQuality q = scoreClustering(five, { 0, 1, 2, 3, 4 });
+    EXPECT_DOUBLE_EQ(q.precision, 1.0);
+    EXPECT_DOUBLE_EQ(q.recall, 1.0);
+}
+
 } // namespace
 } // namespace dnastore

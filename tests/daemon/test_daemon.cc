@@ -1163,4 +1163,100 @@ TEST(DaemonCli, ClientTrialCountIsCheckedBeforeConnecting)
         << text;
 }
 
+namespace {
+
+/**
+ * Fork and exec the real binary with @p args, its stderr sent to
+ * @p errPath; the exit status, or -1 when it did not exit normally.
+ */
+int
+runCli(const std::vector<std::string> &args, const std::string &errPath)
+{
+    std::vector<char *> argv{ const_cast<char *>(DNASTORE_CLI_PATH) };
+    for (const std::string &arg : args)
+        argv.push_back(const_cast<char *>(arg.c_str()));
+    argv.push_back(nullptr);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        if (std::freopen(errPath.c_str(), "w", stderr) == nullptr ||
+            std::freopen("/dev/null", "w", stdout) == nullptr)
+            _exit(126);
+        ::execv(DNASTORE_CLI_PATH, argv.data());
+        _exit(127); // exec failed
+    }
+    int wait_status = 0;
+    if (pid < 0 || ::waitpid(pid, &wait_status, 0) != pid ||
+        !WIFEXITED(wait_status))
+        return -1;
+    return WEXITSTATUS(wait_status);
+}
+
+/** The whole of the file at @p path. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+} // namespace
+
+// `decode --outdir DIR` and `unpack --outdir DIR` create a missing
+// DIR (one level, as in the README quickstart), and fail with a
+// message naming DIR when it cannot be created or is not a directory.
+TEST(CliOutdir, DecodeAndUnpackCreateAMissingOutdir)
+{
+    const std::string root = freshRoot("outdir");
+    const std::string input = root + "/p.bin";
+    const std::string err = root + "/stderr";
+    {
+        const std::vector<uint8_t> bytes = patternBytes(300, 7);
+        std::ofstream out(input, std::ios::binary);
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  std::streamsize(bytes.size()));
+    }
+    ASSERT_EQ(runCli({ "encode", input, "--out", root + "/unit.dna" }, err),
+              0)
+        << slurp(err);
+    ASSERT_EQ(runCli({ "pack", input, "--out", root + "/s.dnapool" }, err),
+              0)
+        << slurp(err);
+
+    EXPECT_EQ(runCli({ "decode", root + "/unit.dna", "--outdir",
+                       root + "/fresh" },
+                     err),
+              0)
+        << slurp(err);
+    EXPECT_EQ(slurp(root + "/fresh/p.bin"), slurp(input));
+    EXPECT_EQ(runCli({ "unpack", root + "/s.dnapool", "--outdir",
+                       root + "/unpacked" },
+                     err),
+              0)
+        << slurp(err);
+    EXPECT_EQ(slurp(root + "/unpacked/p.bin"), slurp(input));
+    // An existing directory is reused.
+    EXPECT_EQ(runCli({ "decode", root + "/unit.dna", "--outdir",
+                       root + "/fresh" },
+                     err),
+              0)
+        << slurp(err);
+
+    // Only the last level is created.
+    const std::string deep = root + "/missing/deeper";
+    EXPECT_EQ(runCli({ "decode", root + "/unit.dna", "--outdir", deep },
+                     err),
+              1);
+    EXPECT_NE(slurp(err).find("cannot create --outdir " + deep),
+              std::string::npos)
+        << slurp(err);
+    EXPECT_EQ(runCli({ "unpack", root + "/s.dnapool", "--outdir", input },
+                     err),
+              1);
+    EXPECT_NE(slurp(err).find("--outdir " + input +
+                              " exists and is not a directory"),
+              std::string::npos)
+        << slurp(err);
+}
+
 #endif // DNASTORE_CLI_PATH

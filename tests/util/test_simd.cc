@@ -231,6 +231,93 @@ TEST_P(SimdKernels, EditDistanceBatchBoundaryCases)
     }
 }
 
+/**
+ * A copy of @p pattern whose cheapest alignment runs along diagonal
+ * -s (@p top) or +s at cost @p t: s random bases inserted in front
+ * and t - s bases cut from the end, or s bases cut from the front and
+ * t - s random bases appended. Either way s is the band's edge at
+ * limit t, and the distance is t unless the random bases happen to
+ * match.
+ */
+Strand
+edgeCopy(const Strand &pattern, size_t s, size_t t, bool top, Rng &rng)
+{
+    const size_t m = pattern.size();
+    Strand out = randomStrand(top ? s : 0, rng);
+    const size_t from = top ? 0 : s, cut = top ? t - s : s;
+    out.insert(out.end(), pattern.begin() + long(from),
+               pattern.begin() + long(m - (top ? cut : 0)));
+    const Strand tail = randomStrand(top ? 0 : t - s, rng);
+    out.insert(out.end(), tail.begin(), tail.end());
+    return out;
+}
+
+TEST_P(SimdKernels, EditDistanceBatchBandEdges)
+{
+    // Ukkonen's band at limit t spans t or t + 1 rows, so limits 58 to
+    // 66 cross the one-word kernel's 64-row edge. Each group of four
+    // mixes length gaps from -t to t, and edge copies put the only
+    // path within t on the band's first or last diagonal. Lengths
+    // below 64 keep the virtual rows above row 1 inside the band to
+    // the last column, and texts that share only a 20-base prefix
+    // with the pattern reach the abort after it.
+    Rng rng(9);
+    for (size_t t = 58; t <= 66; ++t) {
+        for (int iter = 0; iter < fuzzIters(8); ++iter) {
+            const size_t m = iter % 2 == 0 ? 1 + rng.nextBelow(63)
+                                           : 64 + rng.nextBelow(400);
+            const Strand pattern = randomStrand(m, rng);
+            std::vector<Strand> texts;
+            for (size_t i = 0; i < 8; ++i) {
+                const ptrdiff_t gap =
+                    ptrdiff_t(rng.nextBelow(2 * t + 1)) - ptrdiff_t(t);
+                const size_t n = size_t(std::max<ptrdiff_t>(
+                    1, ptrdiff_t(m) - gap));
+                Strand text;
+                switch (i % 4) {
+                  case 0:
+                    // Unrelated, or the pattern's first 20 bases and
+                    // then noise.
+                    text = randomStrand(n, rng);
+                    if (i == 4)
+                        std::copy_n(pattern.begin(),
+                                    std::min({ m, n, size_t(20) }),
+                                    text.begin());
+                    break;
+                  case 1: { // top edge: s <= t, t - s <= m
+                    const size_t s_min = t > m ? t - m : 0;
+                    text = edgeCopy(pattern,
+                                    s_min + rng.nextBelow(t - s_min + 1),
+                                    t, true, rng);
+                    break;
+                  }
+                  case 2: // bottom edge: s <= min(m, t)
+                    text = edgeCopy(pattern,
+                                    rng.nextBelow(std::min(m, t) + 1), t,
+                                    false, rng);
+                    break;
+                  default: { // a noisy copy cut or padded to n
+                    text = mutate(pattern, rng.nextBelow(t / 2 + 1), rng);
+                    const Strand pad = randomStrand(n, rng);
+                    text.resize(n);
+                    for (size_t p = m; p < n; ++p)
+                        text[p] = pad[p];
+                  }
+                }
+                texts.push_back(text);
+            }
+            std::vector<size_t> exact;
+            for (const Strand &text : texts)
+                exact.push_back(referenceEditDistance(pattern, text));
+            expectBatchBounded(pattern, texts, exact, t);
+            // At a text's own distance, the band's edge is its path.
+            const size_t own = exact[rng.nextBelow(texts.size())];
+            if (own >= 58 && own <= 66)
+                expectBatchBounded(pattern, texts, exact, own);
+        }
+    }
+}
+
 TEST_P(SimdKernels, EditDistanceBatchEdges)
 {
     Rng rng(7);
@@ -276,6 +363,40 @@ TEST_P(SimdKernels, EditDistanceBatchEdges)
     EXPECT_EQ(dist, 0u);
 }
 
+/** myersMasks of @p pattern. */
+std::vector<uint64_t>
+masksOf(const Strand &pattern)
+{
+    std::vector<uint64_t> peq(simd::myersMaskWords(pattern.size()));
+    simd::myersMasks(reinterpret_cast<const uint8_t *>(pattern.data()),
+                     pattern.size(), peq.data());
+    return peq;
+}
+
+TEST_P(SimdKernels, MyersMasksMatchTheirLayout)
+{
+    // Per base: a zero word, row i at bit (i - 1) & 63 of word
+    // 1 + (i - 1) / 64, a zero word; lengths around the 16-row
+    // compares and the word edges.
+    Rng rng(8);
+    for (size_t m : { size_t(1), size_t(15), size_t(16), size_t(17),
+                      size_t(63), size_t(64), size_t(65), size_t(200),
+                      size_t(455) }) {
+        const Strand pattern = randomStrand(m, rng);
+        const size_t stride = (m + 63) / 64 + 2;
+        std::vector<uint64_t> want(size_t(kNumBases) * stride, 0);
+        for (size_t i = 0; i < m; ++i)
+            want[size_t(bitsFromBase(pattern[i])) * stride + 1 +
+                 (i >> 6)] |= uint64_t(1) << (i & 63);
+        ASSERT_EQ(simd::myersMaskWords(m), want.size());
+        // Stale words from a longer pattern must not survive.
+        std::vector<uint64_t> got(want.size(), ~uint64_t(0));
+        simd::myersMasks(reinterpret_cast<const uint8_t *>(pattern.data()),
+                         m, got.data());
+        EXPECT_EQ(got, want) << "m " << m;
+    }
+}
+
 TEST_P(SimdKernels, MyersBatchFillsEveryLaneBeyondFour)
 {
     // Regression: the AVX2 kernel drives 4 lanes at a time; a k > 4
@@ -284,11 +405,7 @@ TEST_P(SimdKernels, MyersBatchFillsEveryLaneBeyondFour)
     Rng rng(5);
     for (size_t m : { size_t(90), size_t(129), size_t(450) }) {
         const Strand pattern = randomStrand(m, rng);
-        const size_t blocks = (m + 63) / 64;
-        std::vector<uint64_t> peq(size_t(kNumBases) * blocks, 0);
-        for (size_t i = 0; i < m; ++i)
-            peq[size_t(bitsFromBase(pattern[i])) * blocks + (i >> 6)] |=
-                uint64_t(1) << (i & 63);
+        const std::vector<uint64_t> peq = masksOf(pattern);
 
         for (size_t k : { size_t(5), size_t(7), size_t(9) }) {
             std::vector<Strand> store;
@@ -307,8 +424,8 @@ TEST_P(SimdKernels, MyersBatchFillsEveryLaneBeyondFour)
             for (size_t limit : { size_t(0), size_t(1),
                                   size_t(rng.nextBelow(m)), m + 60 }) {
                 std::vector<uint32_t> dists(k, 0xdeadbeefu);
-                simd::myersBatch(peq.data(), m, blocks, ptrs.data(),
-                                 lens.data(), k, limit, dists.data());
+                simd::myersBatch(peq.data(), m, ptrs.data(), lens.data(),
+                                 k, limit, dists.data());
                 for (size_t i = 0; i < k; ++i)
                     EXPECT_EQ(dists[i], bounded(exact[i], limit))
                         << "m " << m << " k " << k << " text " << i

@@ -8,7 +8,8 @@
  *            line (FASTA-ish flat format).
  *   decode   <unit.dna> --outdir DIR
  *            Read strands back (one cluster per original line group),
- *            run consensus + ECC, and write the recovered files.
+ *            run consensus + ECC, and write the recovered files into
+ *            DIR (created when missing; its parent must exist).
  *   simulate <files...> [--scheme ...] [--error-rate p] [--coverage n]
  *            [--ins-rate p] [--del-rate p] [--sub-rate p]
  *            [--gamma-mean m --gamma-shape k]
@@ -35,7 +36,8 @@
  *            `.dnapool` file (the durable store format).
  *   unpack   <store.dnapool> --outdir DIR
  *            Reopen a pool file read-only, retrieve every object
- *            through the decode path, and write the recovered files.
+ *            through the decode path, and write the recovered files
+ *            into DIR, created as for decode.
  *   health   <store.dnapool> [--json FILE] [--threads t]
  *            Probe-decode the pool at full depth and emit the health
  *            report (per-cluster live reads and consensus agreement,
@@ -83,8 +85,10 @@
  *      reliability bound)
  */
 
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -101,6 +105,7 @@
 #include "lab/report.hh"
 #include "lab/scenario.hh"
 #include "lab/sweep.hh"
+#include "util/errno_text.hh"
 #include "util/parse.hh"
 
 using namespace dnastore;
@@ -485,6 +490,28 @@ cmdEncode(const CliOptions &opt)
 }
 
 /**
+ * Make sure @p outdir is a directory, creating it (mode 0755) when it
+ * is missing. Only the last level is created: its parent must exist.
+ */
+bool
+ensureOutdir(const std::string &outdir)
+{
+    struct stat st;
+    if (::stat(outdir.c_str(), &st) == 0) {
+        if (S_ISDIR(st.st_mode))
+            return true;
+        std::fprintf(stderr, "--outdir %s exists and is not a directory\n",
+                     outdir.c_str());
+        return false;
+    }
+    if (errno == ENOENT && ::mkdir(outdir.c_str(), 0755) == 0)
+        return true;
+    std::fprintf(stderr, "cannot create --outdir %s: %s\n", outdir.c_str(),
+                 errnoText(errno).c_str());
+    return false;
+}
+
+/**
  * Write one recovered object under @p outdir. Object names come from
  * untrusted bytes (a unit artifact or pool file); FileBundle's
  * parsers already reject names that are not a single plain path
@@ -536,6 +563,8 @@ cmdDecode(const CliOptions &opt)
         printStatus(decoded.status());
         return statusExit(decoded.status());
     }
+    if (!ensureOutdir(opt.outdir))
+        return kExitRuntime;
     for (const auto &file : decoded->files) {
         std::string path;
         if (!writeRecovered(opt.outdir, file.name, file.data, &path))
@@ -727,6 +756,8 @@ cmdUnpack(const CliOptions &opt)
         printStatus(retrieval.status());
         return statusExit(retrieval.status());
     }
+    if (!ensureOutdir(opt.outdir))
+        return kExitRuntime;
     for (const auto &file : retrieval->objects.files()) {
         std::string path;
         if (!writeRecovered(opt.outdir, file.name, file.data, &path))
