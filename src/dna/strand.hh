@@ -63,12 +63,10 @@ size_t editDistanceRange(const Base *a, size_t na, const Base *b,
  * comparison. The kernel (util/simd.hh) computes only Ukkonen's
  * diagonal band for the limit, in one sliding word when it fits 64
  * rows, and retires a text as soon as its distance provably exceeds
- * the limit, so a rejection costs a fraction of a full table. Wider
- * bands run four texts at a time in the 64-bit lanes of an AVX2
- * register when available. Results are bit-identical on
- * every dispatch tier; this is the candidate-verification primitive
- * behind read clustering, where one read is checked against several
- * cluster representatives at once.
+ * the limit, so a rejection costs a fraction of a full table. The
+ * same code runs on every dispatch tier; this is the
+ * candidate-verification primitive behind read clustering, where one
+ * read is checked against several cluster representatives at once.
  */
 class StrandView;
 void editDistanceBatch(const Base *pattern, size_t m,

@@ -52,10 +52,9 @@ popcount64(uint64_t x)
  *    bit k is row j + lo + k slides down a row per column, so the
  *    final diagonal is the fixed bit delta - lo and the abort is one
  *    compare per column;
- *  - the block kernel (blockSingle, myersBatch4Avx2) otherwise: the
- *    64-row blocks that meet the band, with the score at the bottom
- *    row of the last active block, and the abort every kAbortStride
- *    columns.
+ *  - blockSingle otherwise: the 64-row blocks that meet the band,
+ *    with the score at the bottom row of the last active block, and
+ *    the abort every kAbortStride columns.
  */
 
 /** Every column multiple of this checks the block kernel's abort. */
@@ -90,30 +89,21 @@ bottomBit(size_t b, size_t m, size_t blocks)
 }
 
 /**
- * Ukkonen's diagonals [lo, hi] for the length gaps delta = m - n in
- * [dmin, dmax] at limit t, where every gap is within t. Then
- * -t <= lo <= dmin and dmax <= hi <= t.
+ * Ukkonen's diagonals [lo, hi] for the length gap delta = m - n at
+ * limit t >= |delta|. Then -t <= lo <= delta <= hi <= t.
  */
 struct Diagonals
 {
     ptrdiff_t lo, hi;
 
-    Diagonals(ptrdiff_t dmin, ptrdiff_t dmax, size_t t)
-        : lo(-ptrdiff_t((ptrdiff_t(t) - dmin) / 2)),
-          hi((dmax + ptrdiff_t(t)) / 2)
+    Diagonals(ptrdiff_t delta, size_t t)
+        : lo(-((ptrdiff_t(t) - delta) / 2)), hi((delta + ptrdiff_t(t)) / 2)
     {
     }
 
     /** Whether the band fits one word: at most 64 rows. */
     bool oneWord() const { return hi - lo < 64; }
 };
-
-/** delta = m - n. */
-inline ptrdiff_t
-lengthGap(size_t m, size_t n)
-{
-    return ptrdiff_t(m) - ptrdiff_t(n);
-}
 
 /**
  * One text whose band fits one word; |m - n| <= limit, n >= 1.
@@ -131,7 +121,7 @@ uint32_t
 diagonalSingle(const uint64_t *peq, size_t stride, size_t m,
                const uint8_t *text, size_t n, size_t limit, ptrdiff_t lo)
 {
-    const ptrdiff_t delta = lengthGap(m, n);
+    const ptrdiff_t delta = ptrdiff_t(m) - ptrdiff_t(n);
     const unsigned tap = unsigned(delta - lo);
     // Column 0: D(i, 0) = |i|, deltas -1 for rows lo..0 (lo >= -63).
     uint64_t vn = ~uint64_t(0) >> (63 + lo);
@@ -200,13 +190,12 @@ struct Band
  * text of length @p n: every kAbortStride columns, D(j + m - n, j) --
  * the cell on the final cell's diagonal -- is the score minus the
  * vertical deltas of the rows below it, down to the last active
- * block's bottom row. Per-block words lie @p stride apart (one per
- * lane).
+ * block's bottom row.
  */
 inline bool
 diagonalPastLimit(size_t j, size_t m, size_t n, size_t blocks,
                   size_t last, size_t limit, uint64_t score,
-                  const uint64_t *vp, const uint64_t *vn, size_t stride)
+                  const uint64_t *vp, const uint64_t *vn)
 {
     // With limit >= max(m, n) no value on the diagonal can pass it.
     if (j % kAbortStride != 0 || j + m <= n || limit >= std::max(m, n))
@@ -220,24 +209,27 @@ diagonalPastLimit(size_t j, size_t m, size_t n, size_t blocks,
         uint64_t rows = (uint64_t(2) << bottomBit(b, m, blocks)) - 1;
         if (b == first)
             rows &= ~((uint64_t(2) << ((i - 1) & 63)) - 1);
-        cell += popcount64(vn[b * stride] & rows);
-        cell -= popcount64(vp[b * stride] & rows);
+        cell += popcount64(vn[b] & rows);
+        cell -= popcount64(vp[b] & rows);
     }
     return cell > limit;
 }
 
-/** The block kernel on one text; |n - m| <= limit, n >= 1. */
+/**
+ * One text whose band spans more than 64 rows; |n - m| <= limit,
+ * n >= 1.
+ */
 uint32_t
 blockSingle(const uint64_t *peq, size_t m, size_t blocks,
-            const uint8_t *text, size_t n, size_t limit)
+            const uint8_t *text, size_t n, size_t limit,
+            const Diagonals &diagonals)
 {
     static thread_local std::vector<uint64_t> vp, vn;
     vp.assign(blocks, ~uint64_t(0));
     vn.assign(blocks, 0);
 
     const size_t stride = maskStride(blocks);
-    const ptrdiff_t delta = lengthGap(m, n);
-    Band band{ m, blocks, Diagonals(delta, delta, limit) };
+    Band band{ m, blocks, diagonals };
     uint64_t score = blockHeight(0, m);
     for (size_t j = 1; j <= n; ++j) {
         score += band.advance(j);
@@ -264,144 +256,11 @@ blockSingle(const uint64_t *peq, size_t m, size_t blocks,
             hn = hout_n;
         }
         if (j < n && diagonalPastLimit(j, m, n, blocks, last, limit,
-                                       score, vp.data(), vn.data(), 1))
+                                       score, vp.data(), vn.data()))
             return uint32_t(limit + 1);
     }
     return boundedDist(score, limit);
 }
-
-/**
- * The checks every tier makes before any DP: an empty text and a
- * length gap past the limit. Returns true once *dist is settled.
- */
-inline bool
-settledWithoutDp(size_t m, size_t n, size_t limit, uint32_t *dist)
-{
-    const size_t gap = n > m ? n - m : m - n;
-    if (gap > limit || n == 0) {
-        *dist = boundedDist(gap, limit);
-        return true;
-    }
-    return false;
-}
-
-#ifdef DNASTORE_SIMD_X86
-
-// -------------------------------------------------------------- AVX2 tier
-
-/**
- * The block kernel on 2..4 texts, none settled without DP. Lane l
- * runs pattern-vs-texts[l], column-lockstep over the union of the
- * lanes' bands; a lane past its end, or aborted, reads an all-zero
- * match row so its state keeps stepping without branching.
- */
-__attribute__((target("avx2,popcnt"))) void
-myersBatch4Avx2(const uint64_t *peq, size_t m, size_t blocks,
-                const uint8_t *const *texts, const size_t *lens,
-                size_t k, size_t limit, uint32_t *dists)
-{
-    static thread_local std::vector<uint64_t> vp, vn, zero_row;
-    vp.assign(4 * blocks, ~uint64_t(0));
-    vn.assign(4 * blocks, 0);
-    zero_row.assign(blocks, 0);
-
-    size_t end[4] = {}; // last column of a live lane; 0 once retired
-    size_t min_len = lens[0], max_len = lens[0];
-    for (size_t l = 0; l < k; ++l) {
-        end[l] = lens[l];
-        min_len = std::min(min_len, lens[l]);
-        max_len = std::max(max_len, lens[l]);
-    }
-    size_t open = k;
-    // As in the scalar tier: past max(m, n) the limit changes nothing.
-    limit = std::min(limit, std::max(m, max_len));
-
-    const size_t stride = maskStride(blocks);
-    const __m256i one = _mm256_set1_epi64x(1);
-    const __m256i ones = _mm256_set1_epi64x(-1);
-    Band band{ m, blocks,
-               Diagonals(lengthGap(m, max_len), lengthGap(m, min_len),
-                         limit) };
-    __m256i score = _mm256_set1_epi64x(int64_t(blockHeight(0, m)));
-    for (size_t j = 1; j <= max_len; ++j) {
-        if (const uint64_t entered = band.advance(j))
-            score = _mm256_add_epi64(score,
-                                     _mm256_set1_epi64x(int64_t(entered)));
-        const size_t last = band.last;
-        const int shift = int(band.shift);
-        const uint64_t *row[4];
-        for (size_t l = 0; l < 4; ++l) {
-            row[l] = j <= end[l]
-                ? peq + size_t(texts[l][j - 1]) * stride + 1
-                : zero_row.data();
-        }
-        __m256i hp = one;                    // horizontal carry +1 in
-        __m256i hn = _mm256_setzero_si256(); // horizontal carry -1 in
-        for (size_t blk = band.first; blk <= last; ++blk) {
-            const __m256i eq0 = _mm256_set_epi64x(
-                int64_t(row[3][blk]), int64_t(row[2][blk]),
-                int64_t(row[1][blk]), int64_t(row[0][blk]));
-            __m256i pv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(vp.data() + 4 * blk));
-            __m256i mv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(vn.data() + 4 * blk));
-            const __m256i xv = _mm256_or_si256(eq0, mv);
-            const __m256i eq = _mm256_or_si256(eq0, hn);
-            const __m256i sum =
-                _mm256_add_epi64(_mm256_and_si256(eq, pv), pv);
-            const __m256i xh =
-                _mm256_or_si256(_mm256_xor_si256(sum, pv), eq);
-            __m256i ph = _mm256_or_si256(
-                mv, _mm256_andnot_si256(_mm256_or_si256(xh, pv), ones));
-            __m256i mh = _mm256_and_si256(pv, xh);
-            if (blk == last) {
-                score = _mm256_add_epi64(
-                    score,
-                    _mm256_and_si256(_mm256_srli_epi64(ph, shift), one));
-                score = _mm256_sub_epi64(
-                    score,
-                    _mm256_and_si256(_mm256_srli_epi64(mh, shift), one));
-            }
-            const __m256i hout_p = _mm256_srli_epi64(ph, 63);
-            const __m256i hout_n = _mm256_srli_epi64(mh, 63);
-            ph = _mm256_or_si256(_mm256_slli_epi64(ph, 1), hp);
-            mh = _mm256_or_si256(_mm256_slli_epi64(mh, 1), hn);
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(vp.data() + 4 * blk),
-                _mm256_or_si256(
-                    mh, _mm256_andnot_si256(_mm256_or_si256(xv, ph),
-                                            ones)));
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(vn.data() + 4 * blk),
-                _mm256_and_si256(ph, xv));
-            hp = hout_p;
-            hn = hout_n;
-        }
-        if (j % kAbortStride != 0 && j != end[0] && j != end[1] &&
-            j != end[2] && j != end[3])
-            continue;
-        uint64_t s[4];
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(s), score);
-        for (size_t l = 0; l < 4; ++l) {
-            if (j > end[l])
-                continue;
-            if (j == end[l]) {
-                dists[l] = boundedDist(s[l], limit);
-            } else if (diagonalPastLimit(j, m, end[l], blocks, last,
-                                         limit, s[l], vp.data() + l,
-                                         vn.data() + l, 4)) {
-                dists[l] = uint32_t(limit + 1);
-            } else {
-                continue;
-            }
-            end[l] = 0; // retired: reads the zero row from here on
-            if (--open == 0)
-                return;
-        }
-    }
-}
-
-#endif // DNASTORE_SIMD_X86
 
 // --------------------------------------------------------------- dispatch
 
@@ -495,47 +354,21 @@ myersBatch(const uint64_t *peq, size_t m, const uint8_t *const *texts,
 {
     const size_t blocks = (m + 63) / 64;
     const size_t stride = maskStride(blocks);
-#ifdef DNASTORE_SIMD_X86
-    const bool avx2 = activeLevel() == Level::Avx2;
-#endif
-    // Each group of four settles what it can alone: the length
-    // checks, then every band that fits one word. The wide rest runs
-    // the block kernel, in the lanes of one register where there are
-    // two or more on the AVX2 tier.
-    for (size_t base = 0; base < k; base += 4) {
-        const uint8_t *wide_text[4];
-        size_t wide_len[4], wide_at[4], wide = 0;
-        for (size_t l = base; l < std::min(k, base + 4); ++l) {
-            const size_t n = lens[l];
-            if (settledWithoutDp(m, n, limit, &dists[l]))
-                continue;
-            // Past max(m, n) the limit changes nothing; clamping
-            // keeps the band within the table.
-            const size_t t = std::min(limit, std::max(m, n));
-            const Diagonals band(lengthGap(m, n), lengthGap(m, n), t);
-            if (band.oneWord()) {
-                dists[l] = diagonalSingle(peq, stride, m, texts[l], n, t,
-                                          band.lo);
-                continue;
-            }
-            wide_text[wide] = texts[l];
-            wide_len[wide] = n;
-            wide_at[wide++] = l;
+    for (size_t l = 0; l < k; ++l) {
+        const size_t n = lens[l];
+        // An empty text or a length gap past the limit needs no DP.
+        const size_t gap = n > m ? n - m : m - n;
+        if (gap > limit || n == 0) {
+            dists[l] = boundedDist(gap, limit);
+            continue;
         }
-        uint32_t out[4];
-        size_t vector_done = 0;
-#ifdef DNASTORE_SIMD_X86
-        if (avx2 && wide > 1) {
-            myersBatch4Avx2(peq, m, blocks, wide_text, wide_len, wide,
-                            limit, out);
-            vector_done = wide;
-        }
-#endif
-        for (size_t w = vector_done; w < wide; ++w)
-            out[w] = blockSingle(peq, m, blocks, wide_text[w], wide_len[w],
-                                 std::min(limit, std::max(m, wide_len[w])));
-        for (size_t w = 0; w < wide; ++w)
-            dists[wide_at[w]] = out[w];
+        // Past max(m, n) the limit changes nothing; clamping keeps the
+        // band within the table.
+        const size_t t = std::min(limit, std::max(m, n));
+        const Diagonals band(ptrdiff_t(m) - ptrdiff_t(n), t);
+        dists[l] = band.oneWord()
+            ? diagonalSingle(peq, stride, m, texts[l], n, t, band.lo)
+            : blockSingle(peq, m, blocks, texts[l], n, t, band);
     }
 }
 

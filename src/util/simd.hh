@@ -1,20 +1,17 @@
 /**
  * @file
- * The runtime-dispatched SIMD tier, the vector kernel it picks, and
- * the decode path's byte-run compares.
+ * The runtime-dispatched SIMD tier, the bounded Myers kernel and its
+ * pattern masks, and the decode path's byte-run compares.
  *
  * The tier is chosen once at startup from CPUID, and every path it
  * picks returns bit-identical results, so the choice never changes an
  * output (the determinism suites run with DNASTORE_FORCE_SCALAR=1 to
- * prove it). Three steps follow it:
- *  - myersBatch, bounded Myers bit-parallel edit distance for cluster
- *    candidate verification: wide bands run four texts in the lanes
- *    of one AVX2 register, or one at a time on the portable scalar
- *    path, and the pattern masks are built with SSE2 byte compares
- *    or with the portable loop. The AVX2 path is compiled with a
- *    per-function target attribute, so the library stays runnable on
- *    any x86-64 (and non-x86 builds use the scalar path throughout)
- *    without -march flags.
+ * prove it). Three steps follow it; AVX2 code is compiled with a
+ * per-function target attribute, so the library stays runnable on any
+ * x86-64 (and non-x86 builds use the scalar path throughout) without
+ * -march flags:
+ *  - myersMasks, the match masks of cluster candidate verification:
+ *    SSE2 byte compares on the Avx2 tier, one bit per row on Scalar;
  *  - consensus's mask gather (consensus/bma.cc): SSE2 byte compares
  *    (baseline on every x86-64) on the Avx2 tier, multiplies on
  *    Scalar;
@@ -22,9 +19,11 @@
  *    compiled for AVX2 on the Avx2 tier, for the baseline ISA on
  *    Scalar.
  *
- * matchRunForward/Backward serve consensus's unanimity runs. Those
- * runs average a few bases, so they are a portable 8-byte-word loop,
- * inline here, with no vector tier.
+ * myersBatch, bounded Myers bit-parallel edit distance over those
+ * masks, is portable code that runs the same on every tier (see its
+ * contract below). matchRunForward/Backward serve consensus's
+ * unanimity runs. Those runs average a few bases, so they are a
+ * portable 8-byte-word loop, inline here, with no vector tier.
  */
 
 #ifndef DNASTORE_UTIL_SIMD_HH
@@ -40,7 +39,7 @@ namespace simd {
 enum class Level
 {
     Scalar = 0, //!< Portable C++ (also the DNASTORE_FORCE_SCALAR path).
-    Avx2 = 1,   //!< Four Myers automata in the lanes of one register.
+    Avx2 = 1,   //!< The vector builds of the three steps above.
 };
 
 /**
@@ -144,11 +143,8 @@ void myersMasks(const uint8_t *pattern, size_t m, uint64_t *peq);
  * cell on the final diagonal exceeds the limit. Wider bands (the
  * unbounded editDistance, the clusterer's retry at its join limit)
  * step the 64-row blocks that meet the band, and check the final
- * diagonal every 8 columns. The AVX2 tier runs those wide texts four
- * at a time in the 64-bit lanes of a vector register,
- * column-lockstep over the union of their bands; every other text
- * takes the same scalar code on both tiers. Results are bit-identical
- * on every tier.
+ * diagonal every 8 columns. Each text runs alone, in the same code on
+ * every tier.
  */
 void myersBatch(const uint64_t *peq, size_t m,
                 const uint8_t *const *texts, const size_t *lens,

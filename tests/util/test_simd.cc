@@ -148,7 +148,7 @@ TEST_P(SimdKernels, EditDistanceBatchMatchesPairwise)
 {
     // Mutated copies, unrelated strands (the abort path) and empty
     // texts, at block-edge lengths, against limits from 0 to past
-    // every length; k spans partial and multiple AVX2 groups.
+    // every length; k spans partial and multiple groups of four.
     Rng rng(4);
     for (int iter = 0; iter < fuzzIters(60); ++iter) {
         const size_t m = iter % 2 == 0
@@ -399,8 +399,8 @@ TEST_P(SimdKernels, MyersMasksMatchTheirLayout)
 
 TEST_P(SimdKernels, MyersBatchFillsEveryLaneBeyondFour)
 {
-    // Regression: the AVX2 kernel drives 4 lanes at a time; a k > 4
-    // call must fill dists[4..k) too, on every tier and at every
+    // The clusterer passes groups of four; any other k, above four
+    // too, must fill all of dists[0..k), on every tier and at every
     // limit.
     Rng rng(5);
     for (size_t m : { size_t(90), size_t(129), size_t(450) }) {
